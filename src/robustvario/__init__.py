@@ -26,6 +26,8 @@ from .estimators import (
     ModConfig,
     VariogramEstimate,
     apply_correction,
+    direction_stream,
+    estimate,
     genton,
     matheron,
     mcd_diff,

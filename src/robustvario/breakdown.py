@@ -30,9 +30,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EstimatorUnusableError
-from .estimators import ModConfig, genton, matheron, mcd_diff, mcd_mod, mcd_org, non_overlapping_count
+from .estimators import ModConfig, estimate, non_overlapping_count
 from .grid import Direction, Grid, build_lag_set
-from .mcd import McdConfig
 from .numerics import RngStream
 
 __all__ = ["BreakdownQuery", "breakdown_point", "empirical_breakdown_check"]
@@ -140,20 +139,6 @@ def _outlier_values(q: BreakdownQuery, count: int, magnitude: float) -> np.ndarr
     return signs * scales
 
 
-def _run_estimator(q: BreakdownQuery, g: Grid, rng: RngStream) -> np.ndarray:
-    lags = build_lag_set(Direction.EW, q.h_max)
-    if q.estimator == "genton":
-        return genton(g, lags).values
-    cfg = McdConfig()
-    if q.estimator == "mcd_org":
-        return mcd_org(g, lags, cfg, reweight=False, rng=rng).values
-    if q.estimator == "mcd_diff":
-        return mcd_diff(g, lags, cfg, reweight=False, rng=rng).values
-    kind = "org" if "org" in q.estimator else "diff"
-    mod = ModConfig(m_x=q.m, m_y=0, average_partitions=False, min_vectors=q.p)
-    return mcd_mod(g, lags, kind, mod, cfg, reweight=False, rng=rng).values
-
-
 def empirical_breakdown_check(
     q: BreakdownQuery,
     magnitude: float = 1e6,
@@ -171,20 +156,24 @@ def empirical_breakdown_check(
     exact: one outlier below the critical size must not break anything.
     """
     count = _critical_count(q) + size_offset
-    gen = rng.generator()
-    clean = gen.standard_normal(q.n_x)
-    threshold = magnitude**2 / 100.0
+    clean = rng.generator().standard_normal(q.n_x)
+    lags = build_lag_set(Direction.EW, q.h_max)
+    mod = ModConfig(m_x=q.m, m_y=0, average_partitions=False, min_vectors=q.p)
+
+    def explodes(values: np.ndarray, stream: RngStream) -> bool:
+        grid = Grid(values.reshape(1, -1))
+        est = estimate(grid, lags, q.estimator.replace("_", "."), rng=stream, mod=mod)
+        return bool(np.any(est.values > magnitude**2 / 100.0))
+
     if count <= 0:
-        values = _run_estimator(q, Grid(clean.reshape(1, -1)), rng.child(1))
-        return bool(np.any(values > threshold))
+        return explodes(clean, rng.child(1))
 
     outliers = _outlier_values(q, count, magnitude)
     if q.scenario == "block":
         for pos, start in enumerate(range(q.n_x - count + 1)):
             values = clean.copy()
             values[start:start + count] = outliers
-            est = _run_estimator(q, Grid(values.reshape(1, -1)), rng.child(pos + 1))
-            if np.any(est > threshold):
+            if explodes(values, rng.child(pos + 1)):
                 return True
         return False
 
@@ -197,5 +186,4 @@ def empirical_breakdown_check(
         raise ValueError(f"cannot place {count} worst-case outliers on n_x={q.n_x}")
     values = clean.copy()
     values[positions] = outliers
-    est = _run_estimator(q, Grid(values.reshape(1, -1)), rng.child(1))
-    return bool(np.any(est > threshold))
+    return explodes(values, rng.child(1))

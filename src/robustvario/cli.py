@@ -17,11 +17,10 @@ from .ascio import AscHeader, apply_quality_mask, load_asc, save_asc, standardiz
 from .breakdown import BreakdownQuery, breakdown_point
 from .contamination import ContaminationSpec, contaminate
 from .errors import InputError, NumericalError, RobustVarioError
-from .estimators import ESTIMATOR_IDS, ModConfig, genton, matheron, mcd_diff, mcd_mod, mcd_org, parse_estimator_id
+from .estimators import ModConfig, direction_stream, estimate, parse_estimator_id
 from .grid import Direction, build_lag_set
 from .mcd import McdConfig
 from .numerics import RngStream
-from .scale import QnConfig
 from .simfield import FieldSpec, simulate_field
 from .study import StudySpec, default_lag_depths, run_bias_rmse_study, run_correction_factor_study
 from .variomodel import parse_model
@@ -110,27 +109,16 @@ def _cmd_estimate(args) -> int:
     if args.standardize:
         grid, scale = standardize(grid)
     mcdcfg = _mcd_config(args)
-    qncfg = QnConfig()
     mod = ModConfig(m_x=args.mx, m_y=args.my) if args.mx is not None else None
     depths = _lag_depths(args)
+    estimators = _parse_estimators(args.estimators)
     rows = []
     for d_idx, direction in enumerate(_parse_directions(args.directions)):
         lags = build_lag_set(direction, depths[direction])
-        for e_idx, eid in enumerate(_parse_estimators(args.estimators)):
-            kind = parse_estimator_id(eid)
-            rng = RngStream(args.seed, (d_idx * len(ESTIMATOR_IDS) + e_idx + 1) * 2**40)
-            if kind.family == "matheron":
-                est = matheron(grid, lags)
-            elif kind.family == "genton":
-                est = genton(grid, lags, qncfg)
-            elif kind.mod:
-                if mod is None:
-                    raise InputError(f"estimator {eid} needs --mx/--my")
-                est = mcd_mod(grid, lags, kind.family, mod, mcdcfg, kind.reweight, rng)
-            elif kind.family == "org":
-                est = mcd_org(grid, lags, mcdcfg, kind.reweight, rng)
-            else:
-                est = mcd_diff(grid, lags, mcdcfg, kind.reweight, rng)
+        rng = direction_stream(args.seed, 0, d_idx)
+        cache: dict = {}
+        for eid in estimators:
+            est = estimate(grid, lags, eid, rng=rng, mcdcfg=mcdcfg, mod=mod, cache=cache)
             for lag_idx, value in enumerate(est.values):
                 out_value = value * scale**2 if scale is not None and args.backscale else value
                 rows.append(

@@ -15,6 +15,9 @@ The modified (".mod") variants fit only non-overlapping vectors separated by
 the dependence ranges (m_x, m_y) and average the fits over all partition
 offsets; they are the theoretically tractable, consistent benchmark, at the
 price of reduced robustness.
+
+:func:`estimate` is the one dispatch from an estimator id to an estimate;
+the CLI, the study harness and the breakdown checker all go through it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NoValidPartitionError
+from .errors import EmptySampleError, InputError, NoValidPartitionError
 from .grid import (
     Direction,
     Grid,
@@ -42,6 +45,8 @@ __all__ = [
     "ModConfig",
     "ESTIMATOR_IDS",
     "parse_estimator_id",
+    "estimate",
+    "direction_stream",
     "matheron",
     "genton",
     "mcd_diff",
@@ -65,12 +70,26 @@ ESTIMATOR_IDS = (
     "mcd.diff.mod.re",
 )
 
+_OFF_MCD = 2**40
+_FAMILY_STREAM = {"org": 0, "diff": 1, "org.mod": 2, "diff.mod": 3}
+
 
 @dataclass(frozen=True)
 class EstimatorKind:
     family: str  # matheron | genton | org | diff
     mod: bool = False
     reweight: bool = False
+
+    @property
+    def fit_key(self) -> str:
+        """The raw MCD fit behind the id, shared by ``X`` and ``X.re``."""
+        return self.family + (".mod" if self.mod else "")
+
+    @property
+    def id(self) -> str:
+        if self.family in ("matheron", "genton"):
+            return self.family
+        return f"mcd.{self.fit_key}" + (".re" if self.reweight else "")
 
 
 def parse_estimator_id(estimator_id: str) -> EstimatorKind:
@@ -114,9 +133,13 @@ class ModConfig:
     """Partitioning for the modified estimators.
 
     ``m_x``/``m_y`` are the dependence ranges along x and y.  Vectors within a
-    chain are separated by the in-direction range; chains are thinned by the
-    cross-direction range.  A partition is used only if it keeps more than
-    ``min_vectors`` vectors (default 2*h_max, guarding MCD singularity).
+    chain are separated by the in-direction range (max(m_x, m_y) on the
+    diagonals).  Chains are thinned by chain id: every (m_y + 1)-th row for
+    EW, every (m_x + 1)-th column for SN, and every (m_x + m_y + 1)-th
+    diagonal for SWNE/SENW, the spacing at which any two cells on distinct
+    kept chains have |dx| > m_x or |dy| > m_y.  A partition is used only if
+    it keeps more than ``min_vectors`` vectors (default 2*h_max, guarding MCD
+    singularity).
     """
 
     m_x: int
@@ -127,6 +150,44 @@ class ModConfig:
     def __post_init__(self):
         if self.m_x < 0 or self.m_y < 0:
             raise ValueError("dependence ranges must be >= 0")
+
+
+def direction_stream(seed: int, rep: int, d_idx: int) -> RngStream:
+    """Base stream of the MCD searches for direction ``d_idx`` of replication
+    ``rep``.  :func:`estimate` draws family j (org, diff, org.mod, diff.mod)
+    from stream rep + 2^32 + (4*d_idx + j + 1)*2^40, clear of the field
+    (rep) and contamination (rep + 2^32) streams of the study."""
+    return RngStream(seed, rep + 2**32 + d_idx * len(_FAMILY_STREAM) * _OFF_MCD)
+
+
+def estimate(
+    g: Grid,
+    lags: LagSet,
+    estimator_id: str,
+    *,
+    rng: RngStream = RngStream(0),
+    mcdcfg: McdConfig = McdConfig(),
+    qncfg: QnConfig = QnConfig(),
+    mod: ModConfig | None = None,
+    cache: dict | None = None,
+) -> VariogramEstimate:
+    """Run one estimator id on one grid and direction.
+
+    ``rng`` is the direction's base stream (see :func:`direction_stream`);
+    each MCD family draws from its own child of it, so an estimate does not
+    depend on which other ids are requested.  Passing the same ``cache``
+    dict to every call on one (grid, lags) lets ``X`` and ``X.re`` share
+    their raw MCD fits.
+    """
+    kind = parse_estimator_id(estimator_id)
+    if kind.family == "matheron":
+        return matheron(g, lags)
+    if kind.family == "genton":
+        return genton(g, lags, qncfg)
+    if kind.mod and mod is None:
+        raise InputError(f"estimator {kind.id} needs dependence ranges m_x, m_y (--mx/--my)")
+    stream = rng.child((_FAMILY_STREAM[kind.fit_key] + 1) * _OFF_MCD)
+    return _mcd_estimate(g, lags, kind, mcdcfg, stream, mod, cache)
 
 
 def matheron(g: Grid, lags: LagSet) -> VariogramEstimate:
@@ -149,13 +210,6 @@ def genton(g: Grid, lags: LagSet, cfg: QnConfig = QnConfig()) -> VariogramEstima
     return VariogramEstimate("genton", lags.direction, lags, values, counts)
 
 
-def _mcd_fit(sample: VectorSample, mcdcfg: McdConfig, reweight: bool, rng: RngStream):
-    fit = fast_mcd(sample, mcdcfg, rng)
-    if reweight:
-        fit = reweight_mcd(sample, fit, mcdcfg)
-    return fit
-
-
 def mcd_diff(
     g: Grid,
     lags: LagSet,
@@ -164,11 +218,7 @@ def mcd_diff(
     rng: RngStream = RngStream(0),
 ) -> VariogramEstimate:
     """MCD scatter of difference vectors; its diagonal is 2*gammahat."""
-    sample = extract_diff_vectors(g, lags)
-    fit = _mcd_fit(sample, mcdcfg, reweight, rng)
-    eid = "mcd.diff.re" if reweight else "mcd.diff"
-    counts = np.full(lags.h_max, sample.n)
-    return VariogramEstimate(eid, lags.direction, lags, np.diag(fit.sigma).copy(), counts)
+    return _mcd_estimate(g, lags, EstimatorKind("diff", reweight=reweight), mcdcfg, rng)
 
 
 def org_scatter_to_variogram(sigma: np.ndarray) -> np.ndarray:
@@ -194,54 +244,13 @@ def mcd_org(
     org construction is known to underestimate there when h_max is inside
     the variogram range); the fit itself always uses all h_max + 1
     components."""
-    sample = extract_org_vectors(g, lags)
-    fit = _mcd_fit(sample, mcdcfg, reweight, rng)
-    values = org_scatter_to_variogram(fit.sigma)
-    eid = "mcd.org.re" if reweight else "mcd.org"
-    out_lags = lags
-    if drop_largest_lag:
-        if lags.h_max < 2:
-            raise ValueError("cannot drop the only lag")
-        out_lags = LagSet(lags.direction, lags.h_max - 1)
-        values = values[:-1]
-    counts = np.full(out_lags.h_max, sample.n)
-    return VariogramEstimate(eid, lags.direction, out_lags, values, counts)
-
-
-def non_overlapping_count(n_x: int, h_max: int, m: int) -> int:
-    """Vectors per chain of length n_x at stride h_max + 1 + m, offset 0."""
-    if n_x < h_max + 1:
-        return 0
-    return (n_x - h_max - 1) // (h_max + 1 + m) + 1
-
-
-def _direction_chains(g: Grid, direction: Direction) -> list[list[tuple[int, int]]]:
-    """Maximal cell chains along the direction generator, as 0-based
-    (row, col) index lists, ordered by their starting cell in scan order."""
-    gx, gy = direction.generator
-    chains = []
-    for y in range(1, g.ny + 1):
-        for x in range(1, g.nx + 1):
-            px, py = x - gx, y - gy
-            if 1 <= px <= g.nx and 1 <= py <= g.ny:
-                continue  # not a chain start
-            chain = []
-            cx, cy = x, y
-            while 1 <= cx <= g.nx and 1 <= cy <= g.ny:
-                chain.append((cy - 1, cx - 1))
-                cx, cy = cx + gx, cy + gy
-            chains.append(chain)
-    return chains
-
-
-def _mod_ranges(direction: Direction, mod: ModConfig) -> tuple[int, int]:
-    """(in-chain, cross-chain) dependence ranges for the direction."""
-    if direction is Direction.EW:
-        return mod.m_x, mod.m_y
-    if direction is Direction.SN:
-        return mod.m_y, mod.m_x
-    m = max(mod.m_x, mod.m_y)  # diagonal chains mix both axes
-    return m, m
+    if drop_largest_lag and lags.h_max < 2:
+        raise ValueError("cannot drop the only lag")
+    est = _mcd_estimate(g, lags, EstimatorKind("org", reweight=reweight), mcdcfg, rng)
+    if not drop_largest_lag:
+        return est
+    out_lags = LagSet(lags.direction, lags.h_max - 1)
+    return replace(est, lags=out_lags, values=est.values[:-1], counts=est.counts[:-1])
 
 
 def mcd_mod(
@@ -257,60 +266,129 @@ def mcd_mod(
 
     A partition is one choice of (chain offset, in-chain start offset); its
     vectors are mutually independent under (m_x, m_y)-dependence.  Each
-    qualifying partition is fitted separately and the per-lag estimates are
-    averaged with equal weights.  With ``average_partitions`` off only the
-    first (zero-offset, maximal) partition is used, which is the construction
-    behind the closed-form breakdown values.
+    qualifying partition is fitted separately, partition i with
+    ``rng.child(i)``, and the per-lag estimates are averaged with equal
+    weights.  With ``average_partitions`` off only the first (zero-offset,
+    maximal) qualifying partition is used, which is the construction behind
+    the closed-form breakdown values.
     """
     if kind not in ("org", "diff"):
         raise ValueError(f"kind must be 'org' or 'diff', got {kind!r}")
-    h_max = lags.h_max
-    p = h_max + 1 if kind == "org" else h_max
-    m_par, m_perp = _mod_ranges(lags.direction, mod)
-    stride = h_max + 1 + m_par
-    min_vectors = 2 * h_max if mod.min_vectors is None else mod.min_vectors
-    threshold = max(min_vectors, p)  # MCD additionally needs n > p
+    return _mcd_estimate(g, lags, EstimatorKind(kind, True, reweight), mcdcfg, rng, mod)
 
-    chains = _direction_chains(g, lags.direction)
-    per_partition = []
-    partition_index = 0
-    for c_off in range(m_perp + 1):
-        used_chains = chains[c_off::m_perp + 1]
-        for s_off in range(stride):
-            rows = []
-            for chain in used_chains:
-                for t in range(s_off, len(chain) - h_max, stride):
-                    cells = chain[t:t + h_max + 1]
-                    if any(g.mask[r, c] for r, c in cells):
-                        continue
-                    vals = [g.values[r, c] for r, c in cells]
-                    if kind == "org":
-                        rows.append(vals)
-                    else:
-                        rows.append([vals[0] - v for v in vals[1:]])
-            partition_index += 1
-            if len(rows) <= threshold:
-                continue
-            sample = np.asarray(rows, dtype=float)
-            fit = fast_mcd(sample, mcdcfg, rng.child(partition_index))
-            if reweight:
-                fit = reweight_mcd(sample, fit, mcdcfg)
-            if kind == "org":
-                values = org_scatter_to_variogram(fit.sigma)
-            else:
-                values = np.diag(fit.sigma).copy()
-            per_partition.append((values, len(rows)))
-            if not mod.average_partitions:
-                break
-        if per_partition and not mod.average_partitions:
+
+def _mcd_estimate(
+    g: Grid,
+    lags: LagSet,
+    kind: EstimatorKind,
+    mcdcfg: McdConfig,
+    rng: RngStream,
+    mod: ModConfig | None = None,
+    cache: dict | None = None,
+) -> VariogramEstimate:
+    """Raw fits (from ``cache`` when present), optional reweighting, and the
+    per-lag values averaged over the fitted samples."""
+    fits = None if cache is None else cache.get(kind.fit_key)
+    if fits is None:
+        if kind.mod:
+            fits = _mod_raw_fits(g, lags, kind.family, mod, mcdcfg, rng)
+        else:
+            rows = _extract(kind.family, g, lags).rows
+            fits = [(rows, fast_mcd(rows, mcdcfg, rng))]
+        if cache is not None:
+            cache[kind.fit_key] = fits
+    per_sample = []
+    for rows, raw in fits:
+        fit = reweight_mcd(rows, raw, mcdcfg) if kind.reweight else raw
+        if kind.family == "org":
+            per_sample.append(org_scatter_to_variogram(fit.sigma))
+        else:
+            per_sample.append(np.diag(fit.sigma).copy())
+    counts = np.full(lags.h_max, sum(rows.shape[0] for rows, _ in fits))
+    return VariogramEstimate(kind.id, lags.direction, lags, np.mean(per_sample, axis=0), counts)
+
+
+def _extract(family: str, g: Grid, lags: LagSet) -> VectorSample:
+    return (extract_org_vectors if family == "org" else extract_diff_vectors)(g, lags)
+
+
+def non_overlapping_count(n_x: int, h_max: int, m: int) -> int:
+    """Vectors per chain of length n_x at stride h_max + 1 + m, offset 0."""
+    if n_x < h_max + 1:
+        return 0
+    return (n_x - h_max - 1) // (h_max + 1 + m) + 1
+
+
+def _mod_ranges(direction: Direction, mod: ModConfig) -> tuple[int, int]:
+    """(in-chain dependence range, chain-id spacing) for the direction."""
+    if direction is Direction.EW:
+        return mod.m_x, mod.m_y + 1
+    if direction is Direction.SN:
+        return mod.m_y, mod.m_x + 1
+    return max(mod.m_x, mod.m_y), mod.m_x + mod.m_y + 1
+
+
+def _chain_layout(coords: np.ndarray, g: Grid, direction: Direction):
+    """For 1-based base cells (x, y): the 0-based chain id, the position
+    along the chain (steps back to the grid edge) and the scan-order index
+    of the chain's first cell.  Chains are the maximal cell runs along the
+    direction generator; their ids are y (EW), x (SN), x - y (SWNE) and
+    x + y (SENW), shifted to start at 0."""
+    x, y = coords[:, 0], coords[:, 1]
+    if direction is Direction.EW:
+        chain, pos = y - 1, x - 1
+    elif direction is Direction.SN:
+        chain, pos = x - 1, y - 1
+    elif direction is Direction.SWNE:
+        chain, pos = x - y + g.ny - 1, np.minimum(x, y) - 1
+    else:
+        chain, pos = x + y - 2, np.minimum(x - 1, g.ny - y)
+    gx, gy = direction.generator
+    start = (y - 1 - pos * gy) * g.nx + (x - 1 - pos * gx)
+    return chain, pos, start
+
+
+def _partitions(sample: VectorSample, g: Grid, lags: LagSet, mod: ModConfig) -> list[np.ndarray]:
+    """Row indices of every partition, in partition-number order.
+
+    Partition c * stride + s holds the rows at position = s (mod stride) on
+    the chains with id = c (mod spacing), ordered by (chain start in scan
+    order, position).
+    """
+    m_par, spacing = _mod_ranges(lags.direction, mod)
+    stride = lags.h_max + 1 + m_par
+    chain, pos, start = _chain_layout(sample.origin_coords, g, lags.direction)
+    label = (chain % spacing) * stride + pos % stride
+    order = np.lexsort((pos, start, label))
+    bounds = np.searchsorted(label[order], np.arange(1, spacing * stride))
+    return np.split(order, bounds)
+
+
+def _mod_raw_fits(
+    g: Grid, lags: LagSet, family: str, mod: ModConfig, mcdcfg: McdConfig, rng: RngStream
+) -> list:
+    """Raw fits of the qualifying partitions; partition i draws from
+    ``rng.child(i)``, numbered from 1."""
+    p = lags.h_max + 1 if family == "org" else lags.h_max
+    min_vectors = 2 * lags.h_max if mod.min_vectors is None else mod.min_vectors
+    threshold = max(min_vectors, p)  # MCD additionally needs n > p
+    try:
+        sample = _extract(family, g, lags)
+    except EmptySampleError:
+        parts = []
+    else:
+        parts = _partitions(sample, g, lags, mod)
+    fits = []
+    for number, idx in enumerate(parts, start=1):
+        if idx.size <= threshold:
+            continue
+        rows = sample.rows[idx]
+        fits.append((rows, fast_mcd(rows, mcdcfg, rng.child(number))))
+        if not mod.average_partitions:
             break
-    if not per_partition:
+    if not fits:
         raise NoValidPartitionError(
             f"no partition keeps more than {threshold} vectors "
-            f"(h_max={h_max}, m=({mod.m_x},{mod.m_y}), grid {g.nx}x{g.ny})"
+            f"(h_max={lags.h_max}, m=({mod.m_x},{mod.m_y}), grid {g.nx}x{g.ny})"
         )
-    values = np.mean([v for v, _ in per_partition], axis=0)
-    total = sum(c for _, c in per_partition)
-    eid = f"mcd.{kind}.mod" + (".re" if reweight else "")
-    counts = np.full(h_max, total)
-    return VariogramEstimate(eid, lags.direction, lags, values, counts)
+    return fits

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySampleError
+from .errors import EmptySampleError, InputError
 
 __all__ = [
     "Grid",
@@ -69,6 +69,8 @@ class Grid:
 
     ``values`` and ``mask`` are (ny, nx) arrays indexed [y-1, x-1]; row 0 is
     the southernmost row.  ``mask`` is True where the cell is missing.
+    Unmasked cells must be finite (``InputError`` otherwise); masked cells
+    may hold anything, NaN included.
     """
 
     values: np.ndarray
@@ -88,6 +90,13 @@ class Grid:
                 raise ValueError(
                     f"mask shape {self.mask.shape} != values shape {self.values.shape}"
                 )
+        bad = ~(np.isfinite(self.values) | self.mask)
+        if bad.any():
+            y, x = np.argwhere(bad)[0]
+            raise InputError(
+                f"{int(bad.sum())} unmasked cell(s) are not finite, first at x={x + 1}, "
+                f"y={y + 1}: {float(self.values[y, x])}"
+            )
 
     @property
     def nx(self) -> int:
@@ -104,13 +113,6 @@ class Grid:
     @property
     def n_observed(self) -> int:
         return int((~self.mask).sum())
-
-    @classmethod
-    def from_flat(cls, nx: int, ny: int, values, mask=None) -> "Grid":
-        """Build from row-major flat storage (y-major, x fastest)."""
-        vals = np.asarray(values, dtype=float).reshape(ny, nx)
-        msk = None if mask is None else np.asarray(mask, dtype=bool).reshape(ny, nx)
-        return cls(vals, msk)
 
     def observed_values(self) -> np.ndarray:
         return self.values[~self.mask]

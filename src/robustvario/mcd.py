@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SampleTooSmallError, SingularDataError
+from .errors import NumericalError, SampleTooSmallError, SingularDataError
 from .numerics import RngStream, chisq_cdf, chisq_quantile, mahalanobis_sq_many
 
 __all__ = [
@@ -36,7 +36,7 @@ __all__ = [
 
 _EXACT_MAX_N = 25
 _EXACT_MAX_SUBSETS = 10_000_000
-_LOGDET_SLACK = 1e-7  # fp tolerance for the C-step monotonicity assertion
+_LOGDET_SLACK = 1e-7  # fp tolerance for the C-step monotonicity check
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,6 @@ class McdFit:
     mu: np.ndarray
     sigma: np.ndarray
     support: tuple[int, ...]
-    det: float
     log_det: float
     reweighted: bool = False
     weights: np.ndarray | None = None
@@ -133,7 +132,6 @@ def _finalize(x, k, n, p, cfg, mu, sigma, support, logdet) -> McdFit:
         mu=mu,
         sigma=c * sigma,
         support=tuple(int(i) for i in support),
-        det=float(np.exp(logdet)) if not singular else 0.0,
         log_det=float(logdet),
         factors_applied={"c": c},
         singular=singular,
@@ -204,9 +202,10 @@ def _batch_cstep(
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
     supports = np.sort(order, axis=1)
     mus2, sigmas2, logdets2 = _batch_fit(x, supports)
-    assert not check_monotone or np.all(
+    if check_monotone and not np.all(
         logdets2[alive] <= logdets[alive] + _LOGDET_SLACK * np.maximum(1.0, np.abs(logdets[alive]))
-    ), "C-step increased the covariance determinant"
+    ):
+        raise NumericalError("C-step increased the covariance determinant")
     keep = ~alive
     if keep.any():
         mus2[keep], sigmas2[keep], logdets2[keep] = mus[keep], sigmas[keep], -np.inf
@@ -359,7 +358,6 @@ def reweight_mcd(data, raw: McdFit, cfg: McdConfig = McdConfig()) -> McdFit:
         mu=mu,
         sigma=c_star * sigma,
         support=raw.support,
-        det=float(np.exp(logdet)) if np.isfinite(logdet) else 0.0,
         log_det=float(logdet),
         reweighted=True,
         weights=w.astype(np.int8),

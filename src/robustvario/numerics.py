@@ -1,10 +1,13 @@
-"""Low-level numerics: chi-square special functions, small dense Cholesky,
+"""Low-level numerics: chi-square CDF and quantile, small dense Cholesky,
 Mahalanobis distances, and reproducible random-number streams.
 
 The chi-square CDF/quantile pair backs the MCD consistency factors and the
-reweighting cutoff.  The Cholesky routine targets the small matrices (dim
-up to ~20) that arise in the multivariate variogram fits; large covariance
-factorizations for field simulation live in :mod:`robustvario.simfield`.
+reweighting cutoff; both are thin wrappers of scipy's regularized
+incomplete gamma function and its inverse, with domain checks.  The
+Cholesky routine wraps scipy's for the small matrices (dim up to ~20) that
+arise in the multivariate variogram fits, adding a symmetry check and a
+scale-relative pivot floor; large covariance factorizations for field
+simulation live in :mod:`robustvario.simfield`.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError, cholesky, solve_triangular
+from scipy.special import gammainc, gammaincinv
 
 from .errors import NotPositiveDefiniteError
 
@@ -27,117 +31,27 @@ __all__ = [
     "normal_stream",
 ]
 
-_GAMMA_MAX_ITER = 500
-_GAMMA_EPS = 1e-16
 
-
-def _gamma_p_series(a: float, x: float) -> float:
-    """Regularized lower incomplete gamma P(a, x) by series, for x < a + 1."""
-    term = 1.0 / a
-    total = term
-    denom = a
-    for _ in range(_GAMMA_MAX_ITER):
-        denom += 1.0
-        term *= x / denom
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            break
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
-    return total * math.exp(log_prefactor)
-
-
-def _gamma_q_contfrac(a: float, x: float) -> float:
-    """Regularized upper incomplete gamma Q(a, x) by modified Lentz continued
-    fraction, for x >= a + 1."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    f = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        f *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            break
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
-    return f * math.exp(log_prefactor)
-
-
-def _gamma_p(a: float, x: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(_gamma_p_series(a, x), 1.0)
-    return max(1.0 - _gamma_q_contfrac(a, x), 0.0)
+def _check_df(df: float):
+    if df <= 0.0 or not math.isfinite(df):
+        raise ValueError(f"degrees of freedom must be positive, got {df}")
 
 
 def chisq_cdf(x: float, df: float) -> float:
     """Distribution function of the chi-square law with ``df`` degrees of
     freedom, evaluated through the regularized lower incomplete gamma."""
-    if df <= 0.0 or not math.isfinite(df):
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    _check_df(df)
     if x < 0.0 or math.isnan(x):
         raise ValueError(f"chi-square CDF argument must be >= 0, got {x}")
-    return _gamma_p(0.5 * df, 0.5 * x)
-
-
-def _chisq_pdf(x: float, df: float) -> float:
-    if x <= 0.0:
-        return 0.0
-    a = 0.5 * df
-    return math.exp((a - 1.0) * math.log(x) - 0.5 * x - a * math.log(2.0) - math.lgamma(a))
+    return float(gammainc(0.5 * df, 0.5 * x))
 
 
 def chisq_quantile(p: float, df: float) -> float:
-    """Inverse of :func:`chisq_cdf` in its first argument.
-
-    Bracketed bisection narrows the root, then Newton steps (kept inside the
-    bracket) polish it; this converges unconditionally.
-    """
-    if df <= 0.0 or not math.isfinite(df):
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    """Inverse of :func:`chisq_cdf` in its first argument."""
+    _check_df(df)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
-
-    lo, hi = 0.0, max(2.0 * df, 10.0)
-    while chisq_cdf(hi, df) < p:
-        hi *= 2.0
-        if hi > 1e12:  # pragma: no cover - p astronomically close to 1
-            return hi
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if chisq_cdf(mid, df) < p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(20):
-        f = chisq_cdf(x, df) - p
-        d = _chisq_pdf(x, df)
-        if d <= 0.0:
-            break
-        step = f / d
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if f > 0.0:
-            hi = x
-        else:
-            lo = x
-        if abs(x_new - x) <= 1e-12 * (1.0 + x):
-            x = x_new
-            break
-        x = x_new
-    return x
+    return 2.0 * float(gammaincinv(0.5 * df, p))
 
 
 def _as_sym_matrix(a) -> np.ndarray:
@@ -152,24 +66,23 @@ def _as_sym_matrix(a) -> np.ndarray:
 def cholesky_factor(a) -> np.ndarray:
     """Lower-triangular L with L @ L.T == a for symmetric positive definite a.
 
-    A pivot is rejected when it falls at or below 1e-12 * trace(a)/dim, a
-    scale-relative threshold that avoids spurious failures on
-    well-conditioned small matrices.
+    A pivot L_jj^2 is rejected when it falls at or below
+    1e-12 * trace(a)/dim, a scale-relative threshold that avoids spurious
+    failures on well-conditioned small matrices.
     """
     a = _as_sym_matrix(a)
-    dim = a.shape[0]
-    tol = 1e-12 * float(np.trace(a)) / dim
-    lower = np.zeros_like(a)
-    for j in range(dim):
-        d = a[j, j] - lower[j, :j] @ lower[j, :j]
-        if d <= tol:
-            raise NotPositiveDefiniteError(
-                f"pivot {d:.3e} at column {j} is at or below tolerance {tol:.3e}"
-            )
-        ljj = math.sqrt(d)
-        lower[j, j] = ljj
-        if j + 1 < dim:
-            lower[j + 1:, j] = (a[j + 1:, j] - lower[j + 1:, :j] @ lower[j, :j]) / ljj
+    tol = 1e-12 * float(np.trace(a)) / a.shape[0]
+    try:
+        lower = cholesky(a, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise NotPositiveDefiniteError(f"matrix is not positive definite: {exc}") from None
+    pivots = np.diag(lower) ** 2
+    bad = np.flatnonzero(pivots <= tol)
+    if bad.size:
+        j = bad[0]
+        raise NotPositiveDefiniteError(
+            f"pivot {pivots[j]:.3e} at column {j} is at or below tolerance {tol:.3e}"
+        )
     return lower
 
 

@@ -12,10 +12,13 @@ applies optional correction factors, and reports per-lag bias and root mean
 squared error on the semivariogram scale with Monte-Carlo standard errors.
 
 Reproducibility: replication r draws its field from stream r, its
-contamination from stream r + 2^32, and the MCD searches from streams
-r + 2^32 + j * 2^40 with j indexing (direction, estimator family).  Results
-are reduced in fixed replication order, so reruns and parallel runs are
-bit-identical.
+contamination from stream r + 2^32, and the MCD searches of direction d
+from streams r + 2^32 + (4*d + j + 1) * 2^40, j indexing the estimator
+family (org, diff, org.mod, diff.mod); see
+:func:`robustvario.estimators.direction_stream`.  The ``estimate`` command
+uses the same rule with r = 0.  An estimator and its reweighted variant
+share one raw fit.  Results are reduced in fixed replication order, so
+reruns and parallel runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -29,17 +32,10 @@ from multiprocessing import get_all_start_methods, get_context
 import numpy as np
 
 from .contamination import ContaminationSpec, contaminate
-from .errors import RobustVarioError, TooManyFailuresError
-from .estimators import (
-    ModConfig,
-    genton,
-    matheron,
-    mcd_mod,
-    org_scatter_to_variogram,
-    parse_estimator_id,
-)
-from .grid import Direction, LagSet, build_lag_set, extract_diff_vectors, extract_org_vectors
-from .mcd import McdConfig, fast_mcd, reweight_mcd
+from .errors import NumericalError, RobustVarioError, TooManyFailuresError
+from .estimators import ModConfig, direction_stream, estimate, parse_estimator_id
+from .grid import Direction, LagSet, build_lag_set
+from .mcd import McdConfig
 from .numerics import RngStream
 from .scale import QnConfig
 from .simfield import FieldSpec, field_cholesky, simulate_field
@@ -57,8 +53,6 @@ __all__ = [
 ]
 
 _OFF_CONTAM = 2**32
-_OFF_MCD = 2**40
-_FAMILY_STREAM = {"org": 0, "diff": 1, "org.mod": 2, "diff.mod": 3}
 _MAX_FAILURE_SHARE = 0.01
 
 DEFAULT_DIRECTIONS = (Direction.EW, Direction.SN, Direction.SWNE, Direction.SENW)
@@ -121,32 +115,14 @@ class StudySpec:
 def _estimate_one(spec: StudySpec, eid: str, grid, lags: LagSet, d_idx: int, rep: int, cache: dict):
     """One estimator on one grid/direction; returns 2*gammahat values.
 
-    Raw MCD fits are shared between an estimator and its reweighted variant
-    through ``cache``; the MCD stream depends only on (rep, direction,
-    family), so results do not depend on which ids were requested together.
+    ``cache`` is shared by the estimators of one (replication, direction),
+    so an estimator and its reweighted variant share their raw MCD fits.
     """
-    kind = parse_estimator_id(eid)
-    if kind.family == "matheron":
-        return matheron(grid, lags).values
-    if kind.family == "genton":
-        return genton(grid, lags, spec.qn).values
-    fam_key = kind.family + (".mod" if kind.mod else "")
-    stream = RngStream(
-        spec.base_seed,
-        rep + _OFF_CONTAM + (d_idx * len(_FAMILY_STREAM) + _FAMILY_STREAM[fam_key] + 1) * _OFF_MCD,
+    est = estimate(
+        grid, lags, eid, rng=direction_stream(spec.base_seed, rep, d_idx),
+        mcdcfg=spec.mcd, qncfg=spec.qn, mod=spec.mod, cache=cache,
     )
-    if kind.mod:
-        est = mcd_mod(grid, lags, kind.family, spec.mod, spec.mcd, kind.reweight, stream)
-        return est.values
-    if fam_key not in cache:
-        extract = extract_org_vectors if kind.family == "org" else extract_diff_vectors
-        sample = extract(grid, lags)
-        cache[fam_key] = (sample, fast_mcd(sample, spec.mcd, stream))
-    sample, raw = cache[fam_key]
-    fit = reweight_mcd(sample, raw, spec.mcd) if kind.reweight else raw
-    if kind.family == "org":
-        return org_scatter_to_variogram(fit.sigma)
-    return np.diag(fit.sigma).copy()
+    return est.values
 
 
 def _replicate(spec: StudySpec, rep: int, factor: np.ndarray) -> dict:
@@ -355,7 +331,11 @@ def run_bias_rmse_study(spec: StudySpec) -> StudyResult:
                 bias = float(np.mean(e))
                 rmse = float(np.sqrt(np.mean(e**2)))
                 var_pop = float(np.var(e))
-                assert abs(rmse**2 - (bias**2 + var_pop)) <= 1e-10 * max(1.0, rmse**2)
+                if not abs(rmse**2 - (bias**2 + var_pop)) <= 1e-10 * max(1.0, rmse**2):
+                    raise NumericalError(
+                        f"{eid}/{direction.value} lag {lag_idx + 1}: rMSE^2 = {rmse**2!r} "
+                        f"differs from bias^2 + variance = {bias**2 + var_pop!r}"
+                    )
                 se_bias = float(np.std(e, ddof=1) / math.sqrt(n_ok))
                 se_rmse = (
                     float(np.std(e**2, ddof=1) / (2.0 * rmse * math.sqrt(n_ok)))

@@ -189,6 +189,24 @@ class TestCli:
         bad = write(tmp_path / "bad.asc", "not a header\n")
         assert main(["estimate", bad]) == 2
 
+    def test_nan_cell_exit_2(self, tmp_path):
+        bad = write(tmp_path / "nan.asc", GOOD_ASC.replace("1 2 3", "1 nan 3"))
+        assert main(["estimate", bad, "--hmax", "1", "--directions", "ew",
+                     "--estimators", "matheron"]) == 2
+
+    def test_mcd_rows_independent_of_other_ids(self, tmp_path):
+        asc = tmp_path / "field.asc"
+        main(["simulate", "--nx", "20", "--ny", "20", "--seed", "3", "--out", str(asc)])
+        rows = {}
+        for ids in ("mcd.org.re", "matheron,mcd.org,mcd.org.re"):
+            out = tmp_path / "est.csv"
+            assert main(["estimate", str(asc), "--directions", "ew,sn",
+                         "--estimators", ids, "--out", str(out)]) == 0
+            rows[ids] = [line for line in out.read_text().splitlines()
+                         if line.startswith("mcd.org.re,")]
+        assert len(rows["mcd.org.re"]) == 2 * 4
+        assert rows["mcd.org.re"] == rows["matheron,mcd.org,mcd.org.re"]
+
     def test_numerical_failure_exit_3(self, tmp_path):
         asc = tmp_path / "tiny.asc"
         main(["simulate", "--nx", "4", "--ny", "4", "--out", str(asc)])

@@ -1,13 +1,17 @@
 import math
+import types
 
 import numpy as np
 import pytest
 
-from robustvario.errors import NoValidPartitionError
+from robustvario import estimators as estimators_module
+from robustvario.errors import InputError, NoValidPartitionError
 from robustvario.estimators import (
     ESTIMATOR_IDS,
     ModConfig,
     apply_correction,
+    direction_stream,
+    estimate,
     genton,
     matheron,
     mcd_diff,
@@ -18,7 +22,7 @@ from robustvario.estimators import (
     parse_estimator_id,
 )
 from robustvario.grid import Direction, Grid, build_lag_set
-from robustvario.mcd import McdConfig
+from robustvario.mcd import McdConfig, fast_mcd
 from robustvario.numerics import RngStream
 from robustvario.scale import QnConfig
 from robustvario.variomodel import AnisoModel, IsoModel, aniso_variogram, model_covariance
@@ -210,3 +214,182 @@ class TestApplyCorrection:
         np.testing.assert_allclose(corrected.values, 1.07 * est.values)
         assert corrected.correction_applied == 1.07
         assert est.correction_applied is None
+
+
+def _oracle_chains(g, direction):
+    """Maximal cell chains along the direction generator, as 0-based
+    (row, col) index lists, ordered by their starting cell in scan order."""
+    gx, gy = direction.generator
+    chains = []
+    for y in range(1, g.ny + 1):
+        for x in range(1, g.nx + 1):
+            px, py = x - gx, y - gy
+            if 1 <= px <= g.nx and 1 <= py <= g.ny:
+                continue  # not a chain start
+            chain = []
+            cx, cy = x, y
+            while 1 <= cx <= g.nx and 1 <= cy <= g.ny:
+                chain.append((cy - 1, cx - 1))
+                cx, cy = cx + gx, cy + gy
+            chains.append(chain)
+    return chains
+
+
+def _oracle_partitions(g, lags, kind, mod):
+    """The cell-by-cell partition builder: (partition number, rows) for every
+    (chain offset, start offset), chains thinned by list index."""
+    h_max = lags.h_max
+    if lags.direction is Direction.EW:
+        m_par, m_perp = mod.m_x, mod.m_y
+    elif lags.direction is Direction.SN:
+        m_par, m_perp = mod.m_y, mod.m_x
+    else:
+        m_par = m_perp = max(mod.m_x, mod.m_y)
+    stride = h_max + 1 + m_par
+    chains = _oracle_chains(g, lags.direction)
+    out = []
+    for c_off in range(m_perp + 1):
+        for s_off in range(stride):
+            rows = []
+            for chain in chains[c_off::m_perp + 1]:
+                for t in range(s_off, len(chain) - h_max, stride):
+                    cells = chain[t:t + h_max + 1]
+                    if any(g.mask[r, c] for r, c in cells):
+                        continue
+                    vals = [g.values[r, c] for r, c in cells]
+                    rows.append(vals if kind == "org" else [vals[0] - v for v in vals[1:]])
+            out.append((len(out) + 1, np.asarray(rows, dtype=float).reshape(len(rows), -1)))
+    return out
+
+
+@pytest.fixture
+def recorded_fits(monkeypatch):
+    """Replace the MCD search by a recorder of (stream id, rows) that
+    returns an identity scatter."""
+    calls = []
+
+    def fake_fast_mcd(data, cfg, rng):
+        rows = np.asarray(data, dtype=float)
+        calls.append((rng.stream_id, rows.copy()))
+        return types.SimpleNamespace(sigma=np.eye(rows.shape[1]))
+
+    monkeypatch.setattr(estimators_module, "fast_mcd", fake_fast_mcd)
+    return calls
+
+
+def _grid(nx, ny, seed, masked):
+    gen = np.random.default_rng(seed)
+    mask = gen.random((ny, nx)) < 0.1 if masked else None
+    return Grid(gen.standard_normal((ny, nx)), mask)
+
+
+class TestModPartitions:
+    @pytest.mark.parametrize("nx,ny", [(12, 9), (11, 10)])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize(
+        "direction,m",
+        [(Direction.EW, m) for m in (0, 1, 2)]
+        + [(Direction.SN, m) for m in (0, 1, 2)]
+        + [(Direction.SWNE, 0), (Direction.SENW, 0)],
+    )
+    def test_selection_matches_chain_loops(self, recorded_fits, direction, m, nx, ny, masked):
+        g = _grid(nx, ny, seed=nx * ny + m, masked=masked)
+        lags = build_lag_set(direction, 2)
+        # thresholds: default 2 * h_max for org; the dimension 2 for diff
+        for kind, mod, threshold in [
+            ("org", ModConfig(m, m), 4),
+            ("diff", ModConfig(m, 0, min_vectors=1), 2),
+        ]:
+            recorded_fits.clear()
+            mcd_mod(g, lags, kind, mod, rng=RngStream(0))
+            expected = [(i, rows) for i, rows in _oracle_partitions(g, lags, kind, mod)
+                        if len(rows) > threshold]
+            assert [i for i, _ in recorded_fits] == [i for i, _ in expected]
+            for (_, got), (_, want) in zip(recorded_fits, expected):
+                np.testing.assert_array_equal(got, want)
+
+    def test_first_partition_only(self, recorded_fits):
+        g = _grid(12, 9, seed=4, masked=True)
+        lags = build_lag_set(Direction.EW, 2)
+        mod = ModConfig(1, 1, average_partitions=False)
+        mcd_mod(g, lags, "diff", mod, rng=RngStream(0))
+        first = next((i, rows) for i, rows in _oracle_partitions(g, lags, "diff", mod) if len(rows) > 4)
+        assert len(recorded_fits) == 1 and recorded_fits[0][0] == first[0]
+        np.testing.assert_array_equal(recorded_fits[0][1], first[1])
+
+    @pytest.mark.parametrize("direction", [Direction.SWNE, Direction.SENW])
+    @pytest.mark.parametrize("nx", [16, 15])
+    def test_diagonal_chains_separated(self, recorded_fits, direction, nx):
+        # cell values encode their coordinates, so each org row names its cells
+        ny = 16
+        yy, xx = np.mgrid[1:ny + 1, 1:nx + 1]
+        g = Grid((xx + 100 * yy).astype(float))
+        mod = ModConfig(1, 1)
+        mcd_mod(g, build_lag_set(direction, 2), "org", mod, rng=RngStream(0))
+        assert recorded_fits
+        sign = -1 if direction is Direction.SWNE else 1
+        for _, rows in recorded_fits:
+            cells = np.stack([rows % 100, rows // 100], axis=-1).reshape(-1, 2)
+            chain = np.repeat(rows[:, 0] % 100 + sign * (rows[:, 0] // 100), rows.shape[1])
+            dx = np.abs(cells[:, None, 0] - cells[None, :, 0])
+            dy = np.abs(cells[:, None, 1] - cells[None, :, 1])
+            cross = chain[:, None] != chain[None, :]
+            assert np.all((dx > mod.m_x) | (dy > mod.m_y) | ~cross)
+
+    def test_grid_too_small_for_lags(self):
+        g = _iid_grid(3, 3)
+        with pytest.raises(NoValidPartitionError):
+            mcd_mod(g, build_lag_set(Direction.EW, 4), "org", ModConfig(0, 0), rng=RngStream(1))
+
+
+class TestEstimateDispatch:
+    def test_matches_building_blocks(self):
+        g = _iid_grid(14, 12, seed=21)
+        lags = build_lag_set(Direction.SN, 3)
+        mod = ModConfig(1, 0)
+        base = direction_stream(5, 2, 1)
+
+        def stream(j):
+            return RngStream(5, 2 + 2**32 + (4 * 1 + j + 1) * 2**40)
+
+        expected = {
+            "matheron": matheron(g, lags),
+            "genton": genton(g, lags),
+            "mcd.org.re": mcd_org(g, lags, reweight=True, rng=stream(0)),
+            "mcd.diff": mcd_diff(g, lags, rng=stream(1)),
+            "mcd.org.mod.re": mcd_mod(g, lags, "org", mod, reweight=True, rng=stream(2)),
+            "mcd.diff.mod": mcd_mod(g, lags, "diff", mod, rng=stream(3)),
+        }
+        for eid, want in expected.items():
+            got = estimate(g, lags, eid, rng=base, mod=mod)
+            assert got.estimator_id == eid
+            np.testing.assert_array_equal(got.values, want.values, err_msg=eid)
+            np.testing.assert_array_equal(got.counts, want.counts, err_msg=eid)
+
+    def test_mod_needs_ranges(self):
+        with pytest.raises(InputError):
+            estimate(_iid_grid(10, 10), build_lag_set(Direction.EW, 2), "mcd.diff.mod")
+
+    @pytest.mark.parametrize("family", ["org", "diff", "org.mod", "diff.mod"])
+    def test_raw_fits_shared_with_reweighted(self, monkeypatch, family):
+        calls = []
+
+        def counting(data, cfg, rng):
+            calls.append(rng.stream_id)
+            return fast_mcd(data, cfg, rng)
+
+        monkeypatch.setattr(estimators_module, "fast_mcd", counting)
+        g = _iid_grid(20, 8, seed=3)
+        lags = build_lag_set(Direction.EW, 2)
+        mod = ModConfig(1, 1)
+        estimate(g, lags, f"mcd.{family}", mod=mod)
+        fits_alone = len(calls)
+        calls.clear()
+        cache: dict = {}
+        estimate(g, lags, f"mcd.{family}", mod=mod, cache=cache)
+        reweighted = estimate(g, lags, f"mcd.{family}.re", mod=mod, cache=cache)
+        # 20 x 8, EW, m = (1, 1): 2 chain offsets x 4 start offsets
+        assert fits_alone == (8 if "mod" in family else 1)
+        assert len(calls) == fits_alone
+        alone = estimate(g, lags, f"mcd.{family}.re", mod=mod)
+        np.testing.assert_array_equal(reweighted.values, alone.values)

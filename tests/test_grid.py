@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustvario.errors import EmptySampleError
+from robustvario.errors import EmptySampleError, InputError
 from robustvario.grid import (
     Direction,
     Grid,
@@ -168,3 +168,20 @@ class TestLagDifferences:
     def test_empty_raises(self):
         with pytest.raises(EmptySampleError):
             lag_differences(Grid(np.zeros((1, 3))), (5, 0))
+
+
+class TestGridValues:
+    def test_unmasked_nan_raises(self):
+        values = np.zeros((3, 4))
+        values[1, 2] = np.nan
+        with pytest.raises(InputError, match="x=3, y=2"):
+            Grid(values)
+
+    def test_unmasked_inf_raises(self):
+        with pytest.raises(InputError):
+            Grid(np.array([[0.0, -np.inf]]))
+
+    def test_masked_nan_allowed(self):
+        values = np.array([[0.0, np.nan, 1.0]])
+        g = Grid(values, np.array([[False, True, False]]))
+        assert g.n_observed == 2

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from robustvario.errors import SampleTooSmallError, SingularDataError
+from robustvario import mcd as mcd_module
+from robustvario.errors import NumericalError, SampleTooSmallError, SingularDataError
 from robustvario.mcd import (
     McdConfig,
     exact_mcd,
@@ -176,7 +177,7 @@ class TestReweight:
         # a deliberately wide raw fit: every distance falls below the cutoff
         raw = McdFit(
             mu=np.zeros(2), sigma=1e4 * np.eye(2), support=tuple(range(16)),
-            det=1e8, log_det=math.log(1e8),
+            log_det=math.log(1e8),
         )
         fit = reweight_mcd(x, raw, McdConfig())
         assert fit.weights.sum() == 30
@@ -224,3 +225,19 @@ class TestCStepMonotonicity:
             x = rng.standard_normal((n, p))
             x[: n // 4] *= 10.0  # heavy tail to force real concentration work
             fast_mcd(x, McdConfig(n_initial_subsets=50, n_best_kept=5), RngStream(i))
+
+    def test_increase_raises_numerical_error(self, monkeypatch):
+        # a C-step whose refit reports a larger determinant must fail loudly,
+        # also under python -O
+        calls = {"n": 0}
+        batch_fit = mcd_module._batch_fit
+
+        def inflating(x, supports):
+            mus, sigmas, logdets = batch_fit(x, supports)
+            calls["n"] += 1
+            return mus, sigmas, logdets + 1e3 * calls["n"]
+
+        monkeypatch.setattr(mcd_module, "_batch_fit", inflating)
+        x = np.random.default_rng(14).standard_normal((40, 3))
+        with pytest.raises(NumericalError, match="increased"):
+            fast_mcd(x, McdConfig(n_initial_subsets=20, n_best_kept=5), RngStream(1))
