@@ -25,29 +25,22 @@ from .estimators import (
     ESTIMATOR_IDS,
     ModConfig,
     VariogramEstimate,
-    apply_correction,
     direction_stream,
     estimate,
-    genton,
-    matheron,
-    mcd_diff,
-    mcd_mod,
-    mcd_org,
 )
 from .grid import (
     Direction,
     Grid,
     LagSet,
     VectorSample,
-    build_lag_set,
     extract_diff_vectors,
     extract_org_vectors,
     lag_differences,
 )
 from .ascio import AscHeader, apply_quality_mask, load_asc, save_asc, standardize
 from .mcd import McdConfig, McdFit, exact_mcd, fast_mcd, mcd_consistency_factor, reweight_mcd
-from .numerics import RngStream, chisq_cdf, chisq_quantile, cholesky_factor, mahalanobis_sq
-from .scale import QnConfig, qn, qn_raw
+from .numerics import RngStream, chisq_cdf, chisq_quantile, cholesky_factor
+from .scale import qn, qn_raw
 from .simfield import FieldSpec, field_cholesky, simulate_field
 from .study import (
     CorrfacResult,

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import EstimatorUnusableError
 from .estimators import ModConfig, estimate, non_overlapping_count
-from .grid import Direction, Grid, build_lag_set
+from .grid import Direction, Grid, LagSet
 from .numerics import RngStream
 
 __all__ = ["BreakdownQuery", "breakdown_point", "empirical_breakdown_check"]
@@ -157,7 +157,7 @@ def empirical_breakdown_check(
     """
     count = _critical_count(q) + size_offset
     clean = rng.generator().standard_normal(q.n_x)
-    lags = build_lag_set(Direction.EW, q.h_max)
+    lags = LagSet(Direction.EW, q.h_max)
     mod = ModConfig(m_x=q.m, m_y=0, average_partitions=False, min_vectors=q.p)
 
     def explodes(values: np.ndarray, stream: RngStream) -> bool:

@@ -18,7 +18,7 @@ from .breakdown import BreakdownQuery, breakdown_point
 from .contamination import ContaminationSpec, contaminate
 from .errors import InputError, NumericalError, RobustVarioError
 from .estimators import ModConfig, direction_stream, estimate, parse_estimator_id
-from .grid import Direction, build_lag_set
+from .grid import Direction, LagSet
 from .mcd import McdConfig
 from .numerics import RngStream
 from .simfield import FieldSpec, simulate_field
@@ -59,7 +59,10 @@ def _parse_contam(text: str) -> ContaminationSpec:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.split(",")]
+    try:
+        return [int(part) for part in text.split(",")]
+    except ValueError:
+        raise InputError(f"expected a comma list of integers, got {text!r}") from None
 
 
 def _load_corrfac_csv(path) -> dict[tuple[str, str], float]:
@@ -71,7 +74,10 @@ def _load_corrfac_csv(path) -> dict[tuple[str, str], float]:
         for line in fh:
             parts = line.strip().split(",")
             if len(parts) >= 3:
-                factors[(parts[0], parts[1])] = float(parts[2])
+                try:
+                    factors[(parts[0], parts[1])] = float(parts[2])
+                except ValueError:
+                    raise InputError(f"{path}: bad c_opt {parts[2]!r}") from None
     return factors
 
 
@@ -114,7 +120,7 @@ def _cmd_estimate(args) -> int:
     estimators = _parse_estimators(args.estimators)
     rows = []
     for d_idx, direction in enumerate(_parse_directions(args.directions)):
-        lags = build_lag_set(direction, depths[direction])
+        lags = LagSet(direction, depths[direction])
         rng = direction_stream(args.seed, 0, d_idx)
         cache: dict = {}
         for eid in estimators:
@@ -189,9 +195,7 @@ def _cmd_breakdown(args) -> int:
     return 0
 
 
-def _add_common_model_args(p: argparse.ArgumentParser, default_hmax: int, default_diag: int):
-    p.add_argument("--model", default="spherical:5:2:1.1780972450961724:2",
-                   help="family:R:beta[:theta:b] (default: paper-style anisotropic spherical)")
+def _add_estimation_args(p: argparse.ArgumentParser, default_hmax: int, default_diag: int):
     p.add_argument("--hmax", type=int, default=default_hmax, help="lag depth for EW/SN")
     p.add_argument("--hmax-diag", type=int, default=default_diag, help="lag depth for diagonals")
     p.add_argument("--directions", default="ew,sn,swne,senw")
@@ -200,6 +204,18 @@ def _add_common_model_args(p: argparse.ArgumentParser, default_hmax: int, defaul
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--mx", type=int, default=None, help="x dependence range for .mod estimators")
     p.add_argument("--my", type=int, default=0, help="y dependence range for .mod estimators")
+
+
+def _add_study_args(p: argparse.ArgumentParser):
+    p.add_argument("--model", default="spherical:5:2:1.1780972450961724:2",
+                   help="family:R:beta[:theta:b] (default: paper-style anisotropic spherical)")
+    _add_estimation_args(p, default_hmax=7, default_diag=5)
+    p.add_argument("--nx", type=int, default=15)
+    p.add_argument("--ny", type=int, default=15)
+    p.add_argument("--reps", type=int, default=1000)
+    p.add_argument("--divisor", choices=("h_max", "h_max_minus_1"), default="h_max")
+    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--out", required=True)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -236,30 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
                    help="divide by the consistency-scaled MAD before estimating")
     p.add_argument("--backscale", action="store_true",
                    help="report standardized estimates back on the original scale")
-    _add_common_model_args(p, default_hmax=4, default_diag=3)
+    _add_estimation_args(p, default_hmax=4, default_diag=3)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("study-corrfac", help="simulated finite-sample correction factors")
-    _add_common_model_args(p, default_hmax=7, default_diag=5)
-    p.add_argument("--nx", type=int, default=15)
-    p.add_argument("--ny", type=int, default=15)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--divisor", choices=("h_max", "h_max_minus_1"), default="h_max")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", required=True)
+    _add_study_args(p)
     p.set_defaults(func=_cmd_study_corrfac)
 
     p = sub.add_parser("study-biasrmse", help="bias/rMSE study, optionally contaminated")
-    _add_common_model_args(p, default_hmax=7, default_diag=5)
-    p.add_argument("--nx", type=int, default=15)
-    p.add_argument("--ny", type=int, default=15)
-    p.add_argument("--reps", type=int, default=1000)
-    p.add_argument("--divisor", choices=("h_max", "h_max_minus_1"), default="h_max")
+    _add_study_args(p)
     p.add_argument("--contam", default=None)
     p.add_argument("--corrfac", default=None, help="correction-factor CSV from study-corrfac")
-    p.add_argument("--jobs", type=int, default=None)
-    p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_study_biasrmse)
 
     p = sub.add_parser("breakdown", help="closed-form breakdown points as CSV")

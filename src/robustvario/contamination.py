@@ -33,8 +33,10 @@ class ContaminationSpec:
             raise ValueError(f"kind must be 'block' or 'isolated', got {self.kind!r}")
         if not 0.0 <= self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.sigma0 <= 0.0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not math.isfinite(self.mu0):
+            raise ValueError(f"mu0 must be finite, got {self.mu0}")
+        if not (math.isfinite(self.sigma0) and self.sigma0 > 0.0):
+            raise ValueError(f"sigma0 must be positive and finite, got {self.sigma0}")
         if self.mode not in ("substitutive", "additive"):
             raise ValueError(f"mode must be 'substitutive' or 'additive', got {self.mode!r}")
 

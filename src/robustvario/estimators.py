@@ -1,9 +1,11 @@
 """Directional variogram estimators.
 
-All estimators return the variogram 2*gammahat per lag (halve for the
-semivariogram).  Matheron averages squared pairwise differences; Genton
-squares a Qn scale of the pairwise differences.  The multivariate
-estimators fit an MCD scatter to joint lag vectors:
+:func:`estimate` is the one entry point: it maps an estimator id, a grid
+and a lag set to the variogram 2*gammahat per lag (halve for the
+semivariogram); the CLI, the study harness and the breakdown checker all
+call it.  Matheron averages squared pairwise differences; Genton squares a
+Qn scale of the pairwise differences.  The multivariate estimators fit an
+MCD scatter to joint lag vectors:
 
 * "diff" uses difference vectors, whose scatter diagonal is the variogram
   directly;
@@ -14,15 +16,13 @@ estimators fit an MCD scatter to joint lag vectors:
 The modified (".mod") variants fit only non-overlapping vectors separated by
 the dependence ranges (m_x, m_y) and average the fits over all partition
 offsets; they are the theoretically tractable, consistent benchmark, at the
-price of reduced robustness.
-
-:func:`estimate` is the one dispatch from an estimator id to an estimate;
-the CLI, the study harness and the breakdown checker all go through it.
+price of reduced robustness.  The reweighted (".re") variants reweight the
+raw fit of the same family.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .grid import (
 )
 from .mcd import McdConfig, fast_mcd, reweight_mcd
 from .numerics import RngStream
-from .scale import QnConfig, qn
+from .scale import qn
 
 __all__ = [
     "VariogramEstimate",
@@ -47,13 +47,7 @@ __all__ = [
     "parse_estimator_id",
     "estimate",
     "direction_stream",
-    "matheron",
-    "genton",
-    "mcd_diff",
-    "mcd_org",
-    "mcd_mod",
     "org_scatter_to_variogram",
-    "apply_correction",
     "non_overlapping_count",
 ]
 
@@ -95,7 +89,7 @@ class EstimatorKind:
 def parse_estimator_id(estimator_id: str) -> EstimatorKind:
     eid = estimator_id.strip().lower()
     if eid not in ESTIMATOR_IDS:
-        raise ValueError(f"unknown estimator id {estimator_id!r}; known: {ESTIMATOR_IDS}")
+        raise InputError(f"unknown estimator id {estimator_id!r}; known: {ESTIMATOR_IDS}")
     if eid in ("matheron", "genton"):
         return EstimatorKind(eid)
     parts = eid.split(".")
@@ -111,21 +105,12 @@ class VariogramEstimate:
     lags: LagSet
     values: np.ndarray
     counts: np.ndarray
-    correction_applied: float | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
         self.counts = np.asarray(self.counts, dtype=int)
         if self.values.shape != (self.lags.h_max,) or self.counts.shape != (self.lags.h_max,):
             raise ValueError("values/counts must have one entry per lag")
-
-    def semivariogram(self) -> np.ndarray:
-        return 0.5 * self.values
-
-
-def apply_correction(est: VariogramEstimate, c_opt: float) -> VariogramEstimate:
-    """Multiply the estimate by a simulated finite-sample correction factor."""
-    return replace(est, values=c_opt * est.values, correction_applied=c_opt)
 
 
 @dataclass(frozen=True)
@@ -137,9 +122,14 @@ class ModConfig:
     diagonals).  Chains are thinned by chain id: every (m_y + 1)-th row for
     EW, every (m_x + 1)-th column for SN, and every (m_x + m_y + 1)-th
     diagonal for SWNE/SENW, the spacing at which any two cells on distinct
-    kept chains have |dx| > m_x or |dy| > m_y.  A partition is used only if
-    it keeps more than ``min_vectors`` vectors (default 2*h_max, guarding MCD
-    singularity).
+    kept chains have |dx| > m_x or |dy| > m_y.  A partition is one choice of
+    (chain offset, in-chain start offset); its vectors are mutually
+    independent under (m_x, m_y)-dependence.  A partition is used only if it
+    keeps more than ``min_vectors`` vectors (default 2*h_max, guarding MCD
+    singularity).  Each used partition is fitted separately and the per-lag
+    estimates are averaged with equal weights; with ``average_partitions``
+    off only the first (zero-offset, maximal) one is used, which is the
+    construction behind the closed-form breakdown values.
     """
 
     m_x: int
@@ -167,7 +157,6 @@ def estimate(
     *,
     rng: RngStream = RngStream(0),
     mcdcfg: McdConfig = McdConfig(),
-    qncfg: QnConfig = QnConfig(),
     mod: ModConfig | None = None,
     cache: dict | None = None,
 ) -> VariogramEstimate:
@@ -177,48 +166,26 @@ def estimate(
     each MCD family draws from its own child of it, so an estimate does not
     depend on which other ids are requested.  Passing the same ``cache``
     dict to every call on one (grid, lags) lets ``X`` and ``X.re`` share
-    their raw MCD fits.
+    their raw MCD fits.  The ``.mod`` ids need ``mod``.
     """
     kind = parse_estimator_id(estimator_id)
-    if kind.family == "matheron":
-        return matheron(g, lags)
-    if kind.family == "genton":
-        return genton(g, lags, qncfg)
+    if kind.family in ("matheron", "genton"):
+        return _pairwise_estimate(g, lags, kind.family)
     if kind.mod and mod is None:
         raise InputError(f"estimator {kind.id} needs dependence ranges m_x, m_y (--mx/--my)")
     stream = rng.child((_FAMILY_STREAM[kind.fit_key] + 1) * _OFF_MCD)
     return _mcd_estimate(g, lags, kind, mcdcfg, stream, mod, cache)
 
 
-def matheron(g: Grid, lags: LagSet) -> VariogramEstimate:
-    """Mean of squared differences over all pairs at each exact lag."""
+def _pairwise_estimate(g: Grid, lags: LagSet, family: str) -> VariogramEstimate:
+    """Each lag on its own difference set: Matheron takes the mean of the
+    squared differences, Genton the squared Qn scale."""
     values, counts = [], []
     for lag in lags.lag_vectors:
         diffs = lag_differences(g, lag)
-        values.append(float(np.mean(diffs**2)))
+        values.append(float(np.mean(diffs**2)) if family == "matheron" else qn(diffs) ** 2)
         counts.append(diffs.size)
-    return VariogramEstimate("matheron", lags.direction, lags, values, counts)
-
-
-def genton(g: Grid, lags: LagSet, cfg: QnConfig = QnConfig()) -> VariogramEstimate:
-    """Squared Qn scale of the difference set at each exact lag."""
-    values, counts = [], []
-    for lag in lags.lag_vectors:
-        diffs = lag_differences(g, lag)
-        values.append(qn(diffs, cfg) ** 2)
-        counts.append(diffs.size)
-    return VariogramEstimate("genton", lags.direction, lags, values, counts)
-
-
-def mcd_diff(
-    g: Grid,
-    lags: LagSet,
-    mcdcfg: McdConfig = McdConfig(),
-    reweight: bool = False,
-    rng: RngStream = RngStream(0),
-) -> VariogramEstimate:
-    """MCD scatter of difference vectors; its diagonal is 2*gammahat."""
-    return _mcd_estimate(g, lags, EstimatorKind("diff", reweight=reweight), mcdcfg, rng)
+    return VariogramEstimate(family, lags.direction, lags, values, counts)
 
 
 def org_scatter_to_variogram(sigma: np.ndarray) -> np.ndarray:
@@ -229,52 +196,6 @@ def org_scatter_to_variogram(sigma: np.ndarray) -> np.ndarray:
     p = sigma.shape[0]
     a0 = float(np.mean(np.diag(sigma)))
     return np.array([2.0 * (a0 - float(np.mean(np.diag(sigma, l)))) for l in range(1, p)])
-
-
-def mcd_org(
-    g: Grid,
-    lags: LagSet,
-    mcdcfg: McdConfig = McdConfig(),
-    reweight: bool = False,
-    rng: RngStream = RngStream(0),
-    drop_largest_lag: bool = False,
-) -> VariogramEstimate:
-    """MCD scatter of raw-observation vectors, reduced via the Toeplitz
-    averaging.  ``drop_largest_lag`` trims the last lag from the report (the
-    org construction is known to underestimate there when h_max is inside
-    the variogram range); the fit itself always uses all h_max + 1
-    components."""
-    if drop_largest_lag and lags.h_max < 2:
-        raise ValueError("cannot drop the only lag")
-    est = _mcd_estimate(g, lags, EstimatorKind("org", reweight=reweight), mcdcfg, rng)
-    if not drop_largest_lag:
-        return est
-    out_lags = LagSet(lags.direction, lags.h_max - 1)
-    return replace(est, lags=out_lags, values=est.values[:-1], counts=est.counts[:-1])
-
-
-def mcd_mod(
-    g: Grid,
-    lags: LagSet,
-    kind: str,
-    mod: ModConfig,
-    mcdcfg: McdConfig = McdConfig(),
-    reweight: bool = False,
-    rng: RngStream = RngStream(0),
-) -> VariogramEstimate:
-    """Averaged modified MCD estimator over non-overlapping vector partitions.
-
-    A partition is one choice of (chain offset, in-chain start offset); its
-    vectors are mutually independent under (m_x, m_y)-dependence.  Each
-    qualifying partition is fitted separately, partition i with
-    ``rng.child(i)``, and the per-lag estimates are averaged with equal
-    weights.  With ``average_partitions`` off only the first (zero-offset,
-    maximal) qualifying partition is used, which is the construction behind
-    the closed-form breakdown values.
-    """
-    if kind not in ("org", "diff"):
-        raise ValueError(f"kind must be 'org' or 'diff', got {kind!r}")
-    return _mcd_estimate(g, lags, EstimatorKind(kind, True, reweight), mcdcfg, rng, mod)
 
 
 def _mcd_estimate(
@@ -299,7 +220,7 @@ def _mcd_estimate(
             cache[kind.fit_key] = fits
     per_sample = []
     for rows, raw in fits:
-        fit = reweight_mcd(rows, raw, mcdcfg) if kind.reweight else raw
+        fit = reweight_mcd(rows, raw) if kind.reweight else raw
         if kind.family == "org":
             per_sample.append(org_scatter_to_variogram(fit.sigma))
         else:

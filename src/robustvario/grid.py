@@ -16,7 +16,7 @@ touching a masked cell is dropped.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "Direction",
     "LagSet",
     "VectorSample",
-    "build_lag_set",
     "extract_org_vectors",
     "extract_diff_vectors",
     "lag_differences",
@@ -50,7 +49,7 @@ class Direction(enum.Enum):
         try:
             return cls(name.strip().lower())
         except ValueError:
-            raise ValueError(
+            raise InputError(
                 f"unknown direction {name!r}; expected one of ew, sn, swne, senw"
             ) from None
 
@@ -127,21 +126,16 @@ class LagSet:
 
     direction: Direction
     h_max: int
-    lag_vectors: tuple[tuple[int, int], ...] = field(default=())
 
     def __post_init__(self):
         if self.h_max < 1:
             raise ValueError(f"h_max must be >= 1, got {self.h_max}")
+
+    @property
+    def lag_vectors(self) -> tuple[tuple[int, int], ...]:
+        """h_l = l * generator for l = 1..h_max."""
         gx, gy = self.direction.generator
-        expected = tuple((l * gx, l * gy) for l in range(1, self.h_max + 1))
-        if not self.lag_vectors:
-            object.__setattr__(self, "lag_vectors", expected)
-        elif tuple(map(tuple, self.lag_vectors)) != expected:
-            raise ValueError("lag_vectors do not match the direction generator")
-
-
-def build_lag_set(direction: Direction, h_max: int) -> LagSet:
-    return LagSet(direction=direction, h_max=h_max)
+        return tuple((l * gx, l * gy) for l in range(1, self.h_max + 1))
 
 
 @dataclass

@@ -7,10 +7,15 @@ the small-sample oracle; ``fast_mcd`` runs the usual randomized concentration
 search: many (p+1)-row seeds, two C-steps each, then full C-step iteration of
 the best few candidates.  A C-step re-ranks all rows by squared Mahalanobis
 distance under the current fit, keeps the k closest and refits; the
-determinant never increases.
+determinant never increases.  The survivors iterate until their support is
+a fixed point, their log-determinant changes by at most ``CSTEP_TOL``
+(relative) or ``MAX_CSTEPS`` steps have run.  Every raw fit is scaled by
+its Fisher-consistency factor.
 
-Reweighting keeps rows whose squared robust distance is below a chi-square
-cutoff and refits with its own consistency factor.
+Reweighting keeps rows whose squared robust distance is below the
+chi-square cutoff chi2_{p, REWEIGHT_DELTA} and refits with its own
+consistency factor.  :class:`McdConfig` holds only what callers choose: the
+subset size and the seeding.
 """
 
 from __future__ import annotations
@@ -37,25 +42,26 @@ __all__ = [
 _EXACT_MAX_N = 25
 _EXACT_MAX_SUBSETS = 10_000_000
 _LOGDET_SLACK = 1e-7  # fp tolerance for the C-step monotonicity check
+MAX_CSTEPS = 100
+CSTEP_TOL = 1e-12
+REWEIGHT_DELTA = 0.975
 
 
 @dataclass(frozen=True)
 class McdConfig:
-    """Tuning constants for the MCD search.
+    """Subset size and seeding of the MCD search.
 
     ``k`` defaults to floor((n+p+1)/2), the maximal-breakdown choice; setting
     ``alpha`` instead derives k = floor(alpha*n), clamped to the admissible
-    range floor((n+p+1)/2) <= k <= n.
+    range floor((n+p+1)/2) <= k <= n.  ``n_initial_subsets`` random
+    (p+1)-seeds are concentrated and the ``n_best_kept`` best iterated;
+    ``exhaustive_seeds`` uses every (p+1)-subset instead.
     """
 
     k: int | None = None
     alpha: float | None = None
     n_initial_subsets: int = 500
     n_best_kept: int = 10
-    max_csteps: int = 100
-    cstep_tol: float = 1e-12
-    apply_consistency: bool = True
-    reweight_delta: float = 0.975
     exhaustive_seeds: bool = False
 
     def __post_init__(self):
@@ -63,8 +69,6 @@ class McdConfig:
             raise ValueError("n_best_kept cannot exceed n_initial_subsets")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if not 0.0 < self.reweight_delta < 1.0:
-            raise ValueError(f"reweight_delta must lie in (0, 1), got {self.reweight_delta}")
 
     def subset_size(self, n: int, p: int) -> int:
         k_min = (n + p + 1) // 2
@@ -123,11 +127,11 @@ def _subset_logdet(x_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return mu, sigma, float(logdet)
 
 
-def _finalize(x, k, n, p, cfg, mu, sigma, support, logdet) -> McdFit:
+def _finalize(k, n, p, mu, sigma, support, logdet) -> McdFit:
     singular = not np.isfinite(logdet)
     if singular:
         warnings.warn("MCD support subset has singular covariance", RuntimeWarning)
-    c = mcd_consistency_factor(k / n, p) if cfg.apply_consistency else 1.0
+    c = mcd_consistency_factor(k / n, p)
     return McdFit(
         mu=mu,
         sigma=c * sigma,
@@ -161,7 +165,7 @@ def exact_mcd(data, cfg: McdConfig = McdConfig()) -> McdFit:
     if saw_singular:
         warnings.warn("at least one k-subset had determinant 0", RuntimeWarning)
     (logdet, comb), mu, sigma = best
-    return _finalize(x, k, n, p, cfg, mu, sigma, comb, logdet)
+    return _finalize(k, n, p, mu, sigma, comb, logdet)
 
 
 def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -257,7 +261,7 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     k = cfg.subset_size(n, p)
     if k == n:
         mu, sigma, logdet = _subset_logdet(x)
-        return _finalize(x, k, n, p, cfg, mu, sigma, range(n), logdet)
+        return _finalize(k, n, p, mu, sigma, range(n), logdet)
 
     if cfg.exhaustive_seeds:
         if math.comb(n, p + 1) > _EXACT_MAX_SUBSETS:
@@ -289,7 +293,7 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     # iterate the survivors to convergence (support fixed point, determinant
     # change below tolerance, singularity, or the step cap)
     active = np.isfinite(logdets)
-    for _ in range(cfg.max_csteps):
+    for _ in range(MAX_CSTEPS):
         if not active.any():
             break
         idx = np.flatnonzero(active)
@@ -298,14 +302,14 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
         )
         unchanged = np.all(sup2 == supports[idx], axis=1)
         converged = unchanged | (
-            np.abs(logdets[idx] - ld2) <= cfg.cstep_tol * np.maximum(1.0, np.abs(logdets[idx]))
+            np.abs(logdets[idx] - ld2) <= CSTEP_TOL * np.maximum(1.0, np.abs(logdets[idx]))
         ) | ~np.isfinite(ld2)
         mus[idx], sigmas[idx], logdets[idx], supports[idx] = mu2, sigma2, ld2, sup2
         active[idx[converged]] = False
 
     order = _rank_candidates(logdets, supports, 1)
     i = order[0]
-    return _finalize(x, k, n, p, cfg, mus[i], sigmas[i], tuple(supports[i]), logdets[i])
+    return _finalize(k, n, p, mus[i], sigmas[i], tuple(supports[i]), logdets[i])
 
 
 def _rank_candidates(logdets: np.ndarray, supports: np.ndarray, n_keep: int) -> list[int]:
@@ -329,18 +333,18 @@ def _rank_candidates(logdets: np.ndarray, supports: np.ndarray, n_keep: int) -> 
     return kept
 
 
-def reweight_mcd(data, raw: McdFit, cfg: McdConfig = McdConfig()) -> McdFit:
+def reweight_mcd(data, raw: McdFit) -> McdFit:
     """One-pass hard-rejection reweighting of a raw MCD fit.
 
-    Rows with squared robust distance above chi2_{p, delta} get weight 0; the
-    scatter is the weighted sample covariance (divisor sum(w) - 1, the
-    classical convention) times the consistency factor with alpha replaced
-    by delta.
+    Rows with squared robust distance above chi2_{p, delta} get weight 0,
+    delta = ``REWEIGHT_DELTA``; the scatter is the weighted sample
+    covariance (divisor sum(w) - 1, the classical convention) times the
+    consistency factor with alpha replaced by delta.
     """
     x = _rows(data)
     n, p = x.shape
     d2 = mahalanobis_sq_many(x, raw.mu, raw.sigma)  # raises if raw.sigma not PD
-    cutoff = chisq_quantile(cfg.reweight_delta, p)
+    cutoff = chisq_quantile(REWEIGHT_DELTA, p)
     w = d2 <= cutoff
     n_kept = int(w.sum())
     if n_kept == 0:
@@ -353,7 +357,7 @@ def reweight_mcd(data, raw: McdFit, cfg: McdConfig = McdConfig()) -> McdFit:
     sign, logdet = np.linalg.slogdet(sigma)
     if sign <= 0 or not np.isfinite(logdet):
         logdet = -np.inf
-    c_star = mcd_consistency_factor(cfg.reweight_delta, p) if cfg.apply_consistency else 1.0
+    c_star = mcd_consistency_factor(REWEIGHT_DELTA, p)
     return McdFit(
         mu=mu,
         sigma=c_star * sigma,

@@ -1,5 +1,5 @@
 """Low-level numerics: chi-square CDF and quantile, small dense Cholesky,
-Mahalanobis distances, and reproducible random-number streams.
+batched Mahalanobis distances, and reproducible random-number streams.
 
 The chi-square CDF/quantile pair backs the MCD consistency factors and the
 reweighting cutoff; both are thin wrappers of scipy's regularized
@@ -25,10 +25,8 @@ __all__ = [
     "chisq_cdf",
     "chisq_quantile",
     "cholesky_factor",
-    "mahalanobis_sq",
     "mahalanobis_sq_many",
     "RngStream",
-    "normal_stream",
 ]
 
 
@@ -86,23 +84,10 @@ def cholesky_factor(a) -> np.ndarray:
     return lower
 
 
-def mahalanobis_sq(x, mu, sigma) -> float:
-    """Squared Mahalanobis distance (x - mu)' sigma^{-1} (x - mu), computed
-    through triangular solves against the Cholesky factor (no inverse)."""
-    x = np.asarray(x, dtype=float).ravel()
-    mu = np.asarray(mu, dtype=float).ravel()
-    sigma = _as_sym_matrix(sigma)
-    if x.shape != mu.shape or sigma.shape[0] != x.shape[0]:
-        raise ValueError(
-            f"dimension mismatch: x {x.shape}, mu {mu.shape}, sigma {sigma.shape}"
-        )
-    lower = cholesky_factor(sigma)
-    y = solve_triangular(lower, x - mu, lower=True, check_finite=False)
-    return float(y @ y)
-
-
 def mahalanobis_sq_many(rows, mu, sigma) -> np.ndarray:
-    """Squared Mahalanobis distances of every row of ``rows`` at once."""
+    """Squared Mahalanobis distances (x - mu)' sigma^{-1} (x - mu) of every
+    row x of ``rows``, through triangular solves against the Cholesky factor
+    (no inverse)."""
     rows = np.asarray(rows, dtype=float)
     mu = np.asarray(mu, dtype=float).ravel()
     sigma = _as_sym_matrix(sigma)
@@ -139,10 +124,3 @@ class RngStream:
 
     def child(self, offset: int) -> "RngStream":
         return RngStream(self.seed, int(self.stream_id) + int(offset))
-
-
-def normal_stream(rng: RngStream, n: int) -> np.ndarray:
-    """``n`` standard-normal variates, fully determined by ``rng``."""
-    if n < 0:
-        raise ValueError(f"count must be >= 0, got {n}")
-    return rng.generator().standard_normal(int(n))

@@ -1,22 +1,21 @@
 """The Qn robust scale estimator of pairwise absolute differences.
 
 Qn is the k-th smallest of the N(N-1)/2 pairwise distances |x_i - x_j|,
-k = C(floor(N/2)+1, 2), times a consistency constant of about 2.22 for
-Gaussian data, times the usual finite-sample factor d_N (tabulated for
-N <= 9, then N/(N+1.4) for odd and N/(N+3.8) for even N).  The pairwise
+k = C(floor(N/2)+1, 2) (:func:`qn_raw`).  :func:`qn` scales it by the
+Gaussian consistency constant ``GAUSSIAN_CONSISTENCY`` = 2.2219 and then by
+the finite-sample factor d_N (tabulated for N <= 9, then N/(N+1.4) for odd
+and N/(N+3.8) for even N); both are always applied.  The pairwise
 enumeration with partial selection is exact and fast enough for the sample
 sizes arising here (N up to a few thousand), and doubles as its own oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import SampleTooSmallError
 
-__all__ = ["QnConfig", "qn_raw", "qn", "qn_finite_sample_factor"]
+__all__ = ["qn_raw", "qn", "qn_finite_sample_factor"]
 
 GAUSSIAN_CONSISTENCY = 2.2219
 
@@ -28,17 +27,6 @@ def qn_finite_sample_factor(n: int) -> float:
     if n <= 9:
         return _SMALL_N_FACTORS.get(n, 1.0)
     return n / (n + 1.4) if n % 2 else n / (n + 3.8)
-
-
-@dataclass(frozen=True)
-class QnConfig:
-    consistency_c: float = GAUSSIAN_CONSISTENCY
-    apply_consistency: bool = True
-    finite_sample_correction: bool = True
-
-    def __post_init__(self):
-        if self.consistency_c <= 0.0:
-            raise ValueError(f"consistency constant must be positive, got {self.consistency_c}")
 
 
 def qn_raw(sample) -> float:
@@ -54,12 +42,7 @@ def qn_raw(sample) -> float:
     return float(np.partition(diffs, k - 1)[k - 1])
 
 
-def qn(sample, cfg: QnConfig = QnConfig()) -> float:
-    """Qn scale estimate with the config's consistency/finite-sample scaling."""
+def qn(sample) -> float:
+    """Qn scale estimate: (qn_raw * GAUSSIAN_CONSISTENCY) * d_N."""
     x = np.asarray(sample, dtype=float).ravel()
-    value = qn_raw(x)
-    if cfg.apply_consistency:
-        value *= cfg.consistency_c
-    if cfg.finite_sample_correction:
-        value *= qn_finite_sample_factor(x.size)
-    return value
+    return qn_raw(x) * GAUSSIAN_CONSISTENCY * qn_finite_sample_factor(x.size)

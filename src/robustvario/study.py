@@ -34,10 +34,9 @@ import numpy as np
 from .contamination import ContaminationSpec, contaminate
 from .errors import NumericalError, RobustVarioError, TooManyFailuresError
 from .estimators import ModConfig, direction_stream, estimate, parse_estimator_id
-from .grid import Direction, LagSet, build_lag_set
+from .grid import Direction, LagSet
 from .mcd import McdConfig
 from .numerics import RngStream
-from .scale import QnConfig
 from .simfield import FieldSpec, field_cholesky, simulate_field
 from .variomodel import aniso_variogram
 
@@ -81,7 +80,6 @@ class StudySpec:
     corrfac_divisor: str = "h_max"  # printed-formula default; "h_max_minus_1" selectable
     correction_factors: dict[tuple[str, str], float] | None = None
     mcd: McdConfig = field(default_factory=McdConfig)
-    qn: QnConfig = field(default_factory=QnConfig)
     mod: ModConfig | None = None
     n_jobs: int | None = None
 
@@ -103,7 +101,7 @@ class StudySpec:
             raise ValueError(f"no lag depth for directions {missing}")
 
     def lag_set(self, direction: Direction) -> LagSet:
-        return build_lag_set(direction, self.lag_depths[direction])
+        return LagSet(direction, self.lag_depths[direction])
 
     def true_semivariogram(self, direction: Direction) -> np.ndarray:
         lags = self.lag_set(direction)
@@ -120,7 +118,7 @@ def _estimate_one(spec: StudySpec, eid: str, grid, lags: LagSet, d_idx: int, rep
     """
     est = estimate(
         grid, lags, eid, rng=direction_stream(spec.base_seed, rep, d_idx),
-        mcdcfg=spec.mcd, qncfg=spec.qn, mod=spec.mod, cache=cache,
+        mcdcfg=spec.mcd, mod=spec.mod, cache=cache,
     )
     return est.values
 

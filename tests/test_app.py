@@ -129,19 +129,19 @@ class TestStandardize:
 
 class TestEndToEndScaleInvariance:
     def test_estimate_on_standardized_matches_original(self):
-        from robustvario.estimators import genton, matheron, mcd_org
-        from robustvario.grid import Direction, build_lag_set
+        from robustvario.estimators import estimate
+        from robustvario.grid import Direction, LagSet
         from robustvario.numerics import RngStream
 
         g = Grid(np.random.default_rng(5).standard_normal((12, 12)) * 0.013)
         std, scale = standardize(g)
-        lags = build_lag_set(Direction.EW, 3)
-        for run in (
-            lambda gg: matheron(gg, lags).values,
-            lambda gg: genton(gg, lags).values,
-            lambda gg: mcd_org(gg, lags, rng=RngStream(9)).values,
-        ):
-            np.testing.assert_allclose(run(std) * scale**2, run(g), rtol=1e-8)
+        lags = LagSet(Direction.EW, 3)
+        for eid in ("matheron", "genton", "mcd.org"):
+            np.testing.assert_allclose(
+                estimate(std, lags, eid, rng=RngStream(9)).values * scale**2,
+                estimate(g, lags, eid, rng=RngStream(9)).values,
+                rtol=1e-8, err_msg=eid,
+            )
 
 
 class TestCli:
@@ -206,6 +206,29 @@ class TestCli:
                          if line.startswith("mcd.org.re,")]
         assert len(rows["mcd.org.re"]) == 2 * 4
         assert rows["mcd.org.re"] == rows["matheron,mcd.org,mcd.org.re"]
+
+    @pytest.mark.parametrize("case", ["directions", "estimators", "clear-codes", "corrfac", "contam"])
+    def test_bad_flag_value_exit_2(self, tmp_path, case):
+        asc = write(tmp_path / "grid.asc", GOOD_ASC)
+        estimate = ["estimate", asc, "--hmax", "1", "--directions", "ew", "--estimators", "matheron"]
+        study = ["study-biasrmse", "--nx", "6", "--ny", "6", "--hmax", "2", "--directions", "ew",
+                 "--estimators", "matheron", "--reps", "2", "--jobs", "1",
+                 "--out", str(tmp_path / "out.csv")]
+        corrfac = write(tmp_path / "cf.csv", "estimator,direction,c_opt,se\nmatheron,ew,x,0\n")
+        argv = {
+            "directions": estimate + ["--directions", "foo"],
+            "estimators": estimate + ["--estimators", "cressie"],
+            "clear-codes": estimate + ["--quality", asc, "--clear-codes", "x"],
+            "corrfac": study + ["--corrfac", corrfac],
+            "contam": study + ["--contam", "kind=block,eps=0.1,mu0=nan"],
+        }[case]
+        assert main(argv) == 2
+
+    def test_model_is_a_study_flag(self, tmp_path):
+        asc = write(tmp_path / "grid.asc", GOOD_ASC)
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", asc, "--model", "foo:1:2"])
+        assert exc.value.code == 2
 
     def test_numerical_failure_exit_3(self, tmp_path):
         asc = tmp_path / "tiny.asc"

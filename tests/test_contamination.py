@@ -20,6 +20,13 @@ class TestSpecValidation:
             with pytest.raises(ValueError):
                 ContaminationSpec("block", eps)
 
+    @pytest.mark.parametrize(
+        "mu0,sigma0", [(np.nan, 1.0), (np.inf, 1.0), (-np.inf, 1.0), (0.0, np.inf), (0.0, np.nan)]
+    )
+    def test_non_finite_rejected(self, mu0, sigma0):
+        with pytest.raises(ValueError, match="finite"):
+            ContaminationSpec("block", 0.1, mu0=mu0, sigma0=sigma0)
+
     def test_count_rule(self):
         assert ContaminationSpec("block", 0.05).n_cells(225) == 12  # ceil(11.25)
         assert ContaminationSpec("isolated", 0.15).n_cells(225) == 34  # ceil(33.75)

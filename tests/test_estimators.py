@@ -3,32 +3,35 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustvario import estimators as estimators_module
-from robustvario.errors import InputError, NoValidPartitionError
+from robustvario.errors import InputError, NoValidPartitionError, RobustVarioError
 from robustvario.estimators import (
     ESTIMATOR_IDS,
     ModConfig,
-    apply_correction,
     direction_stream,
     estimate,
-    genton,
-    matheron,
-    mcd_diff,
-    mcd_mod,
-    mcd_org,
     non_overlapping_count,
     org_scatter_to_variogram,
     parse_estimator_id,
 )
-from robustvario.grid import Direction, Grid, build_lag_set
-from robustvario.mcd import McdConfig, fast_mcd
+from robustvario.grid import (
+    Direction,
+    Grid,
+    LagSet,
+    extract_diff_vectors,
+    extract_org_vectors,
+    lag_differences,
+)
+from robustvario.mcd import McdConfig, fast_mcd, reweight_mcd
 from robustvario.numerics import RngStream
-from robustvario.scale import QnConfig
+from robustvario.scale import GAUSSIAN_CONSISTENCY, qn, qn_finite_sample_factor
 from robustvario.variomodel import AnisoModel, IsoModel, aniso_variogram, model_covariance
 
-RAW_QN = QnConfig(apply_consistency=False, finite_sample_correction=False)
 PAPER_MODEL = AnisoModel(IsoModel("spherical", 5.0, 2.0), theta=3.0 * math.pi / 8.0, b=2.0)
+NON_MOD_IDS = tuple(eid for eid in ESTIMATOR_IDS if ".mod" not in eid)
 
 
 def _iid_grid(nx, ny, seed=0):
@@ -46,30 +49,30 @@ class TestEstimatorIds:
 
 class TestMatheron:
     def test_constant_grid(self):
-        est = matheron(Grid(np.full((5, 5), 2.0)), build_lag_set(Direction.EW, 2))
+        est = estimate(Grid(np.full((5, 5), 2.0)), LagSet(Direction.EW, 2), "matheron")
         np.testing.assert_array_equal(est.values, [0.0, 0.0])
 
     def test_hand_example(self):
         g = Grid(np.array([[0.0, 1.0, 0.0, 1.0]]))
-        est = matheron(g, build_lag_set(Direction.EW, 1))
+        est = estimate(g, LagSet(Direction.EW, 1), "matheron")
         assert est.values[0] == 1.0
         assert est.counts[0] == 3
 
     def test_counts_per_lag(self):
-        est = matheron(_iid_grid(15, 15), build_lag_set(Direction.SN, 3))
+        est = estimate(_iid_grid(15, 15), LagSet(Direction.SN, 3), "matheron")
         np.testing.assert_array_equal(est.counts, [15 * 14, 15 * 13, 15 * 12])
 
 
 class TestGenton:
     def test_constant_grid(self):
-        est = genton(Grid(np.full((6, 6), 1.0)), build_lag_set(Direction.SWNE, 2), RAW_QN)
+        est = estimate(Grid(np.full((6, 6), 1.0)), LagSet(Direction.SWNE, 2), "genton")
         np.testing.assert_array_equal(est.values, [0.0, 0.0])
 
     def test_hand_example(self):
         g = Grid(np.array([[0.0, 1.0, 3.0, 6.0]]))
-        est = genton(g, build_lag_set(Direction.EW, 1), RAW_QN)
-        # diffs (-1,-2,-3): k = C(2,2) = 1, qn_raw = 1, squared = 1
-        assert est.values[0] == 1.0
+        est = estimate(g, LagSet(Direction.EW, 1), "genton")
+        # diffs (-1,-2,-3): k = C(2,2) = 1, qn_raw = 1, scaled by c * d_3, squared
+        assert est.values[0] == (GAUSSIAN_CONSISTENCY * qn_finite_sample_factor(3)) ** 2
 
 
 class TestMcdDiff:
@@ -79,12 +82,12 @@ class TestMcdDiff:
         values = []
         for seed in range(30):
             g = _iid_grid(25, 25, seed=seed)
-            values.append(mcd_diff(g, build_lag_set(Direction.EW, 3), rng=RngStream(seed)).values)
+            values.append(estimate(g, LagSet(Direction.EW, 3), "mcd.diff", rng=RngStream(seed)).values)
         assert np.all(np.abs(np.mean(values, axis=0) - 2.0) < 0.15)
 
     def test_reweighted_id(self):
         g = _iid_grid(12, 12, seed=1)
-        est = mcd_diff(g, build_lag_set(Direction.EW, 2), reweight=True, rng=RngStream(2))
+        est = estimate(g, LagSet(Direction.EW, 2), "mcd.diff.re", rng=RngStream(2))
         assert est.estimator_id == "mcd.diff.re"
 
 
@@ -104,17 +107,8 @@ class TestMcdOrg:
         values = []
         for seed in range(30):
             g = _iid_grid(25, 25, seed=seed)
-            values.append(mcd_org(g, build_lag_set(Direction.SN, 3), rng=RngStream(seed)).values)
+            values.append(estimate(g, LagSet(Direction.SN, 3), "mcd.org", rng=RngStream(seed)).values)
         assert np.all(np.abs(np.mean(values, axis=0) - 2.0) < 0.2)
-
-    def test_drop_largest_lag(self):
-        g = _iid_grid(15, 15, seed=3)
-        full = mcd_org(g, build_lag_set(Direction.EW, 4), rng=RngStream(5))
-        trimmed = mcd_org(
-            g, build_lag_set(Direction.EW, 4), rng=RngStream(5), drop_largest_lag=True
-        )
-        assert trimmed.values.shape == (3,)
-        np.testing.assert_array_equal(trimmed.values, full.values[:3])
 
 
 class TestInvariances:
@@ -124,35 +118,86 @@ class TestInvariances:
     def test_translation_invariance(self, shift):
         g = _iid_grid(14, 14, seed=10)
         shifted = Grid(g.values + shift)
-        lags = build_lag_set(Direction.EW, 3)
+        lags = LagSet(Direction.EW, 3)
         mod = ModConfig(m_x=1, m_y=1)
-        runs = {
-            "matheron": lambda gg: matheron(gg, lags).values,
-            "genton": lambda gg: genton(gg, lags).values,
-            "mcd.diff": lambda gg: mcd_diff(gg, lags, rng=RngStream(1)).values,
-            "mcd.org.re": lambda gg: mcd_org(gg, lags, reweight=True, rng=RngStream(2)).values,
-            "mcd.diff.mod": lambda gg: mcd_mod(gg, lags, "diff", mod, rng=RngStream(3)).values,
-        }
-        for name, run in runs.items():
-            np.testing.assert_allclose(run(shifted), run(g), atol=1e-10, err_msg=name)
+        runs = [("matheron", 0), ("genton", 0), ("mcd.diff", 1), ("mcd.org.re", 2), ("mcd.diff.mod", 3)]
+        for eid, seed in runs:
+            np.testing.assert_allclose(
+                estimate(shifted, lags, eid, rng=RngStream(seed), mod=mod).values,
+                estimate(g, lags, eid, rng=RngStream(seed), mod=mod).values,
+                atol=1e-10, err_msg=eid,
+            )
 
     @pytest.mark.parametrize("c", [3.0])
     def test_scale_equivariance(self, c):
         g = _iid_grid(14, 14, seed=11)
         scaled = Grid(c * g.values)
-        lags = build_lag_set(Direction.SN, 3)
+        lags = LagSet(Direction.SN, 3)
         mod = ModConfig(m_x=1, m_y=1)
-        runs = {
-            "matheron": lambda gg: matheron(gg, lags).values,
-            "genton": lambda gg: genton(gg, lags).values,
-            "mcd.org": lambda gg: mcd_org(gg, lags, rng=RngStream(4)).values,
-            "mcd.diff.re": lambda gg: mcd_diff(gg, lags, reweight=True, rng=RngStream(5)).values,
-            "mcd.org.mod": lambda gg: mcd_mod(gg, lags, "org", mod, rng=RngStream(6)).values,
-        }
-        for name, run in runs.items():
+        runs = [("matheron", 0), ("genton", 0), ("mcd.org", 4), ("mcd.diff.re", 5), ("mcd.org.mod", 6)]
+        for eid, seed in runs:
             np.testing.assert_allclose(
-                run(scaled), c**2 * run(g), rtol=1e-8, atol=1e-10, err_msg=name
+                estimate(scaled, lags, eid, rng=RngStream(seed), mod=mod).values,
+                c**2 * estimate(g, lags, eid, rng=RngStream(seed), mod=mod).values,
+                rtol=1e-8, atol=1e-10, err_msg=eid,
             )
+
+
+def _outcome(g, lags, eid, rng, cache):
+    """Values and counts as bytes, or the error class name."""
+    try:
+        est = estimate(g, lags, eid, rng=rng, cache=cache)
+    except RobustVarioError as exc:
+        return type(exc).__name__
+    return est.values.tobytes(), est.counts.tobytes()
+
+
+class TestProperties:
+    @given(
+        nx=st.integers(6, 11),
+        ny=st.integers(6, 11),
+        h_max=st.integers(1, 3),
+        mask_share=st.floats(0.0, 0.2),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_masked_top_row_equals_cropped(self, nx, ny, h_max, mask_share, seed):
+        # masking the northernmost row drops exactly the pairs and vectors
+        # that cropping it does, in the same order, so every non-.mod id
+        # gives the same values and counts bit for bit (or the same error)
+        gen = np.random.default_rng(seed)
+        values = gen.standard_normal((ny, nx))
+        mask = gen.random((ny, nx)) < mask_share
+        cropped = Grid(values[:-1], mask[:-1])
+        values[-1], mask[-1] = np.nan, True
+        masked = Grid(values, mask)
+        for d_idx, direction in enumerate(Direction):
+            lags = LagSet(direction, h_max)
+            rng = direction_stream(seed, 0, d_idx)
+            cache_masked, cache_cropped = {}, {}
+            for eid in NON_MOD_IDS:
+                assert _outcome(masked, lags, eid, rng, cache_masked) == _outcome(
+                    cropped, lags, eid, rng, cache_cropped
+                ), (eid, direction)
+
+    @given(
+        nx=st.integers(6, 12),
+        ny=st.integers(6, 12),
+        direction=st.sampled_from(list(Direction)),
+        shift=st.floats(-1e3, 1e3),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_pairwise_translation_and_scale(self, nx, ny, direction, shift, scale, seed):
+        values = np.random.default_rng(seed).standard_normal((ny, nx))
+        lags = LagSet(direction, 3)
+        for eid in ("matheron", "genton"):
+            base = estimate(Grid(values), lags, eid).values
+            shifted = estimate(Grid(values + shift), lags, eid).values
+            scaled = estimate(Grid(scale * values), lags, eid).values
+            np.testing.assert_allclose(shifted, base, rtol=1e-9, err_msg=eid)
+            np.testing.assert_allclose(scaled, scale**2 * base, rtol=1e-9, err_msg=eid)
 
 
 class TestModEstimator:
@@ -169,51 +214,39 @@ class TestModEstimator:
     def test_partition_vector_count_on_row(self):
         # 1 x 50 grid, m = 1, h_max = 4: the zero-offset partition has 8 vectors
         g = Grid(np.random.default_rng(0).standard_normal((1, 50)))
-        lags = build_lag_set(Direction.EW, 4)
+        lags = LagSet(Direction.EW, 4)
         mod = ModConfig(m_x=1, m_y=0, average_partitions=False, min_vectors=4)
-        est = mcd_mod(g, lags, "diff", mod, rng=RngStream(1))
+        est = estimate(g, lags, "mcd.diff.mod", rng=RngStream(1), mod=mod)
         assert est.counts[0] == 8
 
     def test_unusable_raises(self):
         # 1 x 50, m = 5, h_max = 6: only 4 non-overlapping vectors remain
         g = Grid(np.random.default_rng(1).standard_normal((1, 50)))
-        lags = build_lag_set(Direction.EW, 6)
+        lags = LagSet(Direction.EW, 6)
         assert non_overlapping_count(50, 6, 5) == 4
         with pytest.raises(NoValidPartitionError):
-            mcd_mod(g, lags, "org", ModConfig(m_x=5, m_y=0), rng=RngStream(1))
+            estimate(g, lags, "mcd.org.mod", rng=RngStream(1), mod=ModConfig(m_x=5, m_y=0))
 
     def test_default_threshold_respects_2hmax(self):
         # partitions need more than 2*h_max vectors by default
         g = Grid(np.random.default_rng(2).standard_normal((1, 50)))
-        lags = build_lag_set(Direction.EW, 4)
+        lags = LagSet(Direction.EW, 4)
         with pytest.raises(NoValidPartitionError):
-            mcd_mod(g, lags, "diff", ModConfig(m_x=1, m_y=0), rng=RngStream(1))
+            estimate(g, lags, "mcd.diff.mod", rng=RngStream(1), mod=ModConfig(m_x=1, m_y=0))
 
     def test_averaging_uses_all_partitions(self):
         g = _iid_grid(30, 6, seed=5)
-        lags = build_lag_set(Direction.EW, 2)
+        lags = LagSet(Direction.EW, 2)
         mod = ModConfig(m_x=1, m_y=1)
-        est = mcd_mod(g, lags, "diff", mod, McdConfig(), rng=RngStream(9))
+        est = estimate(g, lags, "mcd.diff.mod", rng=RngStream(9), mod=mod)
         # 2 chain offsets x 4 start offsets, each partition has > 4 vectors
         assert est.counts[0] > 8 * 4
 
     def test_reweighted_mod_id(self):
         g = _iid_grid(30, 6, seed=6)
-        lags = build_lag_set(Direction.EW, 2)
-        est = mcd_mod(
-            g, lags, "org", ModConfig(m_x=0, m_y=0), reweight=True, rng=RngStream(3)
-        )
+        lags = LagSet(Direction.EW, 2)
+        est = estimate(g, lags, "mcd.org.mod.re", rng=RngStream(3), mod=ModConfig(m_x=0, m_y=0))
         assert est.estimator_id == "mcd.org.mod.re"
-
-
-class TestApplyCorrection:
-    def test_multiplies_and_records(self):
-        g = _iid_grid(10, 10)
-        est = matheron(g, build_lag_set(Direction.EW, 2))
-        corrected = apply_correction(est, 1.07)
-        np.testing.assert_allclose(corrected.values, 1.07 * est.values)
-        assert corrected.correction_applied == 1.07
-        assert est.correction_applied is None
 
 
 def _oracle_chains(g, direction):
@@ -264,13 +297,14 @@ def _oracle_partitions(g, lags, kind, mod):
 
 @pytest.fixture
 def recorded_fits(monkeypatch):
-    """Replace the MCD search by a recorder of (stream id, rows) that
-    returns an identity scatter."""
+    """Replace the MCD search by a recorder of (partition number, rows) that
+    returns an identity scatter.  With base stream RngStream(0) the partition
+    number is the stream id below the family offset."""
     calls = []
 
     def fake_fast_mcd(data, cfg, rng):
         rows = np.asarray(data, dtype=float)
-        calls.append((rng.stream_id, rows.copy()))
+        calls.append((rng.stream_id % 2**40, rows.copy()))
         return types.SimpleNamespace(sigma=np.eye(rows.shape[1]))
 
     monkeypatch.setattr(estimators_module, "fast_mcd", fake_fast_mcd)
@@ -294,14 +328,14 @@ class TestModPartitions:
     )
     def test_selection_matches_chain_loops(self, recorded_fits, direction, m, nx, ny, masked):
         g = _grid(nx, ny, seed=nx * ny + m, masked=masked)
-        lags = build_lag_set(direction, 2)
+        lags = LagSet(direction, 2)
         # thresholds: default 2 * h_max for org; the dimension 2 for diff
         for kind, mod, threshold in [
             ("org", ModConfig(m, m), 4),
             ("diff", ModConfig(m, 0, min_vectors=1), 2),
         ]:
             recorded_fits.clear()
-            mcd_mod(g, lags, kind, mod, rng=RngStream(0))
+            estimate(g, lags, f"mcd.{kind}.mod", mod=mod)
             expected = [(i, rows) for i, rows in _oracle_partitions(g, lags, kind, mod)
                         if len(rows) > threshold]
             assert [i for i, _ in recorded_fits] == [i for i, _ in expected]
@@ -310,9 +344,9 @@ class TestModPartitions:
 
     def test_first_partition_only(self, recorded_fits):
         g = _grid(12, 9, seed=4, masked=True)
-        lags = build_lag_set(Direction.EW, 2)
+        lags = LagSet(Direction.EW, 2)
         mod = ModConfig(1, 1, average_partitions=False)
-        mcd_mod(g, lags, "diff", mod, rng=RngStream(0))
+        estimate(g, lags, "mcd.diff.mod", mod=mod)
         first = next((i, rows) for i, rows in _oracle_partitions(g, lags, "diff", mod) if len(rows) > 4)
         assert len(recorded_fits) == 1 and recorded_fits[0][0] == first[0]
         np.testing.assert_array_equal(recorded_fits[0][1], first[1])
@@ -325,7 +359,7 @@ class TestModPartitions:
         yy, xx = np.mgrid[1:ny + 1, 1:nx + 1]
         g = Grid((xx + 100 * yy).astype(float))
         mod = ModConfig(1, 1)
-        mcd_mod(g, build_lag_set(direction, 2), "org", mod, rng=RngStream(0))
+        estimate(g, LagSet(direction, 2), "mcd.org.mod", mod=mod)
         assert recorded_fits
         sign = -1 if direction is Direction.SWNE else 1
         for _, rows in recorded_fits:
@@ -339,36 +373,55 @@ class TestModPartitions:
     def test_grid_too_small_for_lags(self):
         g = _iid_grid(3, 3)
         with pytest.raises(NoValidPartitionError):
-            mcd_mod(g, build_lag_set(Direction.EW, 4), "org", ModConfig(0, 0), rng=RngStream(1))
+            estimate(g, LagSet(Direction.EW, 4), "mcd.org.mod", rng=RngStream(1), mod=ModConfig(0, 0))
 
 
 class TestEstimateDispatch:
     def test_matches_building_blocks(self):
+        # every id against the raw building blocks: difference sets, Qn,
+        # fast_mcd/reweight_mcd on the extracted vectors and, for .mod, on the
+        # cell-by-cell partitions, with family j of direction 1 drawing from
+        # stream rep + 2^32 + (4 + j + 1) * 2^40
         g = _iid_grid(14, 12, seed=21)
-        lags = build_lag_set(Direction.SN, 3)
+        lags = LagSet(Direction.SN, 3)
         mod = ModConfig(1, 0)
         base = direction_stream(5, 2, 1)
+        cfg = McdConfig()
 
         def stream(j):
             return RngStream(5, 2 + 2**32 + (4 * 1 + j + 1) * 2**40)
 
+        def fitted(rows, rng, reweight, kind):
+            fit = fast_mcd(rows, cfg, rng)
+            fit = reweight_mcd(rows, fit) if reweight else fit
+            return org_scatter_to_variogram(fit.sigma) if kind == "org" else np.diag(fit.sigma)
+
+        def mod_values(kind, j, reweight):
+            parts = [(i, rows) for i, rows in _oracle_partitions(g, lags, kind, mod)
+                     if len(rows) > 2 * lags.h_max]
+            per = [fitted(rows, stream(j).child(i), reweight, kind) for i, rows in parts]
+            return np.mean(per, axis=0), sum(len(rows) for _, rows in parts)
+
+        diffs = [lag_differences(g, lag) for lag in lags.lag_vectors]
+        org_rows = extract_org_vectors(g, lags).rows
+        diff_rows = extract_diff_vectors(g, lags).rows
         expected = {
-            "matheron": matheron(g, lags),
-            "genton": genton(g, lags),
-            "mcd.org.re": mcd_org(g, lags, reweight=True, rng=stream(0)),
-            "mcd.diff": mcd_diff(g, lags, rng=stream(1)),
-            "mcd.org.mod.re": mcd_mod(g, lags, "org", mod, reweight=True, rng=stream(2)),
-            "mcd.diff.mod": mcd_mod(g, lags, "diff", mod, rng=stream(3)),
+            "matheron": ([np.mean(d**2) for d in diffs], [d.size for d in diffs]),
+            "genton": ([qn(d) ** 2 for d in diffs], [d.size for d in diffs]),
+            "mcd.org.re": (fitted(org_rows, stream(0), True, "org"), len(org_rows)),
+            "mcd.diff": (fitted(diff_rows, stream(1), False, "diff"), len(diff_rows)),
+            "mcd.org.mod.re": mod_values("org", 2, True),
+            "mcd.diff.mod": mod_values("diff", 3, False),
         }
-        for eid, want in expected.items():
+        for eid, (values, counts) in expected.items():
             got = estimate(g, lags, eid, rng=base, mod=mod)
             assert got.estimator_id == eid
-            np.testing.assert_array_equal(got.values, want.values, err_msg=eid)
-            np.testing.assert_array_equal(got.counts, want.counts, err_msg=eid)
+            np.testing.assert_array_equal(got.values, values, err_msg=eid)
+            np.testing.assert_array_equal(got.counts, np.broadcast_to(counts, (3,)), err_msg=eid)
 
     def test_mod_needs_ranges(self):
         with pytest.raises(InputError):
-            estimate(_iid_grid(10, 10), build_lag_set(Direction.EW, 2), "mcd.diff.mod")
+            estimate(_iid_grid(10, 10), LagSet(Direction.EW, 2), "mcd.diff.mod")
 
     @pytest.mark.parametrize("family", ["org", "diff", "org.mod", "diff.mod"])
     def test_raw_fits_shared_with_reweighted(self, monkeypatch, family):
@@ -380,7 +433,7 @@ class TestEstimateDispatch:
 
         monkeypatch.setattr(estimators_module, "fast_mcd", counting)
         g = _iid_grid(20, 8, seed=3)
-        lags = build_lag_set(Direction.EW, 2)
+        lags = LagSet(Direction.EW, 2)
         mod = ModConfig(1, 1)
         estimate(g, lags, f"mcd.{family}", mod=mod)
         fits_alone = len(calls)

@@ -161,7 +161,7 @@ class TestFastMcd:
                 for t in range(8):
                     x = rng.standard_normal((n, p))
                     raw = fast_mcd(x, McdConfig(), RngStream(100 + t))
-                    fit = reweight_mcd(x, raw, McdConfig())
+                    fit = reweight_mcd(x, raw)
                     trials.append(np.abs(fit.sigma - np.eye(p)).mean())
                 devs[n] = np.mean(trials)
             ratio = devs[2000] / devs[200]
@@ -179,7 +179,7 @@ class TestReweight:
             mu=np.zeros(2), sigma=1e4 * np.eye(2), support=tuple(range(16)),
             log_det=math.log(1e8),
         )
-        fit = reweight_mcd(x, raw, McdConfig())
+        fit = reweight_mcd(x, raw)
         assert fit.weights.sum() == 30
         c_star = mcd_consistency_factor(0.975, 2)
         np.testing.assert_allclose(fit.mu, x.mean(axis=0), atol=1e-12)
@@ -188,7 +188,7 @@ class TestReweight:
     def test_far_point_zero_weight(self):
         x = cluster_with_far_point()
         raw = exact_mcd(x, McdConfig(k=6))
-        fit = reweight_mcd(x, raw, McdConfig())
+        fit = reweight_mcd(x, raw)
         assert fit.weights[9] == 0
         assert fit.reweighted
 
@@ -200,15 +200,15 @@ class TestReweight:
         b = np.array([0.5, 2.0])
         raw1 = fast_mcd(x, McdConfig(), RngStream(4))
         raw2 = fast_mcd(x @ a.T + b, McdConfig(), RngStream(4))
-        w1 = reweight_mcd(x, raw1, McdConfig()).weights
-        w2 = reweight_mcd(x @ a.T + b, raw2, McdConfig()).weights
+        w1 = reweight_mcd(x, raw1).weights
+        w2 = reweight_mcd(x @ a.T + b, raw2).weights
         np.testing.assert_array_equal(w1, w2)
 
     def test_factors_recorded(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal((40, 3))
         raw = fast_mcd(x, McdConfig(), RngStream(2))
-        fit = reweight_mcd(x, raw, McdConfig())
+        fit = reweight_mcd(x, raw)
         assert fit.factors_applied["c"] == raw.factors_applied["c"]
         assert fit.factors_applied["c_star"] == pytest.approx(
             mcd_consistency_factor(0.975, 3)

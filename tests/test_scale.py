@@ -4,10 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustvario.errors import SampleTooSmallError
-from robustvario.numerics import RngStream, normal_stream
-from robustvario.scale import QnConfig, qn, qn_finite_sample_factor, qn_raw
-
-RAW = QnConfig(apply_consistency=False, finite_sample_correction=False)
+from robustvario.numerics import RngStream
+from robustvario.scale import GAUSSIAN_CONSISTENCY, qn, qn_finite_sample_factor, qn_raw
 
 
 def qn_naive(sample) -> float:
@@ -63,16 +61,16 @@ class TestQnRaw:
 
 
 class TestQn:
-    def test_config_off_equals_raw(self):
+    def test_constants_applied_in_order(self):
         x = [1.0, 2.0, 4.0, 8.0]
-        assert qn(x, RAW) == qn_raw(x)
+        assert qn(x) == (qn_raw(x) * GAUSSIAN_CONSISTENCY) * qn_finite_sample_factor(4)
 
     def test_default_consistency_constant(self):
-        assert QnConfig().consistency_c == pytest.approx(2.22, abs=0.002)
+        assert GAUSSIAN_CONSISTENCY == pytest.approx(2.22, abs=0.002)
 
     def test_gaussian_consistency(self):
         # mean estimate over large standard-normal samples should be near 1
-        values = [qn(normal_stream(RngStream(50, r), 10_000)) for r in range(30)]
+        values = [qn(RngStream(50, r).generator().standard_normal(10_000)) for r in range(30)]
         assert np.mean(values) == pytest.approx(1.0, abs=0.02)
 
     def test_finite_sample_factor_regimes(self):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from robustvario.grid import Direction, build_lag_set
-from robustvario.estimators import matheron
+from robustvario.grid import Direction, LagSet
+from robustvario.estimators import estimate
 from robustvario.numerics import RngStream
 from robustvario.simfield import FieldSpec, field_cholesky, simulate_field
 from robustvario.variomodel import AnisoModel, IsoModel, aniso_variogram, model_covariance
@@ -69,10 +69,10 @@ class TestFieldMoments:
     def test_matheron_recovers_lag1_variogram(self):
         spec = FieldSpec(PAPER_MODEL, 15, 15)
         factor = field_cholesky(spec)
-        lags = build_lag_set(Direction.EW, 1)
+        lags = LagSet(Direction.EW, 1)
         reps = 1000
         values = [
-            matheron(simulate_field(spec, RngStream(123, r), factor), lags).values[0]
+            estimate(simulate_field(spec, RngStream(123, r), factor), lags, "matheron").values[0]
             for r in range(reps)
         ]
         want = aniso_variogram(PAPER_MODEL, (1, 0))
