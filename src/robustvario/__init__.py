@@ -7,7 +7,7 @@ Monte-Carlo study harness.
 """
 
 from .breakdown import BreakdownQuery, breakdown_point, empirical_breakdown_check
-from .contamination import ContaminationSpec, contaminate, contaminate_block, contaminate_isolated
+from .contamination import ContaminationSpec, contaminate
 from .errors import (
     AscFormatError,
     EmptySampleError,

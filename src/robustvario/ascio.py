@@ -89,12 +89,8 @@ def save_asc(path, g: Grid, header: AscHeader | None = None):
         fh.write(f"yllcorner {h.yllcorner:.17g}\n")
         fh.write(f"cellsize {h.cellsize:.17g}\n")
         fh.write(f"NODATA_value {h.nodata_value:.17g}\n")
-        for row in range(g.ny - 1, -1, -1):  # northernmost file row first
-            out = [
-                f"{h.nodata_value:.17g}" if g.mask[row, col] else f"{g.values[row, col]:.17g}"
-                for col in range(g.nx)
-            ]
-            fh.write(" ".join(out) + "\n")
+        # northernmost file row first
+        np.savetxt(fh, np.where(g.mask, h.nodata_value, g.values)[::-1], fmt="%.17g")
 
 
 def apply_quality_mask(g: Grid, quality: Grid, clear_codes) -> Grid:

@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import EstimatorUnusableError
+from .errors import EstimatorUnusableError, InputError
 from .estimators import ModConfig, estimate, non_overlapping_count
 from .grid import Direction, Grid, LagSet
 from .numerics import RngStream
@@ -49,13 +49,13 @@ class BreakdownQuery:
 
     def __post_init__(self):
         if self.scenario not in ("block", "isolated"):
-            raise ValueError(f"scenario must be 'block' or 'isolated', got {self.scenario!r}")
+            raise InputError(f"scenario must be 'block' or 'isolated', got {self.scenario!r}")
         if self.estimator not in _ESTIMATORS:
-            raise ValueError(f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")
+            raise InputError(f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")
         if self.h_max < 1 or self.n_x <= self.h_max:
-            raise ValueError(f"need n_x > h_max >= 1, got n_x={self.n_x}, h_max={self.h_max}")
+            raise InputError(f"need n_x > h_max >= 1, got n_x={self.n_x}, h_max={self.h_max}")
         if self.m < 0:
-            raise ValueError(f"dependence range must be >= 0, got {self.m}")
+            raise InputError(f"dependence range must be >= 0, got {self.m}")
 
     @property
     def p(self) -> int:
@@ -79,7 +79,7 @@ def breakdown_point(q: BreakdownQuery) -> Fraction:
     """Exact explosion breakdown fraction for the query."""
     if q.estimator == "genton":
         if q.scenario != "block":
-            raise ValueError("no closed form for Genton under isolated contamination")
+            raise InputError("no closed form for Genton under isolated contamination")
         n_star = q.n_x - q.h_max
         need = (n_star + 1) // 2  # ceil(eps_Qn * n*) with eps_Qn = floor((n*+1)/2)/n*
         l_min = max(Fraction(need - q.h_max), Fraction(need, 2))
@@ -102,27 +102,6 @@ def breakdown_point(q: BreakdownQuery) -> Fraction:
     if q.scenario == "block":
         return Fraction(max(ell - q.h_max, 1), q.n_x)
     return Fraction(ell, (q.h_max + 1) * q.n_x)
-
-
-def _critical_count(q: BreakdownQuery) -> int:
-    """Number of contaminated cells at the breakdown point."""
-    if q.scenario == "block":
-        if q.estimator == "genton":
-            n_star = q.n_x - q.h_max
-            need = (n_star + 1) // 2
-            return max(need - q.h_max, math.ceil(need / 2))
-        if q.estimator.endswith("_mod"):
-            n_star = non_overlapping_count(q.n_x, q.h_max, q.m)
-            if n_star <= q.p:
-                raise EstimatorUnusableError("modified estimator not usable here")
-            return _mod_block_length(_ell_star(n_star, q.p), q.h_max, q.m)
-        return max(_ell_star(q.n_x - q.h_max, q.p) - q.h_max, 1)
-    if q.estimator.endswith("_mod"):
-        n_star = non_overlapping_count(q.n_x, q.h_max, q.m)
-        if n_star <= q.p:
-            raise EstimatorUnusableError("modified estimator not usable here")
-        return _ell_star(n_star, q.p)
-    return math.ceil(_ell_star(q.n_x - q.h_max, q.p) / (q.h_max + 1))
 
 
 def _outlier_values(q: BreakdownQuery, count: int, magnitude: float) -> np.ndarray:
@@ -155,7 +134,7 @@ def empirical_breakdown_check(
     apart for the plain ones).  For the modified estimators the bound is
     exact: one outlier below the critical size must not break anything.
     """
-    count = _critical_count(q) + size_offset
+    count = math.ceil(breakdown_point(q) * q.n_x) + size_offset
     clean = rng.generator().standard_normal(q.n_x)
     lags = LagSet(Direction.EW, q.h_max)
     mod = ModConfig(m_x=q.m, m_y=0, average_partitions=False, min_vectors=q.p)

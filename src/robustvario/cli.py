@@ -71,14 +71,25 @@ def _load_corrfac_csv(path) -> dict[tuple[str, str], float]:
         header = fh.readline().strip().split(",")
         if header[:3] != ["estimator", "direction", "c_opt"]:
             raise InputError(f"{path}: not a correction-factor CSV")
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
-            if len(parts) >= 3:
-                try:
-                    factors[(parts[0], parts[1])] = float(parts[2])
-                except ValueError:
-                    raise InputError(f"{path}: bad c_opt {parts[2]!r}") from None
+            if len(parts) < 3:
+                raise InputError(f"{path}: line {lineno}: expected estimator,direction,c_opt")
+            try:
+                factors[(parts[0], parts[1])] = float(parts[2])
+            except ValueError:
+                raise InputError(f"{path}: line {lineno}: bad c_opt {parts[2]!r}") from None
     return factors
+
+
+def _write_text(text: str, path) -> None:
+    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+        print(f"wrote {path}")
+    else:
+        sys.stdout.write(text)
 
 
 def _mcd_config(args) -> McdConfig:
@@ -130,13 +141,7 @@ def _cmd_estimate(args) -> int:
                 rows.append(
                     f"{eid},{direction.value},{lag_idx + 1},{out_value:.17g},{est.counts[lag_idx]}"
                 )
-    text = "estimator,direction,lag,variogram,count\n" + "\n".join(rows) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text("estimator,direction,lag,variogram,count\n" + "\n".join(rows) + "\n", args.out)
     return 0
 
 
@@ -185,13 +190,7 @@ def _cmd_breakdown(args) -> int:
                         f"{q.scenario},{q.estimator},{n_x},{h_max},{m},"
                         f"{eps.numerator},{eps.denominator},{float(eps):.17g}"
                     )
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-        print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_text("\n".join(lines) + "\n", args.out)
     return 0
 
 

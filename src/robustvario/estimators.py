@@ -70,6 +70,7 @@ _FAMILY_STREAM = {"org": 0, "diff": 1, "org.mod": 2, "diff.mod": 3}
 
 @dataclass(frozen=True)
 class EstimatorKind:
+    id: str  # normalized estimator id, one of ESTIMATOR_IDS
     family: str  # matheron | genton | org | diff
     mod: bool = False
     reweight: bool = False
@@ -79,21 +80,15 @@ class EstimatorKind:
         """The raw MCD fit behind the id, shared by ``X`` and ``X.re``."""
         return self.family + (".mod" if self.mod else "")
 
-    @property
-    def id(self) -> str:
-        if self.family in ("matheron", "genton"):
-            return self.family
-        return f"mcd.{self.fit_key}" + (".re" if self.reweight else "")
-
 
 def parse_estimator_id(estimator_id: str) -> EstimatorKind:
     eid = estimator_id.strip().lower()
     if eid not in ESTIMATOR_IDS:
         raise InputError(f"unknown estimator id {estimator_id!r}; known: {ESTIMATOR_IDS}")
     if eid in ("matheron", "genton"):
-        return EstimatorKind(eid)
+        return EstimatorKind(eid, eid)
     parts = eid.split(".")
-    return EstimatorKind(family=parts[1], mod="mod" in parts, reweight="re" in parts)
+    return EstimatorKind(eid, family=parts[1], mod="mod" in parts, reweight="re" in parts)
 
 
 @dataclass
@@ -139,7 +134,7 @@ class ModConfig:
 
     def __post_init__(self):
         if self.m_x < 0 or self.m_y < 0:
-            raise ValueError("dependence ranges must be >= 0")
+            raise InputError("dependence ranges must be >= 0")
 
 
 def direction_stream(seed: int, rep: int, d_idx: int) -> RngStream:

@@ -11,6 +11,12 @@ Two vector constructions feed the multivariate fits: "org" vectors stack the
 raw observations (Z(s), Z(s+h_1), ..., Z(s+h_max)), and "diff" vectors stack
 the pairwise differences (Z(s)-Z(s+h_1), ..., Z(s)-Z(s+h_max)).  Any vector
 touching a masked cell is dropped.
+
+One rule bounds every extraction: the base cells s of a lag offset (dx, dy)
+are those for which s and s + (dx, dy) both lie in the grid.  Joint vectors
+use the offset h_max times the generator, the pairwise difference sets of
+:func:`lag_differences` the single lag; a grid with no such cell raises
+``EmptySampleError``.
 """
 
 from __future__ import annotations
@@ -129,7 +135,7 @@ class LagSet:
 
     def __post_init__(self):
         if self.h_max < 1:
-            raise ValueError(f"h_max must be >= 1, got {self.h_max}")
+            raise InputError(f"h_max must be >= 1, got {self.h_max}")
 
     @property
     def lag_vectors(self) -> tuple[tuple[int, int], ...]:
@@ -158,37 +164,35 @@ class VectorSample:
         return self.rows.shape[1]
 
 
-def _base_region(g: Grid, lags: LagSet) -> tuple[int, int, int, int]:
-    """Index bounds (y0, y1, x0, x1) of base locations s for which all of
-    s, s + h_1, ..., s + h_max lie inside the grid (0-based, half-open)."""
-    gx, gy = lags.direction.generator
-    dx, dy = lags.h_max * gx, lags.h_max * gy
+def _window(g: Grid, dx: int, dy: int) -> tuple[int, int, int, int]:
+    """Index bounds (y0, y1, x0, x1) of the base cells s for which s and
+    s + (dx, dy), dx >= 0, both lie inside the grid (0-based, half-open)."""
     x0, x1 = 0, g.nx - dx
     y0 = max(0, -dy)
     y1 = g.ny - max(0, dy)
     if x1 <= x0 or y1 <= y0:
-        raise EmptySampleError(
-            f"grid {g.nx}x{g.ny} too small for {lags.direction.value} lags up to {lags.h_max}"
-        )
+        raise EmptySampleError(f"grid {g.nx}x{g.ny} too small for lag ({dx}, {dy})")
     return y0, y1, x0, x1
 
 
-def _component_stack(g: Grid, lags: LagSet, offsets) -> tuple[np.ndarray, np.ndarray]:
-    """Stack grid slices at the given (mult of generator) offsets over the
-    common base region; returns (rows, keep_mask) before dropping."""
+def _component_stack(g: Grid, lags: LagSet) -> tuple[np.ndarray, np.ndarray]:
+    """Rows (Z(s), Z(s+h_1), ..., Z(s+h_max)) and 1-based coordinates of the
+    fully observed base cells s, in scan order."""
     gx, gy = lags.direction.generator
-    y0, y1, x0, x1 = _base_region(g, lags)
+    y0, y1, x0, x1 = _window(g, lags.h_max * gx, lags.h_max * gy)
     h, w = y1 - y0, x1 - x0
     comps = []
     bad = np.zeros((h, w), dtype=bool)
-    for l in offsets:
+    for l in range(lags.h_max + 1):
         ys, xs = y0 + l * gy, x0 + l * gx
         comps.append(g.values[ys:ys + h, xs:xs + w].ravel())
         bad |= g.mask[ys:ys + h, xs:xs + w]
+    keep = ~bad.ravel()
+    if not keep.any():
+        raise EmptySampleError("no fully observed lag vectors in the grid")
     rows = np.stack(comps, axis=1)
     yy, xx = np.mgrid[y0:y1, x0:x1]
     coords = np.stack([xx.ravel() + 1, yy.ravel() + 1], axis=1)
-    keep = ~bad.ravel()
     return rows[keep], coords[keep]
 
 
@@ -200,17 +204,12 @@ def extract_org_vectors(g: Grid, lags: LagSet) -> VectorSample:
     ny*(nx-h_max) for EW, nx*(ny-h_max) for SN and (nx-h_max)*(ny-h_max)
     for the diagonals.
     """
-    rows, coords = _component_stack(g, lags, range(0, lags.h_max + 1))
-    if rows.shape[0] == 0:
-        raise EmptySampleError("no fully observed lag vectors in the grid")
-    return VectorSample(rows, coords)
+    return VectorSample(*_component_stack(g, lags))
 
 
 def extract_diff_vectors(g: Grid, lags: LagSet) -> VectorSample:
     """Vectors (Z(s)-Z(s+h_1), ..., Z(s)-Z(s+h_max)), dimension h_max."""
-    rows, coords = _component_stack(g, lags, range(0, lags.h_max + 1))
-    if rows.shape[0] == 0:
-        raise EmptySampleError("no fully observed lag vectors in the grid")
+    rows, coords = _component_stack(g, lags)
     return VectorSample(rows[:, :1] - rows[:, 1:], coords)
 
 
@@ -223,16 +222,10 @@ def lag_differences(g: Grid, lag: tuple[int, int]) -> np.ndarray:
     dx, dy = int(lag[0]), int(lag[1])
     if dx < 0 or (dx == 0 and dy < 0):
         dx, dy = -dx, -dy  # sign of h is immaterial for difference sets
-    x0, x1 = 0, g.nx - dx
-    y0 = max(0, -dy)
-    y1 = g.ny - max(0, dy)
-    if x1 <= x0 or y1 <= y0:
-        raise EmptySampleError(f"grid too small for lag ({dx}, {dy})")
-    h, w = y1 - y0, x1 - x0
-    base = g.values[y0:y1, x0:x1]
-    shifted = g.values[y0 + dy:y0 + dy + h, x0 + dx:x0 + dx + w]
-    ok = ~(g.mask[y0:y1, x0:x1] | g.mask[y0 + dy:y0 + dy + h, x0 + dx:x0 + dx + w])
-    diffs = (base - shifted)[ok]
+    y0, y1, x0, x1 = _window(g, dx, dy)
+    base, shifted = np.s_[y0:y1, x0:x1], np.s_[y0 + dy:y1 + dy, x0 + dx:x1 + dx]
+    ok = ~(g.mask[base] | g.mask[shifted])
+    diffs = (g.values[base] - g.values[shifted])[ok]
     if diffs.size == 0:
         raise EmptySampleError(f"no observed pairs at lag ({dx}, {dy})")
     return diffs

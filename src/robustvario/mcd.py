@@ -5,7 +5,11 @@ and (consistency-scaled) sample covariance of the k rows whose covariance
 determinant is minimal.  ``exact_mcd`` enumerates all C(n, k) subsets and is
 the small-sample oracle; ``fast_mcd`` runs the usual randomized concentration
 search: many (p+1)-row seeds, two C-steps each, then full C-step iteration of
-the best few candidates.  A C-step re-ranks all rows by squared Mahalanobis
+the best few candidates.  The seeds are ``McdConfig.n_initial_subsets``
+random (p+1)-subsets, a singular one redrawn up to a budget of 100 draws
+per seed, or with ``exhaustive_seeds`` every (p+1)-subset; in both modes
+seeds that stay singular are dropped, and ``SingularDataError`` is raised
+when none is left.  A C-step re-ranks all rows by squared Mahalanobis
 distance under the current fit, keeps the k closest and refits; the
 determinant never increases.  The survivors iterate until their support is
 a fixed point, their log-determinant changes by at most ``CSTEP_TOL``
@@ -27,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalError, SampleTooSmallError, SingularDataError
+from .errors import InputError, NumericalError, SampleTooSmallError, SingularDataError
 from .numerics import RngStream, chisq_cdf, chisq_quantile, mahalanobis_sq_many
 
 __all__ = [
@@ -66,9 +70,9 @@ class McdConfig:
 
     def __post_init__(self):
         if not self.exhaustive_seeds and self.n_best_kept > self.n_initial_subsets:
-            raise ValueError("n_best_kept cannot exceed n_initial_subsets")
+            raise InputError("n_best_kept cannot exceed n_initial_subsets")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+            raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
 
     def subset_size(self, n: int, p: int) -> int:
         k_min = (n + p + 1) // 2
@@ -182,14 +186,15 @@ def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndar
 def _batch_cstep(
     x: np.ndarray,
     k: int,
+    supports: np.ndarray,
     mus: np.ndarray,
     sigmas: np.ndarray,
     logdets: np.ndarray,
     check_monotone: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One C-step for every nonsingular candidate; singular ones pass through
-    unchanged (they are terminal).  Returns (supports, mus, sigmas, logdets)
-    of the refitted candidates.
+    with their support and fit unchanged (they are terminal).  Returns
+    (supports, mus, sigmas, logdets) of the refitted candidates.
 
     Monotonicity (the determinant never increases) holds once the incoming
     fit is itself a k-subset fit; the first step after a (p+1)-seed is
@@ -204,17 +209,19 @@ def _batch_cstep(
     d2 = np.einsum("mpn,mpn->mn", np.swapaxes(delta, 1, 2), sol)
     # stable argsort on distances: ties broken by row index, deterministically
     order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    supports = np.sort(order, axis=1)
-    mus2, sigmas2, logdets2 = _batch_fit(x, supports)
+    supports2 = np.sort(order, axis=1)
+    mus2, sigmas2, logdets2 = _batch_fit(x, supports2)
     if check_monotone and not np.all(
         logdets2[alive] <= logdets[alive] + _LOGDET_SLACK * np.maximum(1.0, np.abs(logdets[alive]))
     ):
         raise NumericalError("C-step increased the covariance determinant")
     keep = ~alive
     if keep.any():
+        # seeds are nonsingular, so a terminal candidate has had a C-step
+        # and its support is k wide too
+        supports2[keep] = supports[keep]
         mus2[keep], sigmas2[keep], logdets2[keep] = mus[keep], sigmas[keep], -np.inf
-        supports[keep] = -1  # sentinel: support of a terminal candidate is fixed upstream
-    return supports, mus2, sigmas2, logdets2
+    return supports2, mus2, sigmas2, logdets2
 
 
 def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -225,27 +232,40 @@ def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> 
     return np.sort(picked, axis=1)
 
 
-def _draw_seeds(x: np.ndarray, cfg: McdConfig, gen: np.random.Generator) -> np.ndarray:
-    """Seed subsets of size p+1, redrawing singular ones; raises when every
-    attempt within the budget is singular."""
+def _draw_seeds(x: np.ndarray, cfg: McdConfig, rng: RngStream) -> np.ndarray:
+    """Seed subsets of size p+1 with a nonsingular fit.
+
+    With ``cfg.exhaustive_seeds`` every (p+1)-subset is a seed; otherwise
+    ``cfg.n_initial_subsets`` random ones are drawn and singular ones
+    redrawn within a budget of 100 draws per seed.  Seeds still singular are
+    dropped; raises ``SingularDataError`` when every seed is singular.
+    """
     n, p = x.shape
-    m = cfg.n_initial_subsets
-    seeds = _sample_subsets(n, p + 1, m, gen)
-    _, _, logdets = _batch_fit(x, seeds)
-    attempts = m
-    budget = 100 * m
-    bad = np.flatnonzero(~np.isfinite(logdets))
-    while bad.size and attempts < budget:
-        n_redraw = min(bad.size, budget - attempts)
-        redraw = bad[:n_redraw]
-        seeds[redraw] = _sample_subsets(n, p + 1, n_redraw, gen)
-        attempts += n_redraw
-        _, _, sub_logdets = _batch_fit(x, seeds[redraw])
-        logdets[redraw] = sub_logdets
+    if cfg.exhaustive_seeds:
+        if math.comb(n, p + 1) > _EXACT_MAX_SUBSETS:
+            raise ValueError("too many (p+1)-subsets for exhaustive seeding")
+        seeds = np.array(list(itertools.combinations(range(n), p + 1)), dtype=np.intp)
+        _, _, logdets = _batch_fit(x, seeds)
+    else:
+        gen = rng.generator()
+        m = cfg.n_initial_subsets
+        seeds = _sample_subsets(n, p + 1, m, gen)
+        _, _, logdets = _batch_fit(x, seeds)
+        attempts = m
+        budget = 100 * m
         bad = np.flatnonzero(~np.isfinite(logdets))
-    if bad.size == m:
+        while bad.size and attempts < budget:
+            n_redraw = min(bad.size, budget - attempts)
+            redraw = bad[:n_redraw]
+            seeds[redraw] = _sample_subsets(n, p + 1, n_redraw, gen)
+            attempts += n_redraw
+            _, _, sub_logdets = _batch_fit(x, seeds[redraw])
+            logdets[redraw] = sub_logdets
+            bad = np.flatnonzero(~np.isfinite(logdets))
+    ok = np.isfinite(logdets)
+    if not ok.any():
         raise SingularDataError("all initial (p+1)-subsets are singular")
-    return seeds[np.isfinite(logdets)] if bad.size else seeds
+    return seeds[ok]
 
 
 def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) -> McdFit:
@@ -263,29 +283,12 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
         mu, sigma, logdet = _subset_logdet(x)
         return _finalize(k, n, p, mu, sigma, range(n), logdet)
 
-    if cfg.exhaustive_seeds:
-        if math.comb(n, p + 1) > _EXACT_MAX_SUBSETS:
-            raise ValueError("too many (p+1)-subsets for exhaustive seeding")
-        seeds = np.array(list(itertools.combinations(range(n), p + 1)), dtype=np.intp)
-        _, _, logdets = _batch_fit(x, seeds)
-        if not np.isfinite(logdets).any():
-            raise SingularDataError("all initial (p+1)-subsets are singular")
-        seeds = seeds[np.isfinite(logdets)]
-    else:
-        seeds = _draw_seeds(x, cfg, rng.generator())
-
-    mus, sigmas, logdets = _batch_fit(x, seeds)
-    supports = seeds
+    supports = _draw_seeds(x, cfg, rng)
+    mus, sigmas, logdets = _batch_fit(x, supports)
     for step in range(2):
-        new_supports, mus, sigmas, logdets = _batch_cstep(
-            x, k, mus, sigmas, logdets, check_monotone=(step > 0)
+        supports, mus, sigmas, logdets = _batch_cstep(
+            x, k, supports, mus, sigmas, logdets, check_monotone=(step > 0)
         )
-        fixed = new_supports[:, 0] < 0
-        if fixed.any():
-            # terminal candidates keep their previous support (same width: a
-            # candidate can only be terminal after at least one C-step)
-            new_supports[fixed] = supports[fixed]
-        supports = new_supports
 
     kept = _rank_candidates(logdets, supports, max(1, cfg.n_best_kept))
     mus, sigmas, logdets, supports = mus[kept], sigmas[kept], logdets[kept], supports[kept]
@@ -298,7 +301,7 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
             break
         idx = np.flatnonzero(active)
         sup2, mu2, sigma2, ld2 = _batch_cstep(
-            x, k, mus[idx], sigmas[idx], logdets[idx]
+            x, k, supports[idx], mus[idx], sigmas[idx], logdets[idx]
         )
         unchanged = np.all(sup2 == supports[idx], axis=1)
         converged = unchanged | (
@@ -351,18 +354,13 @@ def reweight_mcd(data, raw: McdFit) -> McdFit:
         raise SingularDataError("reweighting rejected every observation")
     if n_kept < 2:
         raise SingularDataError("reweighting kept a single observation")
-    mu = x[w].mean(axis=0)
-    dev = x[w] - mu
-    sigma = dev.T @ dev / (n_kept - 1)
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0 or not np.isfinite(logdet):
-        logdet = -np.inf
+    mu, sigma, logdet = _subset_logdet(x[w])
     c_star = mcd_consistency_factor(REWEIGHT_DELTA, p)
     return McdFit(
         mu=mu,
         sigma=c_star * sigma,
         support=raw.support,
-        log_det=float(logdet),
+        log_det=logdet,
         reweighted=True,
         weights=w.astype(np.int8),
         factors_applied={**raw.factors_applied, "c_star": c_star},

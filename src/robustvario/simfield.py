@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotPositiveDefiniteError
+from .errors import InputError, NotPositiveDefiniteError
 from .grid import Grid
 from .numerics import RngStream
 from .variomodel import AnisoModel, covariance_matrix
@@ -32,9 +32,9 @@ class FieldSpec:
 
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1:
-            raise ValueError("grid dimensions must be >= 1")
+            raise InputError("grid dimensions must be >= 1")
         if self.nx * self.ny > MAX_CELLS:
-            raise ValueError(
+            raise InputError(
                 f"grid of {self.nx * self.ny} cells exceeds the dense limit {MAX_CELLS}"
             )
 

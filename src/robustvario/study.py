@@ -32,7 +32,7 @@ from multiprocessing import get_all_start_methods, get_context
 import numpy as np
 
 from .contamination import ContaminationSpec, contaminate
-from .errors import NumericalError, RobustVarioError, TooManyFailuresError
+from .errors import InputError, NumericalError, RobustVarioError, TooManyFailuresError
 from .estimators import ModConfig, direction_stream, estimate, parse_estimator_id
 from .grid import Direction, LagSet
 from .mcd import McdConfig
@@ -87,18 +87,23 @@ class StudySpec:
         object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "directions", tuple(self.directions))
         if self.replications < 2:
-            raise ValueError(f"need at least 2 replications, got {self.replications}")
+            raise InputError(f"need at least 2 replications, got {self.replications}")
         if self.corrfac_divisor not in ("h_max", "h_max_minus_1"):
-            raise ValueError("corrfac_divisor must be 'h_max' or 'h_max_minus_1'")
+            raise InputError("corrfac_divisor must be 'h_max' or 'h_max_minus_1'")
         for eid in self.estimators:
             kind = parse_estimator_id(eid)  # raises on unknown ids
             if kind.mod and self.mod is None:
-                raise ValueError(f"estimator {eid} needs a ModConfig in spec.mod")
+                raise InputError(f"estimator {eid} needs a ModConfig in spec.mod")
         if self.lag_depths is None:
             object.__setattr__(self, "lag_depths", default_lag_depths())
         missing = [d for d in self.directions if d not in self.lag_depths]
         if missing:
-            raise ValueError(f"no lag depth for directions {missing}")
+            raise InputError(f"no lag depth for directions {missing}")
+        if self.correction_factors is not None:
+            missing = [(eid, d.value) for eid in self.estimators for d in self.directions
+                       if (eid, d.value) not in self.correction_factors]
+            if missing:
+                raise InputError(f"no correction factor for (estimator, direction) {missing}")
 
     def lag_set(self, direction: Direction) -> LagSet:
         return LagSet(direction, self.lag_depths[direction])
@@ -182,13 +187,21 @@ def _collect(spec: StudySpec) -> dict:
     return results
 
 
-def _check_failures(label: str, ok: np.ndarray, total: int):
-    n_fail = total - int(ok.sum())
-    if n_fail > _MAX_FAILURE_SHARE * total:
-        raise TooManyFailuresError(
-            f"{label}: {n_fail}/{total} replications failed (> {_MAX_FAILURE_SHARE:.0%})"
-        )
-    return n_fail
+def _successes(spec: StudySpec, results: dict):
+    """Per requested (estimator, direction): the id, the direction, its true
+    semivariogram, the rows of the successful replications and the failure
+    count.  Raises when failures exceed the tolerated share."""
+    for eid in spec.estimators:
+        for direction in spec.directions:
+            values = results[(eid, direction.value)]
+            ok = ~np.isnan(values[:, 0])
+            n_fail = spec.replications - int(ok.sum())
+            if n_fail > _MAX_FAILURE_SHARE * spec.replications:
+                raise TooManyFailuresError(
+                    f"{eid}/{direction.value}: {n_fail}/{spec.replications} replications "
+                    f"failed (> {_MAX_FAILURE_SHARE:.0%})"
+                )
+            yield eid, direction, spec.true_semivariogram(direction), values[ok], n_fail
 
 
 @dataclass(frozen=True)
@@ -212,10 +225,6 @@ class CorrfacResult:
                 return row
         raise KeyError((estimator, d))
 
-    def factors(self) -> dict[tuple[str, str], float]:
-        """Correction-factor map consumable by a bias/rMSE StudySpec."""
-        return {(r.estimator, r.direction): r.c_opt for r in self.rows}
-
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write("estimator,direction,c_opt,se\n")
@@ -232,34 +241,28 @@ def run_correction_factor_study(spec: StudySpec) -> CorrfacResult:
     replications is inverted.
     """
     if spec.contamination is not None:
-        raise ValueError("correction factors are defined on clean data")
+        raise InputError("correction factors are defined on clean data")
     for direction in spec.directions:
         if spec.lag_depths[direction] < 2:
-            raise ValueError("correction factors need h_max >= 2")
-    results = _collect(spec)
+            raise InputError("correction factors need h_max >= 2")
     rows = []
-    for eid in spec.estimators:
-        for direction in spec.directions:
-            h = spec.lag_depths[direction]
-            divisor = h if spec.corrfac_divisor == "h_max" else h - 1
-            gamma_true = spec.true_semivariogram(direction)
-            values = results[(eid, direction.value)]
-            ok = ~np.isnan(values[:, 0])
-            n_fail = _check_failures(f"{eid}/{direction.value}", ok, spec.replications)
-            ratios = 0.5 * values[ok][:, : h - 1] / gamma_true[: h - 1]
-            stat = ratios.sum(axis=1) / divisor
-            mean = float(np.mean(stat))
-            se_mean = float(np.std(stat, ddof=1) / math.sqrt(stat.size))
-            rows.append(
-                CorrfacRow(
-                    estimator=eid,
-                    direction=direction.value,
-                    c_opt=1.0 / mean,
-                    se=se_mean / mean**2,
-                    n_ok=int(ok.sum()),
-                    n_fail=n_fail,
-                )
+    for eid, direction, gamma_true, values, n_fail in _successes(spec, _collect(spec)):
+        h = spec.lag_depths[direction]
+        divisor = h if spec.corrfac_divisor == "h_max" else h - 1
+        ratios = 0.5 * values[:, : h - 1] / gamma_true[: h - 1]
+        stat = ratios.sum(axis=1) / divisor
+        mean = float(np.mean(stat))
+        se_mean = float(np.std(stat, ddof=1) / math.sqrt(stat.size))
+        rows.append(
+            CorrfacRow(
+                estimator=eid,
+                direction=direction.value,
+                c_opt=1.0 / mean,
+                se=se_mean / mean**2,
+                n_ok=stat.size,
+                n_fail=n_fail,
             )
+        )
     return CorrfacResult(rows)
 
 
@@ -311,46 +314,41 @@ class StudyResult:
 
 def run_bias_rmse_study(spec: StudySpec) -> StudyResult:
     """Per-lag bias and rMSE (semivariogram scale) under the spec's scenario,
-    applying ``spec.correction_factors`` when provided."""
-    results = _collect(spec)
-    factors = spec.correction_factors or {}
+    applying ``spec.correction_factors`` when provided (the spec holds one
+    for every requested estimator and direction)."""
+    factors = spec.correction_factors
     rows = []
-    for eid in spec.estimators:
-        for direction in spec.directions:
-            gamma_true = spec.true_semivariogram(direction)
-            values = results[(eid, direction.value)]
-            ok = ~np.isnan(values[:, 0])
-            n_fail = _check_failures(f"{eid}/{direction.value}", ok, spec.replications)
-            c = factors.get((eid, direction.value), 1.0)
-            errors = 0.5 * c * values[ok] - gamma_true
-            n_ok = int(ok.sum())
-            for lag_idx in range(values.shape[1]):
-                e = errors[:, lag_idx]
-                bias = float(np.mean(e))
-                rmse = float(np.sqrt(np.mean(e**2)))
-                var_pop = float(np.var(e))
-                if not abs(rmse**2 - (bias**2 + var_pop)) <= 1e-10 * max(1.0, rmse**2):
-                    raise NumericalError(
-                        f"{eid}/{direction.value} lag {lag_idx + 1}: rMSE^2 = {rmse**2!r} "
-                        f"differs from bias^2 + variance = {bias**2 + var_pop!r}"
-                    )
-                se_bias = float(np.std(e, ddof=1) / math.sqrt(n_ok))
-                se_rmse = (
-                    float(np.std(e**2, ddof=1) / (2.0 * rmse * math.sqrt(n_ok)))
-                    if rmse > 0.0
-                    else 0.0
+    for eid, direction, gamma_true, values, n_fail in _successes(spec, _collect(spec)):
+        c = 1.0 if factors is None else factors[(eid, direction.value)]
+        errors = 0.5 * c * values - gamma_true
+        n_ok = values.shape[0]
+        for lag_idx in range(values.shape[1]):
+            e = errors[:, lag_idx]
+            bias = float(np.mean(e))
+            rmse = float(np.sqrt(np.mean(e**2)))
+            var_pop = float(np.var(e))
+            if not abs(rmse**2 - (bias**2 + var_pop)) <= 1e-10 * max(1.0, rmse**2):
+                raise NumericalError(
+                    f"{eid}/{direction.value} lag {lag_idx + 1}: rMSE^2 = {rmse**2!r} "
+                    f"differs from bias^2 + variance = {bias**2 + var_pop!r}"
                 )
-                rows.append(
-                    StudyRow(
-                        estimator=eid,
-                        direction=direction.value,
-                        lag=lag_idx + 1,
-                        bias=bias,
-                        rmse=rmse,
-                        se_bias=se_bias,
-                        se_rmse=se_rmse,
-                        n_ok=n_ok,
-                        n_fail=n_fail,
-                    )
+            se_bias = float(np.std(e, ddof=1) / math.sqrt(n_ok))
+            se_rmse = (
+                float(np.std(e**2, ddof=1) / (2.0 * rmse * math.sqrt(n_ok)))
+                if rmse > 0.0
+                else 0.0
+            )
+            rows.append(
+                StudyRow(
+                    estimator=eid,
+                    direction=direction.value,
+                    lag=lag_idx + 1,
+                    bias=bias,
+                    rmse=rmse,
+                    se_bias=se_bias,
+                    se_rmse=se_rmse,
+                    n_ok=n_ok,
+                    n_fail=n_fail,
                 )
+            )
     return StudyResult(rows)

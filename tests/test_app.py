@@ -62,6 +62,18 @@ class TestLoadAsc:
             load_asc(write(tmp_path / "d.asc", bad))
 
 
+class TestSaveAsc:
+    def test_exact_bytes(self, tmp_path):
+        values = np.array([[0.1, -0.0, np.nan], [1e-300, -2.5, 3.0]])
+        mask = np.array([[False, False, True], [False, False, False]])
+        path = tmp_path / "s.asc"
+        save_asc(path, Grid(values, mask))
+        assert path.read_bytes() == (
+            b"ncols 3\nnrows 2\nxllcorner 0\nyllcorner 0\ncellsize 1\nNODATA_value -9999\n"
+            b"1e-300 -2.5 3\n0.10000000000000001 -0 -9999\n"
+        )
+
+
 class TestQualityMask:
     def test_all_clear_unchanged(self):
         g = Grid(np.arange(9.0).reshape(3, 3))
@@ -207,20 +219,40 @@ class TestCli:
         assert len(rows["mcd.org.re"]) == 2 * 4
         assert rows["mcd.org.re"] == rows["matheron,mcd.org,mcd.org.re"]
 
-    @pytest.mark.parametrize("case", ["directions", "estimators", "clear-codes", "corrfac", "contam"])
+    @pytest.mark.parametrize("case", [
+        "directions", "estimators", "clear-codes", "corrfac", "contam",
+        "hmax", "alpha", "mx", "corrfac-nx", "corrfac-reps",
+        "breakdown-estimator", "breakdown-genton-isolated", "breakdown-nx",
+        "corrfac-short-row", "corrfac-missing-direction",
+    ])
     def test_bad_flag_value_exit_2(self, tmp_path, case):
         asc = write(tmp_path / "grid.asc", GOOD_ASC)
         estimate = ["estimate", asc, "--hmax", "1", "--directions", "ew", "--estimators", "matheron"]
         study = ["study-biasrmse", "--nx", "6", "--ny", "6", "--hmax", "2", "--directions", "ew",
                  "--estimators", "matheron", "--reps", "2", "--jobs", "1",
                  "--out", str(tmp_path / "out.csv")]
-        corrfac = write(tmp_path / "cf.csv", "estimator,direction,c_opt,se\nmatheron,ew,x,0\n")
+        study_corrfac = ["study-corrfac"] + study[1:]
+        breakdown = ["breakdown", "--scenario", "block", "--nx", "50", "--hmax", "4"]
+        header = "estimator,direction,c_opt,se\n"
+        corrfac = write(tmp_path / "cf.csv", header + "matheron,ew,x,0\n")
+        short_row = write(tmp_path / "short.csv", header + "matheron,ew\n")
+        ew_only = write(tmp_path / "ew.csv", header + "matheron,ew,1.1,0\n")
         argv = {
             "directions": estimate + ["--directions", "foo"],
             "estimators": estimate + ["--estimators", "cressie"],
             "clear-codes": estimate + ["--quality", asc, "--clear-codes", "x"],
             "corrfac": study + ["--corrfac", corrfac],
             "contam": study + ["--contam", "kind=block,eps=0.1,mu0=nan"],
+            "hmax": estimate + ["--hmax", "0"],
+            "alpha": estimate + ["--alpha", "2"],
+            "mx": estimate + ["--mx", "-1", "--estimators", "mcd.org.mod"],
+            "corrfac-nx": study_corrfac + ["--nx", "0"],
+            "corrfac-reps": study_corrfac + ["--reps", "1"],
+            "breakdown-estimator": breakdown + ["--estimator", "foo"],
+            "breakdown-genton-isolated": breakdown + ["--scenario", "isolated", "--estimator", "genton"],
+            "breakdown-nx": breakdown + ["--estimator", "mcd_org", "--nx", "4"],
+            "corrfac-short-row": study + ["--corrfac", short_row],
+            "corrfac-missing-direction": study + ["--directions", "ew,sn", "--corrfac", ew_only],
         }[case]
         assert main(argv) == 2
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from robustvario.breakdown import BreakdownQuery, breakdown_point, empirical_breakdown_check
-from robustvario.errors import EstimatorUnusableError
+from robustvario.errors import EstimatorUnusableError, InputError
 from robustvario.numerics import RngStream
 
 # the nine reference values (n_x = 50, h_max = 4, m = 1 for the modified
@@ -39,6 +39,11 @@ class TestClosedForms:
     def test_genton_isolated_undefined(self):
         with pytest.raises(ValueError):
             breakdown_point(BreakdownQuery("isolated", "genton", 50, 4))
+
+    def test_genton_isolated_empirical_check_raises(self):
+        # the check plants the closed form's critical count, and there is none
+        with pytest.raises(InputError, match="no closed form"):
+            empirical_breakdown_check(BreakdownQuery("isolated", "genton", 50, 4))
 
     def test_nonincreasing_in_h_max(self):
         for estimator in ("mcd_org", "mcd_diff", "genton"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robustvario.contamination import ContaminationSpec, contaminate_block, contaminate_isolated
+from robustvario.contamination import ContaminationSpec, contaminate
 from robustvario.grid import Grid
 from robustvario.numerics import RngStream
 
@@ -35,14 +35,14 @@ class TestSpecValidation:
 class TestBlock:
     def test_zero_epsilon(self):
         g = _grid()
-        out, cells = contaminate_block(g, ContaminationSpec("block", 0.0), RngStream(1))
+        out, cells = contaminate(g, ContaminationSpec("block", 0.0), RngStream(1))
         assert cells == set()
         np.testing.assert_array_equal(out.values, g.values)
 
     def test_exact_count_and_untouched_cells(self):
         g = _grid()
         spec = ContaminationSpec("block", 0.05, mu0=3.0, sigma0=1.0)
-        out, cells = contaminate_block(g, spec, RngStream(5))
+        out, cells = contaminate(g, spec, RngStream(5))
         assert len(cells) == 12
         for y in range(1, 16):
             for x in range(1, 16):
@@ -54,7 +54,7 @@ class TestBlock:
         g = _grid(5, 5)
         spec = ContaminationSpec("block", 0.16)
         for seed in range(200):
-            out, cells = contaminate_block(g, spec, RngStream(seed))
+            out, cells = contaminate(g, spec, RngStream(seed))
             if (3, 3) in cells and min(x for x, _ in cells) == 3 and min(y for _, y in cells) == 3:
                 assert cells == {(3, 3), (4, 3), (3, 4), (4, 4)}
                 break
@@ -65,7 +65,7 @@ class TestBlock:
         g = _grid(9, 7, seed=2)
         spec = ContaminationSpec("block", 0.12)
         for seed in range(50):
-            _, cells = contaminate_block(g, spec, RngStream(seed))
+            _, cells = contaminate(g, spec, RngStream(seed))
             assert all(1 <= x <= 9 and 1 <= y <= 7 for x, y in cells)
             # connectivity: flood fill from one cell reaches all
             todo = [next(iter(cells))]
@@ -81,24 +81,37 @@ class TestBlock:
     def test_additive_mode(self):
         g = _grid()
         spec = ContaminationSpec("block", 0.05, mu0=100.0, sigma0=1e-9, mode="additive")
-        out, cells = contaminate_block(g, spec, RngStream(3))
+        out, cells = contaminate(g, spec, RngStream(3))
         for x, y in cells:
             assert out.values[y - 1, x - 1] == pytest.approx(g.values[y - 1, x - 1] + 100.0, abs=1e-6)
 
     def test_deterministic(self):
         g = _grid()
         spec = ContaminationSpec("block", 0.1, mu0=3.0)
-        a, ca = contaminate_block(g, spec, RngStream(11, 4))
-        b, cb = contaminate_block(g, spec, RngStream(11, 4))
+        a, ca = contaminate(g, spec, RngStream(11, 4))
+        b, cb = contaminate(g, spec, RngStream(11, 4))
         assert ca == cb
         np.testing.assert_array_equal(a.values, b.values)
+
+
+    @pytest.mark.parametrize("nx,ny,eps", [(50, 1, 0.07), (1, 50, 0.07), (60, 2, 0.1), (2, 60, 0.1)])
+    def test_thin_grid_block_inside(self, nx, ny, eps):
+        # a square block does not fit a thin grid; the block widens instead
+        g = _grid(nx, ny, seed=4)
+        spec = ContaminationSpec("block", eps, mu0=100.0)
+        m = spec.n_cells(nx * ny)
+        for seed in range(30):
+            out, cells = contaminate(g, spec, RngStream(seed))
+            assert len(cells) == m
+            assert all(1 <= x <= nx and 1 <= y <= ny for x, y in cells)
+            assert int((out.values != g.values).sum()) == m
 
 
 class TestIsolated:
     def test_exact_distinct_count(self):
         g = _grid()
         spec = ContaminationSpec("isolated", 0.15, mu0=3.0)
-        out, cells = contaminate_isolated(g, spec, RngStream(7))
+        out, cells = contaminate(g, spec, RngStream(7))
         assert len(cells) == 34
 
     def test_uniformity(self):
@@ -107,7 +120,7 @@ class TestIsolated:
         counts = np.zeros((10, 10))
         reps = 10_000
         for r in range(reps):
-            _, cells = contaminate_isolated(g, spec, RngStream(1234, r))
+            _, cells = contaminate(g, spec, RngStream(1234, r))
             for x, y in cells:
                 counts[y - 1, x - 1] += 1
         freq = counts / reps
@@ -115,6 +128,6 @@ class TestIsolated:
 
     def test_zero_epsilon(self):
         g = _grid()
-        out, cells = contaminate_isolated(g, ContaminationSpec("isolated", 0.0), RngStream(1))
+        out, cells = contaminate(g, ContaminationSpec("isolated", 0.0), RngStream(1))
         assert cells == set()
         np.testing.assert_array_equal(out.values, g.values)
