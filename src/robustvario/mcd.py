@@ -16,6 +16,17 @@ a fixed point, their log-determinant changes by at most ``CSTEP_TOL``
 (relative) or ``MAX_CSTEPS`` steps have run.  Every raw fit is scaled by
 its Fisher-consistency factor.
 
+The C-step kernel inverts each candidate scatter once and gets all squared
+distances from one matmul.  A candidate whose scatter has a 1-norm
+condition number above ``_COND_MAX``, or whose k-th distance has another
+row within the rounding band ``_RANK_TOL`` * cond of it, gets its
+distances from an LU solve instead, so the kept rows are the ones the
+solve ranks closest.  The k closest rows are picked by ``np.partition``
+with ties at the k-th distance going to the lowest row indices, the set a
+stable argsort keeps.  Candidates run in chunks of at most ``_CHUNK_BYTES``
+of (chunk, n, p) float64 data, so memory does not grow with the number
+of candidates.
+
 Reweighting keeps rows whose squared robust distance is below the
 chi-square cutoff chi2_{p, REWEIGHT_DELTA} and refits with its own
 consistency factor.  :class:`McdConfig` holds only what callers choose: the
@@ -49,6 +60,9 @@ _LOGDET_SLACK = 1e-7  # fp tolerance for the C-step monotonicity check
 MAX_CSTEPS = 100
 CSTEP_TOL = 1e-12
 REWEIGHT_DELTA = 0.975
+_CHUNK_BYTES = 8 << 20  # float64 budget of one C-step chunk's (chunk, n, p) block
+_COND_MAX = 1e8  # 1-norm condition number above which distances use an LU solve
+_RANK_TOL = 64 * np.finfo(float).eps  # near-tie band at the k-th distance, per unit of cond
 
 
 @dataclass(frozen=True)
@@ -57,7 +71,9 @@ class McdConfig:
 
     ``k`` defaults to floor((n+p+1)/2), the maximal-breakdown choice; setting
     ``alpha`` instead derives k = floor(alpha*n), clamped to the admissible
-    range floor((n+p+1)/2) <= k <= n.  ``n_initial_subsets`` random
+    range floor((n+p+1)/2) <= k <= n; an explicit ``k`` above n raises
+    ``SampleTooSmallError`` and one below that range ``InputError``, so a
+    study counts the estimate as failed.  ``n_initial_subsets`` random
     (p+1)-seeds are concentrated and the ``n_best_kept`` best iterated;
     ``exhaustive_seeds`` uses every (p+1)-subset instead.
     """
@@ -82,8 +98,10 @@ class McdConfig:
             k = max(k_min, min(n, int(math.floor(self.alpha * n))))
         else:
             k = k_min
-        if not k_min <= k <= n:
-            raise ValueError(f"subset size k={k} outside [{k_min}, {n}] for n={n}, p={p}")
+        if k > n:
+            raise SampleTooSmallError(f"subset size k={k} exceeds the sample size n={n}")
+        if k < k_min:
+            raise InputError(f"subset size k={k} below floor((n+p+1)/2) = {k_min} for n={n}, p={p}")
         return k
 
 
@@ -183,6 +201,54 @@ def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mus, sigmas, logdets
 
 
+def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Sorted indices of the k rows of x closest to each fit in squared
+    Mahalanobis distance; (m, k).
+
+    Each scatter is inverted once and the distances come from one matmul.
+    Where that ranking is not certain to match an LU solve's, the candidate's
+    distances come from ``np.linalg.solve`` instead: when the 1-norm
+    condition number exceeds ``_COND_MAX``, or when another row lies within
+    ``_RANK_TOL`` * cond (relative) of the k-th distance, as the p+1 rows of
+    a seed always do, their distances being equal in exact arithmetic.
+    """
+    inv = np.linalg.inv(sigmas)
+    cond = np.abs(sigmas).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+    exact = ~(cond <= _COND_MAX)
+    d2 = np.empty((len(mus), len(x)))
+    fast = np.flatnonzero(~exact)
+    if fast.size:
+        delta = x[None, :, :] - mus[fast][:, None, :]
+        d2_fast = np.einsum("mnp,mnp->mn", delta @ inv[fast], delta)
+        kth = np.partition(d2_fast, k - 1, axis=1)[:, k - 1 : k]
+        near = np.abs(d2_fast - kth) <= _RANK_TOL * cond[fast, None] * np.abs(kth)
+        exact[fast] = near.sum(axis=1) > 1
+        d2[fast] = d2_fast
+    if exact.any():
+        delta_t = np.swapaxes(x[None, :, :] - mus[exact][:, None, :], 1, 2)
+        d2[exact] = np.einsum("mpn,mpn->mn", delta_t, np.linalg.solve(sigmas[exact], delta_t))
+    return _k_smallest(d2, k)
+
+
+def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Sorted column indices of the k smallest entries of each row of d2.
+
+    Ties at the k-th value go to the lowest indices and NaNs rank last, so
+    the result is the set a stable argsort keeps.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    below = d2 < kth
+    tie = d2 == kth
+    nan_kth = np.isnan(kth)
+    if nan_kth.any():
+        nan = np.isnan(d2)
+        below |= nan_kth & ~nan
+        tie |= nan_kth & nan
+    need = k - below.sum(axis=1, keepdims=True)
+    keep = below | (tie & (np.cumsum(tie, axis=1) <= need))
+    return np.nonzero(keep)[1].reshape(-1, k)
+
+
 def _batch_cstep(
     x: np.ndarray,
     k: int,
@@ -196,31 +262,34 @@ def _batch_cstep(
     with their support and fit unchanged (they are terminal).  Returns
     (supports, mus, sigmas, logdets) of the refitted candidates.
 
+    Candidates run in chunks whose (chunk, n, p) float64 block fits
+    ``_CHUNK_BYTES``, so memory stays bounded for any number of candidates.
+    The new support is the k closest rows (``_closest_rows``), ties broken
+    by the lower row index: the support an LU solve and a stable argsort
+    give.
+
     Monotonicity (the determinant never increases) holds once the incoming
     fit is itself a k-subset fit; the first step after a (p+1)-seed is
     exempt.
     """
-    m, p = mus.shape
+    m = len(logdets)
     alive = np.isfinite(logdets)
-    safe = sigmas.copy()
-    safe[~alive] = np.eye(p)
-    delta = x[None, :, :] - mus[:, None, :]
-    sol = np.linalg.solve(safe, np.swapaxes(delta, 1, 2))
-    d2 = np.einsum("mpn,mpn->mn", np.swapaxes(delta, 1, 2), sol)
-    # stable argsort on distances: ties broken by row index, deterministically
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    supports2 = np.sort(order, axis=1)
-    mus2, sigmas2, logdets2 = _batch_fit(x, supports2)
+    idx = np.flatnonzero(alive)
+    supports2 = np.empty((m, k), dtype=np.intp)
+    if idx.size < m:
+        # seeds are nonsingular, so a terminal candidate has had a C-step
+        # and its support is k wide too
+        supports2[~alive] = supports[~alive]
+    mus2, sigmas2, logdets2 = mus.copy(), sigmas.copy(), np.full(m, -np.inf)
+    chunk = max(1, _CHUNK_BYTES // (8 * x.size))
+    for lo in range(0, idx.size, chunk):
+        sel = idx[lo : lo + chunk]
+        supports2[sel] = _closest_rows(x, k, mus[sel], sigmas[sel])
+        mus2[sel], sigmas2[sel], logdets2[sel] = _batch_fit(x, supports2[sel])
     if check_monotone and not np.all(
         logdets2[alive] <= logdets[alive] + _LOGDET_SLACK * np.maximum(1.0, np.abs(logdets[alive]))
     ):
         raise NumericalError("C-step increased the covariance determinant")
-    keep = ~alive
-    if keep.any():
-        # seeds are nonsingular, so a terminal candidate has had a C-step
-        # and its support is k wide too
-        supports2[keep] = supports[keep]
-        mus2[keep], sigmas2[keep], logdets2[keep] = mus[keep], sigmas[keep], -np.inf
     return supports2, mus2, sigmas2, logdets2
 
 

@@ -88,6 +88,8 @@ class StudySpec:
         object.__setattr__(self, "directions", tuple(self.directions))
         if self.replications < 2:
             raise InputError(f"need at least 2 replications, got {self.replications}")
+        if self.n_jobs is not None and self.n_jobs < 1:
+            raise InputError(f"n_jobs must be >= 1 (None for all cores), got {self.n_jobs}")
         if self.corrfac_divisor not in ("h_max", "h_max_minus_1"):
             raise InputError("corrfac_divisor must be 'h_max' or 'h_max_minus_1'")
         for eid in self.estimators:

@@ -223,7 +223,7 @@ class TestCli:
         "directions", "estimators", "clear-codes", "corrfac", "contam",
         "hmax", "alpha", "mx", "corrfac-nx", "corrfac-reps",
         "breakdown-estimator", "breakdown-genton-isolated", "breakdown-nx",
-        "corrfac-short-row", "corrfac-missing-direction",
+        "corrfac-short-row", "corrfac-missing-direction", "jobs-zero", "jobs-negative",
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, case):
         asc = write(tmp_path / "grid.asc", GOOD_ASC)
@@ -253,6 +253,8 @@ class TestCli:
             "breakdown-nx": breakdown + ["--estimator", "mcd_org", "--nx", "4"],
             "corrfac-short-row": study + ["--corrfac", short_row],
             "corrfac-missing-direction": study + ["--directions", "ew,sn", "--corrfac", ew_only],
+            "jobs-zero": study_corrfac + ["--reps", "8", "--jobs", "0"],
+            "jobs-negative": study_corrfac + ["--reps", "8", "--jobs", "-1"],
         }[case]
         assert main(argv) == 2
 

@@ -2,9 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustvario import mcd as mcd_module
-from robustvario.errors import NumericalError, SampleTooSmallError, SingularDataError
+from robustvario.errors import (
+    InputError,
+    NumericalError,
+    SampleTooSmallError,
+    SingularDataError,
+)
 from robustvario.mcd import (
     McdConfig,
     exact_mcd,
@@ -147,6 +154,13 @@ class TestFastMcd:
         with pytest.raises(SingularDataError):
             fast_mcd(x, McdConfig(), RngStream(0))
 
+    def test_explicit_k_out_of_range(self):
+        x = np.random.default_rng(15).standard_normal((20, 2))
+        with pytest.raises(SampleTooSmallError):
+            fast_mcd(x, McdConfig(k=21), RngStream(0))
+        with pytest.raises(InputError):
+            fast_mcd(x, McdConfig(k=10), RngStream(0))  # floor((20+2+1)/2) = 11
+
     def test_dimension_guard(self):
         with pytest.raises(SampleTooSmallError):
             fast_mcd(np.zeros((2, 3)), McdConfig(), RngStream(0))
@@ -241,3 +255,101 @@ class TestCStepMonotonicity:
         x = np.random.default_rng(14).standard_normal((40, 3))
         with pytest.raises(NumericalError, match="increased"):
             fast_mcd(x, McdConfig(n_initial_subsets=20, n_best_kept=5), RngStream(1))
+
+
+def oracle_cstep(x, k, supports, mus, sigmas, logdets, check_monotone=True):
+    """The C-step before chunking: one LU solve with n right-hand sides per
+    candidate, a full stable argsort, every candidate in one batch."""
+    m, p = mus.shape
+    alive = np.isfinite(logdets)
+    safe = sigmas.copy()
+    safe[~alive] = np.eye(p)
+    delta = x[None, :, :] - mus[:, None, :]
+    sol = np.linalg.solve(safe, np.swapaxes(delta, 1, 2))
+    d2 = np.einsum("mpn,mpn->mn", np.swapaxes(delta, 1, 2), sol)
+    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    supports2 = np.sort(order, axis=1)
+    mus2, sigmas2, logdets2 = mcd_module._batch_fit(x, supports2)
+    slack = mcd_module._LOGDET_SLACK * np.maximum(1.0, np.abs(logdets[alive]))
+    if check_monotone and not np.all(logdets2[alive] <= logdets[alive] + slack):
+        raise NumericalError("C-step increased the covariance determinant")
+    keep = ~alive
+    if keep.any():
+        supports2[keep] = supports[keep]
+        mus2[keep], sigmas2[keep], logdets2[keep] = mus[keep], sigmas[keep], -np.inf
+    return supports2, mus2, sigmas2, logdets2
+
+
+def assert_same_bits(a, b):
+    for u, v in zip(a, b):
+        assert u.dtype == v.dtype and u.shape == v.shape
+        assert u.tobytes() == v.tobytes()
+
+
+def one_norm_cond(sigmas):
+    inv = np.linalg.inv(sigmas)
+    return np.abs(sigmas).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
+
+
+class TestCStepOracle:
+    """``_batch_cstep`` returns the oracle's supports and fits bit for bit
+    over the first two C-steps of a FastMCD run."""
+
+    @staticmethod
+    def two_steps(x, seed, kill=()):
+        n, p = x.shape
+        k = McdConfig().subset_size(n, p)
+        seeds = mcd_module._draw_seeds(x, McdConfig(), RngStream(seed))
+        state = (seeds, *mcd_module._batch_fit(x, seeds))
+        conds = []
+        for step in range(2):
+            conds.append(one_norm_cond(state[2][np.isfinite(state[3])]))
+            new = mcd_module._batch_cstep(x, k, *state, check_monotone=step > 0)
+            old = oracle_cstep(x, k, *state, check_monotone=step > 0)
+            assert_same_bits(new, old)
+            state = new
+            if kill:  # terminal candidates pass through unchanged
+                state[3][list(kill)] = -np.inf
+        return np.concatenate(conds)
+
+    def test_clean_gaussian(self):
+        x = np.random.default_rng(21).standard_normal((300, 4))
+        self.two_steps(x, 1)
+
+    def test_block_takes_solve_fallback(self):
+        rng = np.random.default_rng(22)
+        x = rng.standard_normal((200, 3))
+        x[:20] = 1e6 + rng.standard_normal((20, 3))
+        # mixed supports exceed _COND_MAX; one well-conditioned first-step
+        # candidate has its k-th distance at a tie of its p+1 seed rows,
+        # which the inverse alone orders differently from the solve
+        assert (self.two_steps(x, 2) > mcd_module._COND_MAX).any()
+
+    def test_duplicated_rows_tie(self):
+        # rows on a 3x3x3 lattice: many duplicates, and distinct rows at
+        # equal distances
+        x = np.random.default_rng(23).integers(0, 3, (150, 3)).astype(float)
+        self.two_steps(x, 3)
+
+    def test_several_chunks(self, monkeypatch):
+        x = np.random.default_rng(24).standard_normal((120, 3))
+        x[:15] += 50.0
+        monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 7 * x.nbytes)
+        self.two_steps(x, 4, kill=(0, 8, 9, 499))
+
+    @given(
+        d2=st.integers(1, 40).flatmap(
+            lambda n: st.lists(
+                st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.nan]), min_size=n, max_size=n),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_selection_matches_stable_argsort(self, d2):
+        d2 = np.array(d2)
+        order = np.argsort(d2, axis=1, kind="stable")
+        for k in range(1, d2.shape[1] + 1):
+            expected = np.sort(order[:, :k], axis=1)
+            np.testing.assert_array_equal(mcd_module._k_smallest(d2, k), expected)
