@@ -38,7 +38,7 @@ from .grid import (
     lag_differences,
 )
 from .ascio import AscHeader, apply_quality_mask, load_asc, save_asc, standardize
-from .mcd import McdConfig, McdFit, exact_mcd, fast_mcd, mcd_consistency_factor, reweight_mcd
+from .mcd import McdConfig, McdFit, fast_mcd, mcd_consistency_factor, reweight_mcd
 from .numerics import RngStream, chisq_cdf, chisq_quantile, cholesky_factor
 from .scale import qn, qn_raw
 from .simfield import FieldSpec, field_cholesky, simulate_field

@@ -92,10 +92,6 @@ def _write_text(text: str, path) -> None:
         sys.stdout.write(text)
 
 
-def _mcd_config(args) -> McdConfig:
-    return McdConfig(alpha=args.alpha) if args.alpha is not None else McdConfig()
-
-
 def _lag_depths(args) -> dict[Direction, int]:
     return default_lag_depths(args.hmax, args.hmax_diag)
 
@@ -125,7 +121,7 @@ def _cmd_estimate(args) -> int:
     scale = None
     if args.standardize:
         grid, scale = standardize(grid)
-    mcdcfg = _mcd_config(args)
+    mcdcfg = McdConfig(alpha=args.alpha)
     mod = ModConfig(m_x=args.mx, m_y=args.my) if args.mx is not None else None
     depths = _lag_depths(args)
     estimators = _parse_estimators(args.estimators)
@@ -156,7 +152,7 @@ def _study_spec(args, contamination=None, correction_factors=None) -> StudySpec:
         base_seed=args.seed,
         corrfac_divisor=args.divisor,
         correction_factors=correction_factors,
-        mcd=_mcd_config(args),
+        mcd=McdConfig(alpha=args.alpha),
         mod=ModConfig(m_x=args.mx, m_y=args.my) if args.mx is not None else None,
         n_jobs=args.jobs,
     )

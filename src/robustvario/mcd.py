@@ -2,12 +2,11 @@
 
 The raw MCD of p-dimensional rows x_1..x_n with subset size k is the mean
 and (consistency-scaled) sample covariance of the k rows whose covariance
-determinant is minimal.  ``exact_mcd`` enumerates all C(n, k) subsets and is
-the small-sample oracle; ``fast_mcd`` runs the usual randomized concentration
-search: many (p+1)-row seeds, two C-steps each, then full C-step iteration of
-the best few candidates.  The seeds are ``McdConfig.n_initial_subsets``
-random (p+1)-subsets, a singular one redrawn up to a budget of 100 draws
-per seed, or with ``exhaustive_seeds`` every (p+1)-subset; in both modes
+determinant is minimal.  ``fast_mcd`` finds it by the randomized
+concentration search of Rousseeuw & Van Driessen (1999): many (p+1)-row
+seeds, two C-steps each, then full C-step iteration of the ``N_BEST_KEPT``
+best candidates.  The seeds are ``McdConfig.n_initial_subsets`` random
+(p+1)-subsets, a singular one redrawn up to a budget of 100 draws per seed;
 seeds that stay singular are dropped, and ``SingularDataError`` is raised
 when none is left.  A C-step re-ranks all rows by squared Mahalanobis
 distance under the current fit, keeps the k closest and refits; the
@@ -30,15 +29,14 @@ of candidates.
 Reweighting keeps rows whose squared robust distance is below the
 chi-square cutoff chi2_{p, REWEIGHT_DELTA} and refits with its own
 consistency factor.  :class:`McdConfig` holds only what callers choose: the
-subset size and the seeding.
+subset fraction and the number of seeds.  Sample rows must be finite.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,15 +47,13 @@ __all__ = [
     "McdConfig",
     "McdFit",
     "mcd_consistency_factor",
-    "exact_mcd",
     "fast_mcd",
     "reweight_mcd",
 ]
 
-_EXACT_MAX_N = 25
-_EXACT_MAX_SUBSETS = 10_000_000
 _LOGDET_SLACK = 1e-7  # fp tolerance for the C-step monotonicity check
 MAX_CSTEPS = 100
+N_BEST_KEPT = 10  # candidates iterated to convergence after the first two C-steps
 CSTEP_TOL = 1e-12
 REWEIGHT_DELTA = 0.975
 _CHUNK_BYTES = 8 << 20  # float64 budget of one C-step chunk's (chunk, n, p) block
@@ -67,42 +63,29 @@ _RANK_TOL = 64 * np.finfo(float).eps  # near-tie band at the k-th distance, per 
 
 @dataclass(frozen=True)
 class McdConfig:
-    """Subset size and seeding of the MCD search.
+    """Subset fraction and seeding of the MCD search.
 
-    ``k`` defaults to floor((n+p+1)/2), the maximal-breakdown choice; setting
-    ``alpha`` instead derives k = floor(alpha*n), clamped to the admissible
-    range floor((n+p+1)/2) <= k <= n; an explicit ``k`` above n raises
-    ``SampleTooSmallError`` and one below that range ``InputError``, so a
-    study counts the estimate as failed.  ``n_initial_subsets`` random
-    (p+1)-seeds are concentrated and the ``n_best_kept`` best iterated;
-    ``exhaustive_seeds`` uses every (p+1)-subset instead.
+    The subset size k is floor((n+p+1)/2), the maximal-breakdown choice;
+    setting ``alpha`` instead derives k = floor(alpha*n), clamped to the
+    admissible range floor((n+p+1)/2) <= k <= n.  ``n_initial_subsets``
+    random (p+1)-seeds are concentrated.
     """
 
-    k: int | None = None
     alpha: float | None = None
     n_initial_subsets: int = 500
-    n_best_kept: int = 10
-    exhaustive_seeds: bool = False
 
     def __post_init__(self):
-        if not self.exhaustive_seeds and self.n_best_kept > self.n_initial_subsets:
-            raise InputError("n_best_kept cannot exceed n_initial_subsets")
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
+        if self.n_initial_subsets < 1:
+            raise InputError(f"n_initial_subsets must be >= 1, got {self.n_initial_subsets}")
 
     def subset_size(self, n: int, p: int) -> int:
+        """k for an n x p sample with n > p, so that k_min <= n."""
         k_min = (n + p + 1) // 2
-        if self.k is not None:
-            k = self.k
-        elif self.alpha is not None:
-            k = max(k_min, min(n, int(math.floor(self.alpha * n))))
-        else:
-            k = k_min
-        if k > n:
-            raise SampleTooSmallError(f"subset size k={k} exceeds the sample size n={n}")
-        if k < k_min:
-            raise InputError(f"subset size k={k} below floor((n+p+1)/2) = {k_min} for n={n}, p={p}")
-        return k
+        if self.alpha is None:
+            return k_min
+        return max(k_min, min(n, int(math.floor(self.alpha * n))))
 
 
 @dataclass
@@ -113,9 +96,7 @@ class McdFit:
     sigma: np.ndarray
     support: tuple[int, ...]
     log_det: float
-    reweighted: bool = False
     weights: np.ndarray | None = None
-    factors_applied: dict = field(default_factory=dict)
     singular: bool = False
 
 
@@ -136,6 +117,8 @@ def _rows(data) -> np.ndarray:
     rows = np.ascontiguousarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D sample, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
+        raise InputError("sample rows must be finite")
     return rows
 
 
@@ -159,35 +142,8 @@ def _finalize(k, n, p, mu, sigma, support, logdet) -> McdFit:
         sigma=c * sigma,
         support=tuple(int(i) for i in support),
         log_det=float(logdet),
-        factors_applied={"c": c},
         singular=singular,
     )
-
-
-def exact_mcd(data, cfg: McdConfig = McdConfig()) -> McdFit:
-    """Globally optimal MCD by exhaustive enumeration of all k-subsets."""
-    x = _rows(data)
-    n, p = x.shape
-    if n <= p:
-        raise SampleTooSmallError(f"need n > p, got n={n}, p={p}")
-    if n > _EXACT_MAX_N:
-        raise ValueError(f"exact enumeration is limited to n <= {_EXACT_MAX_N}, got {n}")
-    k = cfg.subset_size(n, p)
-    if math.comb(n, k) > _EXACT_MAX_SUBSETS:
-        raise ValueError(f"C({n},{k}) subsets exceed the enumeration limit")
-    best = None
-    saw_singular = False
-    for comb in itertools.combinations(range(n), k):
-        mu, sigma, logdet = _subset_logdet(x[list(comb)])
-        if not np.isfinite(logdet):
-            saw_singular = True
-        key = (logdet, comb)
-        if best is None or key < best[0]:
-            best = (key, mu, sigma)
-    if saw_singular:
-        warnings.warn("at least one k-subset had determinant 0", RuntimeWarning)
-    (logdet, comb), mu, sigma = best
-    return _finalize(k, n, p, mu, sigma, comb, logdet)
 
 
 def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -216,27 +172,30 @@ def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) ->
     cond = np.abs(sigmas).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
     exact = ~(cond <= _COND_MAX)
     d2 = np.empty((len(mus), len(x)))
+    kth = np.empty((len(mus), 1))
     fast = np.flatnonzero(~exact)
     if fast.size:
         delta = x[None, :, :] - mus[fast][:, None, :]
         d2_fast = np.einsum("mnp,mnp->mn", delta @ inv[fast], delta)
-        kth = np.partition(d2_fast, k - 1, axis=1)[:, k - 1 : k]
-        near = np.abs(d2_fast - kth) <= _RANK_TOL * cond[fast, None] * np.abs(kth)
+        kth_fast = np.partition(d2_fast, k - 1, axis=1)[:, k - 1 : k]
+        near = np.abs(d2_fast - kth_fast) <= _RANK_TOL * cond[fast, None] * np.abs(kth_fast)
         exact[fast] = near.sum(axis=1) > 1
-        d2[fast] = d2_fast
+        d2[fast], kth[fast] = d2_fast, kth_fast
     if exact.any():
         delta_t = np.swapaxes(x[None, :, :] - mus[exact][:, None, :], 1, 2)
         d2[exact] = np.einsum("mpn,mpn->mn", delta_t, np.linalg.solve(sigmas[exact], delta_t))
-    return _k_smallest(d2, k)
+        kth[exact] = np.partition(d2[exact], k - 1, axis=1)[:, k - 1 : k]
+    return _k_smallest(d2, k, kth)
 
 
-def _k_smallest(d2: np.ndarray, k: int) -> np.ndarray:
-    """Sorted column indices of the k smallest entries of each row of d2.
+def _k_smallest(d2: np.ndarray, k: int, kth: np.ndarray) -> np.ndarray:
+    """Sorted column indices of the k smallest entries of each row of d2,
+    given each row's k-th smallest value (``np.partition``'s) as the (m, 1)
+    column ``kth``.
 
     Ties at the k-th value go to the lowest indices and NaNs rank last, so
     the result is the set a stable argsort keeps.
     """
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
     below = d2 < kth
     tie = d2 == kth
     nan_kth = np.isnan(kth)
@@ -304,33 +263,27 @@ def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> 
 def _draw_seeds(x: np.ndarray, cfg: McdConfig, rng: RngStream) -> np.ndarray:
     """Seed subsets of size p+1 with a nonsingular fit.
 
-    With ``cfg.exhaustive_seeds`` every (p+1)-subset is a seed; otherwise
-    ``cfg.n_initial_subsets`` random ones are drawn and singular ones
-    redrawn within a budget of 100 draws per seed.  Seeds still singular are
-    dropped; raises ``SingularDataError`` when every seed is singular.
+    ``cfg.n_initial_subsets`` random (p+1)-subsets are drawn and singular
+    ones redrawn within a budget of 100 draws per seed.  Seeds still
+    singular are dropped; raises ``SingularDataError`` when every seed is
+    singular.
     """
     n, p = x.shape
-    if cfg.exhaustive_seeds:
-        if math.comb(n, p + 1) > _EXACT_MAX_SUBSETS:
-            raise ValueError("too many (p+1)-subsets for exhaustive seeding")
-        seeds = np.array(list(itertools.combinations(range(n), p + 1)), dtype=np.intp)
-        _, _, logdets = _batch_fit(x, seeds)
-    else:
-        gen = rng.generator()
-        m = cfg.n_initial_subsets
-        seeds = _sample_subsets(n, p + 1, m, gen)
-        _, _, logdets = _batch_fit(x, seeds)
-        attempts = m
-        budget = 100 * m
+    gen = rng.generator()
+    m = cfg.n_initial_subsets
+    seeds = _sample_subsets(n, p + 1, m, gen)
+    _, _, logdets = _batch_fit(x, seeds)
+    attempts = m
+    budget = 100 * m
+    bad = np.flatnonzero(~np.isfinite(logdets))
+    while bad.size and attempts < budget:
+        n_redraw = min(bad.size, budget - attempts)
+        redraw = bad[:n_redraw]
+        seeds[redraw] = _sample_subsets(n, p + 1, n_redraw, gen)
+        attempts += n_redraw
+        _, _, sub_logdets = _batch_fit(x, seeds[redraw])
+        logdets[redraw] = sub_logdets
         bad = np.flatnonzero(~np.isfinite(logdets))
-        while bad.size and attempts < budget:
-            n_redraw = min(bad.size, budget - attempts)
-            redraw = bad[:n_redraw]
-            seeds[redraw] = _sample_subsets(n, p + 1, n_redraw, gen)
-            attempts += n_redraw
-            _, _, sub_logdets = _batch_fit(x, seeds[redraw])
-            logdets[redraw] = sub_logdets
-            bad = np.flatnonzero(~np.isfinite(logdets))
     ok = np.isfinite(logdets)
     if not ok.any():
         raise SingularDataError("all initial (p+1)-subsets are singular")
@@ -340,8 +293,8 @@ def _draw_seeds(x: np.ndarray, cfg: McdConfig, rng: RngStream) -> np.ndarray:
 def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) -> McdFit:
     """Randomized MCD search; deterministic given (data, cfg, rng).
 
-    With ``cfg.exhaustive_seeds`` every (p+1)-subset is used as a seed, which
-    on small samples reproduces the exact optimum.
+    Raises ``SampleTooSmallError`` unless n > p.  With k = n the fit is the
+    classical mean and covariance of all rows.
     """
     x = _rows(data)
     n, p = x.shape
@@ -359,7 +312,7 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
             x, k, supports, mus, sigmas, logdets, check_monotone=(step > 0)
         )
 
-    kept = _rank_candidates(logdets, supports, max(1, cfg.n_best_kept))
+    kept = _rank_candidates(logdets, supports, N_BEST_KEPT)
     mus, sigmas, logdets, supports = mus[kept], sigmas[kept], logdets[kept], supports[kept]
 
     # iterate the survivors to convergence (support fixed point, determinant
@@ -430,8 +383,6 @@ def reweight_mcd(data, raw: McdFit) -> McdFit:
         sigma=c_star * sigma,
         support=raw.support,
         log_det=logdet,
-        reweighted=True,
         weights=w.astype(np.int8),
-        factors_applied={**raw.factors_applied, "c_star": c_star},
         singular=not np.isfinite(logdet),
     )

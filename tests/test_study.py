@@ -6,7 +6,6 @@ import pytest
 from robustvario.contamination import ContaminationSpec
 from robustvario.errors import InputError, TooManyFailuresError
 from robustvario.grid import Direction
-from robustvario.mcd import McdConfig
 from robustvario.simfield import FieldSpec
 from robustvario.study import (
     StudySpec,
@@ -153,16 +152,6 @@ class TestBiasRmse:
         res = run_bias_rmse_study(small_spec(replications=400))  # 1/400 <= 1%
         row = res.get("matheron", "ew", 1)
         assert row.n_fail == 1 and row.n_ok == 399
-
-    def test_subset_size_above_n_counts_as_failure(self):
-        # mcd.org at h_max 2 in EW on an 8x8 field has n = 48 rows; k = 60
-        # fails every estimate instead of aborting the study
-        spec = small_spec(
-            field=FieldSpec(MODEL, 8, 8), estimators=("mcd.org",),
-            lag_depths={Direction.EW: 2}, replications=4, mcd=McdConfig(k=60),
-        )
-        with pytest.raises(TooManyFailuresError):
-            run_bias_rmse_study(spec)
 
     def test_seed_sensitivity_sanity(self):
         # halving replications at another seed moves cells by < 6 MC SEs
