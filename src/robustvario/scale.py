@@ -4,22 +4,35 @@ Qn is the k-th smallest of the N(N-1)/2 pairwise distances |x_i - x_j|,
 k = C(floor(N/2)+1, 2) (:func:`qn_raw`).  :func:`qn` scales it by the
 Gaussian consistency constant ``GAUSSIAN_CONSISTENCY`` = 2.2219 and then by
 the finite-sample factor d_N (tabulated for N <= 9, then N/(N+1.4) for odd
-and N/(N+3.8) for even N); both are always applied.  The pairwise
-enumeration with partial selection is exact and fast enough for the sample
-sizes arising here (N up to a few thousand), and doubles as its own oracle.
+and N/(N+3.8) for even N); both are always applied.
+
+Below ``_SELECT_MIN_N`` observations the pairs are enumerated and partially
+sorted, which is the faster path there (the study's 15x15 lag samples).
+From ``_SELECT_MIN_N`` on, the k-th difference is selected from the sorted
+sample without building the pairs, by per-row candidate bands and
+weighted-median pivots after Croux & Rousseeuw (1992) and Johnson &
+Mizoguchi (1978), in O(N log N) time and O(N) memory.  Both paths return
+the same float (see :func:`qn_raw`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import SampleTooSmallError
+from .errors import InputError, SampleTooSmallError
 
 __all__ = ["qn_raw", "qn", "qn_finite_sample_factor"]
 
 GAUSSIAN_CONSISTENCY = 2.2219
 
 _SMALL_N_FACTORS = {2: 0.399, 3: 0.994, 4: 0.512, 5: 0.844, 6: 0.611, 7: 0.857, 8: 0.669, 9: 0.872}
+
+# Crossover: below it enumerating the pairs is faster than selection (the two
+# cost the same near n = 300-350 on a 2-core x86 host with numpy 2.4).
+_SELECT_MIN_N = 350
+# Selection gathers and partitions the surviving candidates once at most
+# this many per observation remain.
+_GATHER_PER_ROW = 4
 
 
 def qn_finite_sample_factor(n: int) -> float:
@@ -30,16 +43,86 @@ def qn_finite_sample_factor(n: int) -> float:
 
 
 def qn_raw(sample) -> float:
-    """Uncorrected Qn: order statistic of the pairwise absolute differences."""
+    """Uncorrected Qn: the k-th smallest pairwise absolute difference,
+    k = C(floor(N/2)+1, 2).  The sample must be finite.
+
+    Below ``_SELECT_MIN_N`` observations every |x_i - x_j| is built and
+    partitioned.  Otherwise ``_kth_difference`` selects the k-th from the
+    sorted sample.  The two agree bit for bit: IEEE subtraction is
+    sign-symmetric, so the sorted differences x_(j) - x_(i), j > i, are the
+    same floats as the |x_i - x_j|, and the selection compares exactly
+    those computed differences with its pivots.
+    """
     x = np.asarray(sample, dtype=float).ravel()
     n = x.size
     if n < 2:
         raise SampleTooSmallError(f"Qn needs at least 2 observations, got {n}")
+    if not np.isfinite(x).all():
+        raise InputError("Qn sample must be finite")
     h = n // 2 + 1
     k = h * (h - 1) // 2
+    if n >= _SELECT_MIN_N:
+        return _kth_difference(np.sort(x), k)
     iu, ju = np.triu_indices(n, 1)
     diffs = np.abs(x[iu] - x[ju])
     return float(np.partition(diffs, k - 1)[k - 1])
+
+
+def _kth_difference(s: np.ndarray, k: int) -> float:
+    """k-th smallest of s[j] - s[i] over j > i, for ascending s.
+
+    Row i of the difference matrix is non-decreasing in j, because rounding
+    is monotone.  Each row keeps a band [left, right) of candidate columns;
+    ``below`` counts the pairs ranked before every band.  Each round picks
+    the band-width-weighted median of the band middles as pivot t, which
+    drops at least a quarter of the candidates, and counts per row the
+    differences <= t and < t by bisection.  When t is the k-th value it is
+    returned; otherwise the bands keep only the side that holds the k-th.
+    Once few candidates remain they are gathered and partitioned.
+    """
+    n = s.size
+    left = np.arange(1, n + 1)
+    right = np.full(n, n)
+    below = 0
+    while True:
+        rows = np.flatnonzero(left < right)
+        lo, hi = left[rows], right[rows]
+        width = hi - lo
+        remaining = int(width.sum())
+        if remaining <= _GATHER_PER_ROW * n:
+            break
+        base = s[rows]
+        middles = s[(lo + hi - 1) // 2] - base
+        order = np.argsort(middles)
+        t = middles[order[np.searchsorted(np.cumsum(width[order]), remaining / 2)]]
+        le = _row_cut(s, base, lo, hi, t, np.less_equal)
+        n_le = below + int((le - lo).sum())
+        if n_le < k:
+            below = n_le
+            left[rows] = le
+            continue
+        lt = _row_cut(s, base, lo, le, t, np.less)
+        n_lt = below + int((lt - lo).sum())
+        if n_lt < k:
+            return abs(float(t))
+        right[rows] = lt
+    cols = np.arange(remaining) - np.repeat(np.cumsum(width) - width - lo, width)
+    diffs = s[cols] - np.repeat(s[rows], width)
+    # abs: differences of a mixed -0.0 and 0.0 may come out as -0.0
+    return abs(float(np.partition(diffs, k - below - 1)[k - below - 1]))
+
+
+def _row_cut(s, base, lo, hi, t, keep) -> np.ndarray:
+    """Per row, the first column j in [lo, hi) with not keep(s[j] - base, t),
+    or hi; ``keep`` is <= or <, and holds on a prefix of each row."""
+    last = s.size - 1
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) // 2
+        open_ = lo < hi
+        take = open_ & keep(s[np.minimum(mid, last)] - base, t)
+        lo = np.where(take, mid + 1, lo)
+        hi = np.where(open_ & ~take, mid, hi)
+    return lo
 
 
 def qn(sample) -> float:

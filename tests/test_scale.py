@@ -1,9 +1,13 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustvario.errors import SampleTooSmallError
+import robustvario.scale as scale_module
+from robustvario.errors import InputError, SampleTooSmallError
 from robustvario.numerics import RngStream
 from robustvario.scale import GAUSSIAN_CONSISTENCY, qn, qn_finite_sample_factor, qn_raw
 
@@ -18,31 +22,52 @@ def qn_naive(sample) -> float:
     return diffs[k - 1]
 
 
+def bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def qn_raw_on(x, select_min_n) -> float:
+    """qn_raw with the enumeration/selection crossover moved."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scale_module, "_SELECT_MIN_N", select_min_n)
+        return qn_raw(x)
+
+
+def qn_raw_both(x) -> float:
+    """qn_raw by enumeration and by selection (the crossover moved above n,
+    then down to 2); the two must agree bit for bit."""
+    enumerated = qn_raw_on(x, np.size(x) + 1)
+    assert bits(qn_raw_on(x, 2)) == bits(enumerated)
+    return enumerated
+
+
 class TestQnRaw:
     def test_constant_sample(self):
-        assert qn_raw([4.0] * 10) == 0.0
+        assert qn_raw_both([4.0] * 10) == 0.0
+        assert bits(qn_raw(np.full(5000, -2.25))) == bits(0.0)
 
     def test_hand_example(self):
         # diffs {1,2,3,4,6,7}, k = C(3,2) = 3 -> third smallest
-        assert qn_raw([1.0, 2.0, 4.0, 8.0]) == 3.0
+        assert qn_raw_both([1.0, 2.0, 4.0, 8.0]) == 3.0
 
     def test_too_small(self):
-        with pytest.raises(SampleTooSmallError):
-            qn_raw([1.0])
+        for min_n in (2, 3):
+            with pytest.raises(SampleTooSmallError):
+                qn_raw_on([1.0], min_n)
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=60)
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_oracle(self, xs):
-        assert qn_raw(xs) == qn_naive(xs)
+        assert qn_raw_both(xs) == qn_naive(xs)
 
     def test_matches_naive_on_large_random(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             n = int(rng.integers(2, 201))
             x = rng.standard_normal(n) * rng.uniform(0.1, 50)
-            assert qn_raw(x) == qn_naive(x)
+            assert qn_raw_both(x) == qn_naive(x)
 
     @given(
         st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=40),
@@ -51,13 +76,89 @@ class TestQnRaw:
     @settings(max_examples=100, deadline=None)
     def test_translation_and_reflection_invariance(self, xs, c):
         x = np.asarray(xs)
-        base = qn_raw(x)
-        assert qn_raw(x + c) == pytest.approx(base, rel=1e-12, abs=1e-9)
-        assert qn_raw(-x) == base
+        base = qn_raw_both(x)
+        assert qn_raw_both(x + c) == pytest.approx(base, rel=1e-12, abs=1e-9)
+        assert qn_raw_both(-x) == base
 
     def test_exact_scale_equivariance(self):
         x = np.array([0.5, 1.0, 2.5, -3.0, 8.0])
-        assert qn_raw(5.0 * x + 7.0) == 5.0 * qn_raw(x)
+        assert qn_raw_both(5.0 * x + 7.0) == 5.0 * qn_raw_both(x)
+
+    def test_two_and_three_observations(self):
+        assert qn_raw_both([3.5, 1.0]) == 2.5
+        # diffs {1, 4, 5}, k = C(2,2) = 1
+        assert qn_raw_both([5.0, 0.0, 1.0]) == 1.0
+
+    @pytest.mark.parametrize("n", [3, 4, 10, 351, 1000])
+    def test_all_but_one_equal(self, n):
+        # C(n-1, 2) zero gaps outnumber k = C(n//2+1, 2) from n = 3 on
+        x = np.full(n, 3.0)
+        x[n // 2] = 7.5
+        assert bits(qn_raw_both(x)) == bits(0.0)
+
+    def test_mixed_signed_zeros(self):
+        # a sorted sample may hold -0.0 after 0.0, and their difference is -0.0
+        rng = np.random.default_rng(0)
+        for _ in range(60):
+            n = int(rng.integers(2, 800))
+            x = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0], n, p=rng.dirichlet(np.ones(5)))
+            qn_raw_both(x)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("n", [5, 400])
+    def test_non_finite_rejected(self, bad, n):
+        x = np.array([1.0, 2.0, 3.0, 7.0] + [9.0] * (n - 4))
+        x[n // 3] = bad
+        with pytest.raises(InputError, match="Qn sample must be finite"):
+            qn_raw(x)
+        for min_n in (2, n + 1):
+            with pytest.raises(InputError, match="Qn sample must be finite"):
+                qn_raw_on(x, min_n)
+
+    def test_crossover_routes_to_selection(self, monkeypatch):
+        sizes = []
+        select = scale_module._kth_difference
+        monkeypatch.setattr(
+            scale_module, "_kth_difference", lambda s, k: sizes.append(s.size) or select(s, k)
+        )
+        n = scale_module._SELECT_MIN_N
+        qn_raw(np.arange(n - 1.0))
+        qn_raw(np.arange(float(n)))
+        assert sizes == [n]
+
+
+class TestQnSelectionOracle:
+    """Selection against enumeration, bit for bit, on integer-valued
+    samples (heavy ties, ties at the k-th value), mapped by a spread and an
+    offset that make the computed differences round."""
+
+    @given(
+        n=st.integers(2, 3000),
+        levels=st.integers(1, 60),
+        spread=st.sampled_from([1.0, 0.1, 1e-9]),
+        offset=st.sampled_from([0.0, -3.7, 1e6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_integer_valued_samples(self, n, levels, spread, offset, seed):
+        x = offset + spread * np.random.default_rng(seed).integers(0, levels, n)
+        assert bits(qn_raw_on(x, 2)) == bits(qn_raw_on(x, n + 1))
+
+
+class TestQnMemory:
+    @pytest.mark.parametrize("kind", ["gaussian", "ties"])
+    def test_memory_linear_in_n(self, kind):
+        # 100k observations: the pairs alone would take 40 GB; selection
+        # keeps O(n) arrays, about 16 MB at its peak
+        gen = np.random.default_rng(5)
+        x = gen.standard_normal(100_000) if kind == "gaussian" else gen.integers(0, 5, 100_000) * 1.0
+        tracemalloc.start()
+        try:
+            qn_raw(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
 
 class TestQn:
