@@ -6,13 +6,12 @@ Gaussian consistency constant ``GAUSSIAN_CONSISTENCY`` = 2.2219 and then by
 the finite-sample factor d_N (tabulated for N <= 9, then N/(N+1.4) for odd
 and N/(N+3.8) for even N); both are always applied.
 
-Below ``_SELECT_MIN_N`` observations the pairs are enumerated and partially
-sorted, which is the faster path there (the study's 15x15 lag samples).
-From ``_SELECT_MIN_N`` on, the k-th difference is selected from the sorted
-sample without building the pairs, by per-row candidate bands and
-weighted-median pivots after Croux & Rousseeuw (1992) and Johnson &
-Mizoguchi (1978), in O(N log N) time and O(N) memory.  Both paths return
-the same float (see :func:`qn_raw`).
+The k-th difference is selected from the sorted sample without building
+the pairs, by per-row candidate bands and weighted-median pivots after
+Croux & Rousseeuw (1992) and Johnson & Mizoguchi (1978), in O(N log^2 N)
+time and O(N) memory: each of the O(log N) pivot rounds sorts the band
+middles and counts by bisection.  The result is the same float that
+enumerating and partitioning every |x_i - x_j| gives (see :func:`qn_raw`).
 """
 
 from __future__ import annotations
@@ -27,11 +26,12 @@ GAUSSIAN_CONSISTENCY = 2.2219
 
 _SMALL_N_FACTORS = {2: 0.399, 3: 0.994, 4: 0.512, 5: 0.844, 6: 0.611, 7: 0.857, 8: 0.669, 9: 0.872}
 
-# Crossover: below it enumerating the pairs is faster than selection (the two
-# cost the same near n = 300-350 on a 2-core x86 host with numpy 2.4).
-_SELECT_MIN_N = 350
 # Selection gathers and partitions the surviving candidates once at most
-# this many per observation remain.
+# this many per observation remain.  Any value gives the same bits; it trades
+# pivot rounds for gather memory.  Going from 4 to 16 takes the tracemalloc
+# peak at n = 100k from 15.7 to 37.7 MB and saves a quarter of the time at
+# most (n = 200: 1.08 -> 0.71 ms; n = 10k: 28 -> 24 ms; 2-core Xeon, numpy
+# 2.4.6; gather_per_row_sweep in BENCH_7.json).
 _GATHER_PER_ROW = 4
 
 
@@ -46,12 +46,10 @@ def qn_raw(sample) -> float:
     """Uncorrected Qn: the k-th smallest pairwise absolute difference,
     k = C(floor(N/2)+1, 2).  The sample must be finite.
 
-    Below ``_SELECT_MIN_N`` observations every |x_i - x_j| is built and
-    partitioned.  Otherwise ``_kth_difference`` selects the k-th from the
-    sorted sample.  The two agree bit for bit: IEEE subtraction is
-    sign-symmetric, so the sorted differences x_(j) - x_(i), j > i, are the
-    same floats as the |x_i - x_j|, and the selection compares exactly
-    those computed differences with its pivots.
+    ``_kth_difference`` selects the k-th from the sorted sample.  It is
+    exact: IEEE subtraction is sign-symmetric, so the sorted differences
+    x_(j) - x_(i), j > i, are the same floats as the |x_i - x_j|, and the
+    selection compares exactly those computed differences with its pivots.
     """
     x = np.asarray(sample, dtype=float).ravel()
     n = x.size
@@ -61,11 +59,7 @@ def qn_raw(sample) -> float:
         raise InputError("Qn sample must be finite")
     h = n // 2 + 1
     k = h * (h - 1) // 2
-    if n >= _SELECT_MIN_N:
-        return _kth_difference(np.sort(x), k)
-    iu, ju = np.triu_indices(n, 1)
-    diffs = np.abs(x[iu] - x[ju])
-    return float(np.partition(diffs, k - 1)[k - 1])
+    return _kth_difference(np.sort(x), k)
 
 
 def _kth_difference(s: np.ndarray, k: int) -> float:

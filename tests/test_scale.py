@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import robustvario.scale as scale_module
 from robustvario.errors import InputError, SampleTooSmallError
 from robustvario.numerics import RngStream
 from robustvario.scale import GAUSSIAN_CONSISTENCY, qn, qn_finite_sample_factor, qn_raw
@@ -26,48 +25,41 @@ def bits(value) -> bytes:
     return np.float64(value).tobytes()
 
 
-def qn_raw_on(x, select_min_n) -> float:
-    """qn_raw with the enumeration/selection crossover moved."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scale_module, "_SELECT_MIN_N", select_min_n)
-        return qn_raw(x)
-
-
-def qn_raw_both(x) -> float:
-    """qn_raw by enumeration and by selection (the crossover moved above n,
-    then down to 2); the two must agree bit for bit."""
-    enumerated = qn_raw_on(x, np.size(x) + 1)
-    assert bits(qn_raw_on(x, 2)) == bits(enumerated)
-    return enumerated
+def qn_enumerated(sample) -> float:
+    """Vectorised O(N^2) oracle: every |x_i - x_j|, partitioned at k."""
+    x = np.asarray(sample, dtype=float)
+    iu, ju = np.triu_indices(x.size, 1)
+    h = x.size // 2 + 1
+    k = h * (h - 1) // 2
+    return float(np.partition(np.abs(x[iu] - x[ju]), k - 1)[k - 1])
 
 
 class TestQnRaw:
     def test_constant_sample(self):
-        assert qn_raw_both([4.0] * 10) == 0.0
+        assert qn_raw([4.0] * 10) == 0.0
         assert bits(qn_raw(np.full(5000, -2.25))) == bits(0.0)
 
     def test_hand_example(self):
         # diffs {1,2,3,4,6,7}, k = C(3,2) = 3 -> third smallest
-        assert qn_raw_both([1.0, 2.0, 4.0, 8.0]) == 3.0
+        assert qn_raw([1.0, 2.0, 4.0, 8.0]) == 3.0
 
     def test_too_small(self):
-        for min_n in (2, 3):
-            with pytest.raises(SampleTooSmallError):
-                qn_raw_on([1.0], min_n)
+        with pytest.raises(SampleTooSmallError):
+            qn_raw([1.0])
 
     @given(
         st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=60)
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_naive_oracle(self, xs):
-        assert qn_raw_both(xs) == qn_naive(xs)
+        assert bits(qn_raw(xs)) == bits(qn_naive(xs))
 
     def test_matches_naive_on_large_random(self):
         rng = np.random.default_rng(8)
         for _ in range(25):
             n = int(rng.integers(2, 201))
             x = rng.standard_normal(n) * rng.uniform(0.1, 50)
-            assert qn_raw_both(x) == qn_naive(x)
+            assert bits(qn_raw(x)) == bits(qn_naive(x))
 
     @given(
         st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=2, max_size=40),
@@ -76,33 +68,34 @@ class TestQnRaw:
     @settings(max_examples=100, deadline=None)
     def test_translation_and_reflection_invariance(self, xs, c):
         x = np.asarray(xs)
-        base = qn_raw_both(x)
-        assert qn_raw_both(x + c) == pytest.approx(base, rel=1e-12, abs=1e-9)
-        assert qn_raw_both(-x) == base
+        base = qn_raw(x)
+        assert qn_raw(x + c) == pytest.approx(base, rel=1e-12, abs=1e-9)
+        assert qn_raw(-x) == base
 
     def test_exact_scale_equivariance(self):
         x = np.array([0.5, 1.0, 2.5, -3.0, 8.0])
-        assert qn_raw_both(5.0 * x + 7.0) == 5.0 * qn_raw_both(x)
+        assert qn_raw(5.0 * x + 7.0) == 5.0 * qn_raw(x)
 
     def test_two_and_three_observations(self):
-        assert qn_raw_both([3.5, 1.0]) == 2.5
+        assert qn_raw([3.5, 1.0]) == 2.5
         # diffs {1, 4, 5}, k = C(2,2) = 1
-        assert qn_raw_both([5.0, 0.0, 1.0]) == 1.0
+        assert qn_raw([5.0, 0.0, 1.0]) == 1.0
 
     @pytest.mark.parametrize("n", [3, 4, 10, 351, 1000])
     def test_all_but_one_equal(self, n):
         # C(n-1, 2) zero gaps outnumber k = C(n//2+1, 2) from n = 3 on
         x = np.full(n, 3.0)
         x[n // 2] = 7.5
-        assert bits(qn_raw_both(x)) == bits(0.0)
+        assert bits(qn_raw(x)) == bits(0.0)
 
     def test_mixed_signed_zeros(self):
         # a sorted sample may hold -0.0 after 0.0, and their difference is -0.0
+        assert bits(qn_raw([0.0, -0.0])) == bits(0.0)
         rng = np.random.default_rng(0)
         for _ in range(60):
             n = int(rng.integers(2, 800))
             x = rng.choice([0.0, -0.0, 1.0, -1.0, 2.0], n, p=rng.dirichlet(np.ones(5)))
-            qn_raw_both(x)
+            assert bits(qn_raw(x)) == bits(qn_enumerated(x))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("n", [5, 400])
@@ -111,20 +104,6 @@ class TestQnRaw:
         x[n // 3] = bad
         with pytest.raises(InputError, match="Qn sample must be finite"):
             qn_raw(x)
-        for min_n in (2, n + 1):
-            with pytest.raises(InputError, match="Qn sample must be finite"):
-                qn_raw_on(x, min_n)
-
-    def test_crossover_routes_to_selection(self, monkeypatch):
-        sizes = []
-        select = scale_module._kth_difference
-        monkeypatch.setattr(
-            scale_module, "_kth_difference", lambda s, k: sizes.append(s.size) or select(s, k)
-        )
-        n = scale_module._SELECT_MIN_N
-        qn_raw(np.arange(n - 1.0))
-        qn_raw(np.arange(float(n)))
-        assert sizes == [n]
 
 
 class TestQnSelectionOracle:
@@ -142,7 +121,18 @@ class TestQnSelectionOracle:
     @settings(max_examples=60, deadline=None)
     def test_integer_valued_samples(self, n, levels, spread, offset, seed):
         x = offset + spread * np.random.default_rng(seed).integers(0, levels, n)
-        assert bits(qn_raw_on(x, 2)) == bits(qn_raw_on(x, n + 1))
+        assert bits(qn_raw(x)) == bits(qn_enumerated(x))
+
+    def test_rounded_differences(self):
+        # at tenths and near 1e6 the differences round, so counting by
+        # s[j] <= s[i] + t in place of s[j] - s[i] <= t misranks some
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            for n in (50, 200, 1000):
+                tenths = 0.1 * rng.integers(0, 30, n) - 1.7
+                far = 1.0 + 1e-9 * rng.integers(0, 50, n) + rng.choice([0.0, 1e6], n)
+                for x in (tenths, far):
+                    assert bits(qn_raw(x)) == bits(qn_enumerated(x))
 
 
 class TestQnMemory:
