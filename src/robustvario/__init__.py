@@ -39,7 +39,7 @@ from .grid import (
 )
 from .ascio import AscHeader, apply_quality_mask, load_asc, save_asc, standardize
 from .mcd import McdConfig, McdFit, fast_mcd, mcd_consistency_factor, reweight_mcd
-from .numerics import RngStream, chisq_cdf, chisq_quantile, cholesky_factor
+from .numerics import RngStream, chisq_cdf, chisq_quantile
 from .scale import qn, qn_raw
 from .simfield import FieldSpec, field_cholesky, simulate_field
 from .study import (

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AscFormatError, NumericalError
+from .errors import AscFormatError, InputError, NumericalError
 from .grid import Grid
 
 __all__ = ["AscHeader", "load_asc", "save_asc", "apply_quality_mask", "standardize"]
@@ -97,7 +97,7 @@ def apply_quality_mask(g: Grid, quality: Grid, clear_codes) -> Grid:
     """Mask every cell whose quality code is not in ``clear_codes``;
     already-masked cells stay masked."""
     if (quality.nx, quality.ny) != (g.nx, g.ny):
-        raise ValueError(
+        raise InputError(
             f"quality raster is {quality.nx}x{quality.ny}, grid is {g.nx}x{g.ny}"
         )
     clear = np.isin(quality.values, list(clear_codes))

@@ -39,13 +39,19 @@ def _parse_estimators(text: str) -> tuple[str, ...]:
     return ids
 
 
+_CONTAM_KEYS = ("kind", "eps", "epsilon", "mu0", "sigma0", "mode")
+
+
 def _parse_contam(text: str) -> ContaminationSpec:
     fields = {}
     for part in text.split(","):
         if "=" not in part:
             raise InputError(f"--contam entries must be key=value, got {part!r}")
         key, value = part.split("=", 1)
-        fields[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key not in _CONTAM_KEYS:
+            raise InputError(f"unknown --contam key {key!r}; known keys: {', '.join(_CONTAM_KEYS)}")
+        fields[key] = value.strip()
     try:
         return ContaminationSpec(
             kind=fields.get("kind", "block"),

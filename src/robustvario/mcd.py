@@ -19,17 +19,20 @@ The C-step kernel inverts each candidate scatter once and gets all squared
 distances from one matmul.  A candidate whose scatter has a 1-norm
 condition number above ``_COND_MAX``, or whose k-th distance has another
 row within the rounding band ``_RANK_TOL`` * cond of it, gets its
-distances from an LU solve instead, so the kept rows are the ones the
-solve ranks closest.  The k closest rows are picked by ``np.partition``
-with ties at the k-th distance going to the lowest row indices, the set a
-stable argsort keeps.  Candidates run in chunks of at most ``_CHUNK_BYTES``
-of (chunk, n, p) float64 data, so memory does not grow with the number
-of candidates.
+distances from an LU solve instead (``_sq_distances``), so the kept rows
+are the ones the solve ranks closest.  The k closest rows are picked by
+``np.partition`` with ties at the k-th distance going to the lowest row
+indices, the set a stable argsort keeps.  Candidates run in chunks of at
+most ``_CHUNK_BYTES`` of (chunk, n, p) float64 data, so memory does not
+grow with the number of candidates.
 
-Reweighting keeps rows whose squared robust distance is below the
-chi-square cutoff chi2_{p, REWEIGHT_DELTA} and refits with its own
-consistency factor.  :class:`McdConfig` holds only what callers choose: the
-subset fraction and the number of seeds.  Sample rows must be finite.
+Reweighting keeps rows whose squared robust distance, from the same LU
+solve, is at most the chi-square cutoff chi2_{p, REWEIGHT_DELTA} and
+refits with its own consistency factor; a singular raw fit, or a raw
+scatter without a positive finite determinant, raises
+``NotPositiveDefiniteError``.  :class:`McdConfig`
+holds only what callers choose: the subset fraction and the number of
+seeds.  Sample rows must be finite.
 """
 
 from __future__ import annotations
@@ -40,8 +43,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, NumericalError, SampleTooSmallError, SingularDataError
-from .numerics import RngStream, chisq_cdf, chisq_quantile, mahalanobis_sq_many
+from .errors import (
+    InputError,
+    NotPositiveDefiniteError,
+    NumericalError,
+    SampleTooSmallError,
+    SingularDataError,
+)
+from .numerics import RngStream, chisq_cdf, chisq_quantile
 
 __all__ = [
     "McdConfig",
@@ -157,6 +166,13 @@ def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndar
     return mus, sigmas, logdets
 
 
+def _sq_distances(x: np.ndarray, mus: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of every row of x under each fit,
+    (x - mu)' sigma^{-1} (x - mu) by an LU solve against sigma; (m, n)."""
+    delta_t = np.swapaxes(x[None, :, :] - mus[:, None, :], 1, 2)
+    return np.einsum("mpn,mpn->mn", delta_t, np.linalg.solve(sigmas, delta_t))
+
+
 def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
     """Sorted indices of the k rows of x closest to each fit in squared
     Mahalanobis distance; (m, k).
@@ -182,8 +198,7 @@ def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) ->
         exact[fast] = near.sum(axis=1) > 1
         d2[fast], kth[fast] = d2_fast, kth_fast
     if exact.any():
-        delta_t = np.swapaxes(x[None, :, :] - mus[exact][:, None, :], 1, 2)
-        d2[exact] = np.einsum("mpn,mpn->mn", delta_t, np.linalg.solve(sigmas[exact], delta_t))
+        d2[exact] = _sq_distances(x, mus[exact], sigmas[exact])
         kth[exact] = np.partition(d2[exact], k - 1, axis=1)[:, k - 1 : k]
     return _k_smallest(d2, k, kth)
 
@@ -362,13 +377,19 @@ def reweight_mcd(data, raw: McdFit) -> McdFit:
     """One-pass hard-rejection reweighting of a raw MCD fit.
 
     Rows with squared robust distance above chi2_{p, delta} get weight 0,
-    delta = ``REWEIGHT_DELTA``; the scatter is the weighted sample
+    delta = ``REWEIGHT_DELTA``; the distances come from the C-step's LU
+    solve (``_sq_distances``).  The scatter is the weighted sample
     covariance (divisor sum(w) - 1, the classical convention) times the
-    consistency factor with alpha replaced by delta.
+    consistency factor with alpha replaced by delta.  Raises
+    ``NotPositiveDefiniteError`` when the raw fit is singular or
+    ``raw.sigma`` has a determinant that is not positive and finite.
     """
     x = _rows(data)
     n, p = x.shape
-    d2 = mahalanobis_sq_many(x, raw.mu, raw.sigma)  # raises if raw.sigma not PD
+    sign, raw_logdet = np.linalg.slogdet(raw.sigma)
+    if raw.singular or sign <= 0 or not np.isfinite(raw_logdet):
+        raise NotPositiveDefiniteError("raw MCD scatter is not positive definite")
+    d2 = _sq_distances(x, raw.mu[None], raw.sigma[None])[0]
     cutoff = chisq_quantile(REWEIGHT_DELTA, p)
     w = d2 <= cutoff
     n_kept = int(w.sum())

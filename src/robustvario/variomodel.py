@@ -46,10 +46,10 @@ class IsoModel:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}; expected one of {_FAMILIES}")
-        if self.range_ <= 0.0:
-            raise ValueError(f"range must be positive, got {self.range_}")
-        if self.sill <= 0.0:
-            raise ValueError(f"sill must be positive, got {self.sill}")
+        if not 0.0 < self.range_ < math.inf:
+            raise ValueError(f"range must be positive and finite, got {self.range_}")
+        if not 0.0 < self.sill < math.inf:
+            raise ValueError(f"sill must be positive and finite, got {self.sill}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +59,10 @@ class AnisoModel:
     b: float = 1.0
 
     def __post_init__(self):
-        if self.b <= 0.0:
-            raise ValueError(f"anisotropy ratio b must be positive, got {self.b}")
+        if not math.isfinite(self.theta):
+            raise ValueError(f"anisotropy angle theta must be finite, got {self.theta}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"anisotropy ratio b must be positive and finite, got {self.b}")
 
     @property
     def sill(self) -> float:

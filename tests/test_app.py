@@ -224,6 +224,8 @@ class TestCli:
         "hmax", "alpha", "mx", "corrfac-nx", "corrfac-reps",
         "breakdown-estimator", "breakdown-genton-isolated", "breakdown-nx",
         "corrfac-short-row", "corrfac-missing-direction", "jobs-zero", "jobs-negative",
+        "simulate-seed-negative", "estimate-seed-negative", "corrfac-seed-negative",
+        "quality-size", "contam-unknown-key", "model-non-finite",
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, case):
         asc = write(tmp_path / "grid.asc", GOOD_ASC)
@@ -237,6 +239,8 @@ class TestCli:
         corrfac = write(tmp_path / "cf.csv", header + "matheron,ew,x,0\n")
         short_row = write(tmp_path / "short.csv", header + "matheron,ew\n")
         ew_only = write(tmp_path / "ew.csv", header + "matheron,ew,1.1,0\n")
+        quality = tmp_path / "quality.asc"
+        save_asc(quality, Grid(np.zeros((3, 4))))
         argv = {
             "directions": estimate + ["--directions", "foo"],
             "estimators": estimate + ["--estimators", "cressie"],
@@ -255,6 +259,12 @@ class TestCli:
             "corrfac-missing-direction": study + ["--directions", "ew,sn", "--corrfac", ew_only],
             "jobs-zero": study_corrfac + ["--reps", "8", "--jobs", "0"],
             "jobs-negative": study_corrfac + ["--reps", "8", "--jobs", "-1"],
+            "simulate-seed-negative": ["simulate", "--seed", "-1", "--out", str(tmp_path / "s.asc")],
+            "estimate-seed-negative": estimate + ["--seed", "-1"],
+            "corrfac-seed-negative": study_corrfac + ["--seed", "-1"],
+            "quality-size": estimate + ["--quality", str(quality)],
+            "contam-unknown-key": study + ["--contam", "kind=block,eps=0.1,mu=50"],
+            "model-non-finite": study + ["--model", "spherical:inf:2"],
         }[case]
         assert main(argv) == 2
 

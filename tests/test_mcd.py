@@ -3,18 +3,21 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustvario import mcd as mcd_module
 from robustvario.errors import (
     InputError,
+    NotPositiveDefiniteError,
     NumericalError,
     SampleTooSmallError,
     SingularDataError,
 )
 from robustvario.mcd import (
     McdConfig,
+    McdFit,
     fast_mcd,
     mcd_consistency_factor,
     reweight_mcd,
@@ -209,10 +212,52 @@ class TestFastMcd:
             assert 0.2 <= ratio <= 0.5, (p, devs)
 
 
-class TestReweight:
-    def test_all_weights_one_gives_classical(self):
-        from robustvario.mcd import McdFit
+def cholesky_weights(x, raw):
+    """Reweighting weights from distances by triangular solves against the
+    Cholesky factor of the raw scatter; the oracle for the LU distances."""
+    lower = scipy.linalg.cholesky(raw.sigma, lower=True)
+    y = scipy.linalg.solve_triangular(lower, (x - raw.mu).T, lower=True)
+    d2 = np.einsum("ij,ij->j", y, y)
+    return (d2 <= chisq_quantile(mcd_module.REWEIGHT_DELTA, x.shape[1])).astype(np.int8)
 
+
+def block_sample(mu0, seed):
+    x = np.random.default_rng(seed).standard_normal((200, 4))
+    x[:20] += mu0
+    return x
+
+
+class TestReweight:
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(31).standard_normal((200, 4)),
+        block_sample(5.0, 32),
+        block_sample(1e6, 33),
+        # rows on a 3x3x3 lattice: many duplicates and tied distances
+        np.random.default_rng(34).integers(0, 3, (150, 3)).astype(float),
+    ], ids=["gaussian", "block-5", "block-1e6", "lattice"])
+    def test_weights_match_cholesky_oracle(self, x):
+        raw = fast_mcd(x, McdConfig(), RngStream(5))
+        fit = reweight_mcd(x, raw)
+        np.testing.assert_array_equal(fit.weights, cholesky_weights(x, raw))
+        assert 0 < fit.weights.sum() < len(x)
+
+    def test_indefinite_raises(self):
+        x = np.random.default_rng(6).standard_normal((20, 2))
+        raw = McdFit(mu=np.zeros(2), sigma=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                     support=tuple(range(11)), log_det=math.log(3.0))
+        with pytest.raises(NotPositiveDefiniteError):
+            reweight_mcd(x, raw)
+
+    def test_singular_raw_fit_raises(self):
+        # more than half the rows coincide: the raw support is singular
+        x = np.vstack([np.ones((15, 2)), np.random.default_rng(7).standard_normal((5, 2))])
+        with pytest.warns(RuntimeWarning, match="singular"):
+            raw = fast_mcd(x, McdConfig(), RngStream(1))
+        assert raw.singular
+        with pytest.raises(NotPositiveDefiniteError):
+            reweight_mcd(x, raw)
+
+    def test_all_weights_one_gives_classical(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((30, 2))
         # a deliberately wide raw fit: every distance falls below the cutoff

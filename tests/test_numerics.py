@@ -7,14 +7,15 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustvario.errors import NotPositiveDefiniteError
-from robustvario.numerics import (
-    RngStream,
-    chisq_cdf,
-    chisq_quantile,
-    cholesky_factor,
-    mahalanobis_sq_many,
-)
+from robustvario.errors import InputError
+from robustvario.mcd import _sq_distances
+from robustvario.numerics import RngStream, chisq_cdf, chisq_quantile
+
+
+def sq_distances(rows, mu, sigma):
+    """Squared distances of the rows under one fit, by the MCD code's solve."""
+    mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
+    return _sq_distances(np.asarray(rows, dtype=float), mu[None], sigma[None])[0]
 
 
 class TestChisqCdf:
@@ -80,50 +81,23 @@ class TestChisqQuantile:
         assert all(b > a for a, b in zip(qs, qs[1:]))
 
 
-class TestCholesky:
-    def test_identity(self):
-        np.testing.assert_allclose(cholesky_factor(np.eye(3)), np.eye(3))
-
-    def test_hand_example(self):
-        lower = cholesky_factor([[4.0, 2.0], [2.0, 5.0]])
-        np.testing.assert_allclose(lower, [[2.0, 0.0], [1.0, 2.0]], atol=1e-14)
-        np.testing.assert_allclose(lower @ lower.T, [[4.0, 2.0], [2.0, 5.0]], atol=1e-14)
-
-    def test_indefinite_raises(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            cholesky_factor([[1.0, 2.0], [2.0, 1.0]])
-
-    def test_reconstruction_random_spd(self):
-        rng = np.random.default_rng(42)
-        for dim in (1, 2, 4, 8, 12):
-            b = rng.standard_normal((dim, dim))
-            a = b.T @ b + np.eye(dim)
-            lower = cholesky_factor(a)
-            scale = 1.0 + np.abs(a).max()
-            assert np.abs(lower @ lower.T - a).max() <= 1e-10 * scale
-            det_ref = np.linalg.det(a)
-            assert np.prod(np.diag(lower)) ** 2 == pytest.approx(det_ref, rel=1e-8)
-
-    def test_asymmetric_rejected(self):
-        with pytest.raises(ValueError):
-            cholesky_factor([[1.0, 0.5], [0.3, 1.0]])
-
-
 class TestMahalanobis:
+    """`mcd._sq_distances`, the one squared-distance path of the package."""
+
     def test_zero_at_center(self):
         sigma = [[2.0, 0.3], [0.3, 1.0]]
-        assert mahalanobis_sq_many([[1.0, -2.0]], [1.0, -2.0], sigma)[0] == 0.0
+        assert sq_distances([[1.0, -2.0]], [1.0, -2.0], sigma)[0] == 0.0
 
     def test_unit_vector_identity(self):
-        assert mahalanobis_sq_many([[1.0, 0.0]], [0.0, 0.0], np.eye(2))[0] == pytest.approx(1.0)
+        assert sq_distances([[1.0, 0.0]], [0.0, 0.0], np.eye(2))[0] == pytest.approx(1.0)
 
     def test_hand_solve(self):
-        val = mahalanobis_sq_many([[2.0, 0.0]], [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]])[0]
+        val = sq_distances([[2.0, 0.0]], [0.0, 0.0], [[4.0, 0.0], [0.0, 1.0]])[0]
         assert val == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            mahalanobis_sq_many([[1.0, 2.0, 3.0]], [0.0, 0.0], np.eye(2))
+            sq_distances([[1.0, 2.0, 3.0]], [0.0, 0.0], np.eye(2))
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(3)
@@ -136,8 +110,8 @@ class TestMahalanobis:
             mu = rng.standard_normal(3)
             m = rng.standard_normal((3, 3))
             sigma = m.T @ m + 0.5 * np.eye(3)
-            d2 = mahalanobis_sq_many([x], mu, sigma)[0]
-            d2_t = mahalanobis_sq_many([a @ x + b], a @ mu + b, a @ sigma @ a.T)[0]
+            d2 = sq_distances([x], mu, sigma)[0]
+            d2_t = sq_distances([a @ x + b], a @ mu + b, a @ sigma @ a.T)[0]
             assert d2_t == pytest.approx(d2, rel=1e-8)
 
     def test_batched_matches_scalar(self):
@@ -146,7 +120,7 @@ class TestMahalanobis:
         mu = rng.standard_normal(4)
         m = rng.standard_normal((4, 4))
         sigma = m.T @ m + np.eye(4)
-        batch = mahalanobis_sq_many(rows, mu, sigma)
+        batch = sq_distances(rows, mu, sigma)
         dev = rows - mu
         via_inverse = np.einsum("ij,jk,ik->i", dev, np.linalg.inv(sigma), dev)
         np.testing.assert_allclose(batch, via_inverse, rtol=1e-12)
@@ -191,9 +165,9 @@ class TestNormalStream:
 
 class TestRngStream:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             RngStream(-1)
-        with pytest.raises(ValueError):
+        with pytest.raises(InputError):
             RngStream(0, 2**64)
 
     def test_child_offsets(self):

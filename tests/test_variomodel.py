@@ -50,8 +50,22 @@ class TestIsoVariogram:
         with pytest.raises(ValueError):
             IsoModel("spherical", -1.0, 1.0)
 
+    @pytest.mark.parametrize("range_, sill", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+    ])
+    def test_non_finite_rejected(self, range_, sill):
+        with pytest.raises(ValueError, match="finite"):
+            IsoModel("spherical", range_, sill)
+
 
 class TestAnisoVariogram:
+    @pytest.mark.parametrize("theta, b", [
+        (math.inf, 1.0), (math.nan, 1.0), (0.0, math.inf), (0.0, math.nan),
+    ])
+    def test_non_finite_rejected(self, theta, b):
+        with pytest.raises(ValueError, match="finite"):
+            AnisoModel(SPH, theta=theta, b=b)
+
     def test_zero_lag(self):
         assert aniso_variogram(PAPER_MODEL, (0, 0)) == 0.0
 
@@ -124,6 +138,7 @@ class TestParseModel:
         assert m.theta == 0.3 and m.b == 2.0
 
     def test_errors(self):
-        for bad in ("spherical:5", "cubic:5:2", "spherical:x:2", "spherical:5:2:1"):
+        for bad in ("spherical:5", "cubic:5:2", "spherical:x:2", "spherical:5:2:1",
+                    "spherical:inf:2", "spherical:nan:2", "spherical:5:2:nan:2"):
             with pytest.raises(InputError):
                 parse_model(bad)
