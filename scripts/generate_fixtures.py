@@ -13,7 +13,7 @@ from robustvario.ascio import AscHeader, save_asc
 from robustvario.grid import Grid
 from robustvario.numerics import RngStream
 from robustvario.simfield import FieldSpec, simulate_field
-from robustvario.variomodel import AnisoModel, IsoModel
+from robustvario.variomodel import AnisoModel
 
 OUT_DIR = pathlib.Path(__file__).resolve().parent.parent / "tests" / "data"
 
@@ -27,7 +27,7 @@ CLOUD_BLOCKS = [(50, 18, 9, 7), (12, 52, 8, 5)]
 
 
 def build():
-    model = AnisoModel(IsoModel("spherical", 5.0, 2.0), theta=3.0 * math.pi / 8.0, b=2.0)
+    model = AnisoModel("spherical", 5.0, 2.0, theta=3.0 * math.pi / 8.0, b=2.0)
     field = simulate_field(FieldSpec(model, 60, 60), RngStream(20240601, 0))
     values = BASE_LEVEL + FIELD_SCALE * field.values
     quality = np.zeros((60, 60))

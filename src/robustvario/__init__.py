@@ -50,6 +50,6 @@ from .study import (
     run_bias_rmse_study,
     run_correction_factor_study,
 )
-from .variomodel import AnisoModel, IsoModel, aniso_variogram, iso_variogram, model_covariance, parse_model
+from .variomodel import AnisoModel, aniso_variogram, parse_model
 
 __version__ = "0.1.0"

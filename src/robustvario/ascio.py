@@ -52,9 +52,10 @@ def load_asc(path) -> Grid:
             raise AscFormatError(
                 f"{path}: line {i + 1}: cannot parse {parts[1]!r} as a number"
             ) from None
+    for key in ("ncols", "nrows"):
+        if not header[key].is_integer() or header[key] < 1:
+            raise AscFormatError(f"{path}: {key} must be a positive integer, got {header[key]}")
     ncols, nrows = int(header["ncols"]), int(header["nrows"])
-    if ncols < 1 or nrows < 1:
-        raise AscFormatError(f"{path}: grid dimensions must be positive")
     nodata = header["nodata_value"]
 
     cells = []

@@ -28,12 +28,21 @@ from .variomodel import parse_model
 _AXIS_DIRECTIONS = (Direction.EW, Direction.SN)
 
 
+def _names(flag: str, text: str) -> tuple[str, ...]:
+    """Comma list of lower-cased names, each allowed once."""
+    names = tuple(part.strip().lower() for part in text.split(","))
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise InputError(f"{flag} lists {name!r} more than once")
+    return names
+
+
 def _parse_directions(text: str) -> tuple[Direction, ...]:
-    return tuple(Direction.parse(part) for part in text.split(","))
+    return tuple(Direction.parse(name) for name in _names("--directions", text))
 
 
 def _parse_estimators(text: str) -> tuple[str, ...]:
-    ids = tuple(part.strip().lower() for part in text.split(","))
+    ids = _names("--estimators", text)
     for eid in ids:
         parse_estimator_id(eid)
     return ids
@@ -120,6 +129,8 @@ def _cmd_contaminate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
+    if args.backscale and not args.standardize:
+        raise InputError("--backscale needs --standardize")
     grid = load_asc(args.grid)
     if args.quality:
         clear = set(_parse_int_list(args.clear_codes))
@@ -132,14 +143,14 @@ def _cmd_estimate(args) -> int:
     depths = _lag_depths(args)
     estimators = _parse_estimators(args.estimators)
     rows = []
-    for d_idx, direction in enumerate(_parse_directions(args.directions)):
+    for direction in _parse_directions(args.directions):
         lags = LagSet(direction, depths[direction])
-        rng = direction_stream(args.seed, 0, d_idx)
+        rng = direction_stream(args.seed, 0, direction)
         cache: dict = {}
         for eid in estimators:
             est = estimate(grid, lags, eid, rng=rng, mcdcfg=mcdcfg, mod=mod, cache=cache)
             for lag_idx, value in enumerate(est.values):
-                out_value = value * scale**2 if scale is not None and args.backscale else value
+                out_value = value * scale**2 if args.backscale else value
                 rows.append(
                     f"{eid},{direction.value},{lag_idx + 1},{out_value:.17g},{est.counts[lag_idx]}"
                 )

@@ -137,12 +137,15 @@ class ModConfig:
             raise InputError("dependence ranges must be >= 0")
 
 
-def direction_stream(seed: int, rep: int, d_idx: int) -> RngStream:
-    """Base stream of the MCD searches for direction ``d_idx`` of replication
-    ``rep``.  :func:`estimate` draws family j (org, diff, org.mod, diff.mod)
-    from stream rep + 2^32 + (4*d_idx + j + 1)*2^40, clear of the field
-    (rep) and contamination (rep + 2^32) streams of the study."""
-    return RngStream(seed, rep + 2**32 + d_idx * len(_FAMILY_STREAM) * _OFF_MCD)
+def direction_stream(seed: int, rep: int, direction: Direction) -> RngStream:
+    """Base stream of the MCD searches for ``direction`` in replication
+    ``rep``.  With d the direction's index in :class:`Direction` (ew 0, sn 1,
+    swne 2, senw 3), :func:`estimate` draws family j (org, diff, org.mod,
+    diff.mod) from stream rep + 2^32 + (4*d + j + 1)*2^40, clear of the
+    field (rep) and contamination (rep + 2^32) streams of the study.  The
+    stream does not depend on which other directions are requested."""
+    d = list(Direction).index(direction)
+    return RngStream(seed, rep + 2**32 + d * len(_FAMILY_STREAM) * _OFF_MCD)
 
 
 def estimate(

@@ -115,10 +115,6 @@ class Grid:
     def n_cells(self) -> int:
         return self.values.size
 
-    @property
-    def n_observed(self) -> int:
-        return int((~self.mask).sum())
-
     def observed_values(self) -> np.ndarray:
         return self.values[~self.mask]
 
@@ -158,10 +154,6 @@ class VectorSample:
     @property
     def n(self) -> int:
         return self.rows.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.rows.shape[1]
 
 
 def _window(g: Grid, dx: int, dy: int) -> tuple[int, int, int, int]:

@@ -27,12 +27,16 @@ GAUSSIAN_CONSISTENCY = 2.2219
 _SMALL_N_FACTORS = {2: 0.399, 3: 0.994, 4: 0.512, 5: 0.844, 6: 0.611, 7: 0.857, 8: 0.669, 9: 0.872}
 
 # Selection gathers and partitions the surviving candidates once at most
-# this many per observation remain.  Any value gives the same bits; it trades
-# pivot rounds for gather memory.  Going from 4 to 16 takes the tracemalloc
-# peak at n = 100k from 15.7 to 37.7 MB and saves a quarter of the time at
-# most (n = 200: 1.08 -> 0.71 ms; n = 10k: 28 -> 24 ms; 2-core Xeon, numpy
-# 2.4.6; gather_per_row_sweep in BENCH_7.json).
+# max(_GATHER_PER_ROW * n, _GATHER_MIN) remain.  Any values give the same
+# bits; they trade pivot rounds for gather memory.  Going from 4 to 16 per
+# row takes the tracemalloc peak at n = 100k from 15.7 to 37.7 MB and saves
+# a quarter of the time at most (n = 200: 1.08 -> 0.71 ms; n = 10k: 28 ->
+# 24 ms; 2-core Xeon, numpy 2.4.6; gather_per_row_sweep in BENCH_7.json).
+# The fixed floor of 2^14 candidates (256 kB of differences) spares small
+# samples their pivot rounds: every sample with n <= 181 is gathered at
+# once, and a call at n = 200 drops from about 1.0 to 0.5 ms.
 _GATHER_PER_ROW = 4
+_GATHER_MIN = 2**14
 
 
 def qn_finite_sample_factor(n: int) -> float:
@@ -83,7 +87,7 @@ def _kth_difference(s: np.ndarray, k: int) -> float:
         lo, hi = left[rows], right[rows]
         width = hi - lo
         remaining = int(width.sum())
-        if remaining <= _GATHER_PER_ROW * n:
+        if remaining <= max(_GATHER_PER_ROW * n, _GATHER_MIN):
             break
         base = s[rows]
         middles = s[(lo + hi - 1) // 2] - base

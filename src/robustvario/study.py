@@ -13,12 +13,14 @@ squared error on the semivariogram scale with Monte-Carlo standard errors.
 
 Reproducibility: replication r draws its field from stream r, its
 contamination from stream r + 2^32, and the MCD searches of direction d
-from streams r + 2^32 + (4*d + j + 1) * 2^40, j indexing the estimator
-family (org, diff, org.mod, diff.mod); see
-:func:`robustvario.estimators.direction_stream`.  The ``estimate`` command
-uses the same rule with r = 0.  An estimator and its reweighted variant
-share one raw fit.  Results are reduced in fixed replication order, so
-reruns and parallel runs are bit-identical.
+from streams r + 2^32 + (4*d + j + 1) * 2^40, d indexing the direction in
+``Direction`` (ew, sn, swne, senw) and j the estimator family (org, diff,
+org.mod, diff.mod); see :func:`robustvario.estimators.direction_stream`.
+So an (estimator, direction) row does not depend on which other ids or
+directions are requested.  The ``estimate`` command uses the same rule
+with r = 0.  An estimator and its reweighted variant share one raw fit.
+Results are reduced in fixed replication order, so reruns and parallel
+runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -92,6 +94,9 @@ class StudySpec:
             raise InputError(f"n_jobs must be >= 1 (None for all cores), got {self.n_jobs}")
         if self.corrfac_divisor not in ("h_max", "h_max_minus_1"):
             raise InputError("corrfac_divisor must be 'h_max' or 'h_max_minus_1'")
+        for name, items in (("estimator", self.estimators), ("direction", self.directions)):
+            if len(set(items)) < len(items):
+                raise InputError(f"each {name} may be requested once, got {items}")
         for eid in self.estimators:
             kind = parse_estimator_id(eid)  # raises on unknown ids
             if kind.mod and self.mod is None:
@@ -111,20 +116,17 @@ class StudySpec:
         return LagSet(direction, self.lag_depths[direction])
 
     def true_semivariogram(self, direction: Direction) -> np.ndarray:
-        lags = self.lag_set(direction)
-        return np.array(
-            [0.5 * aniso_variogram(self.field.model, h) for h in lags.lag_vectors]
-        )
+        return 0.5 * aniso_variogram(self.field.model, self.lag_set(direction).lag_vectors)
 
 
-def _estimate_one(spec: StudySpec, eid: str, grid, lags: LagSet, d_idx: int, rep: int, cache: dict):
+def _estimate_one(spec: StudySpec, eid: str, grid, lags: LagSet, rep: int, cache: dict):
     """One estimator on one grid/direction; returns 2*gammahat values.
 
     ``cache`` is shared by the estimators of one (replication, direction),
     so an estimator and its reweighted variant share their raw MCD fits.
     """
     est = estimate(
-        grid, lags, eid, rng=direction_stream(spec.base_seed, rep, d_idx),
+        grid, lags, eid, rng=direction_stream(spec.base_seed, rep, lags.direction),
         mcdcfg=spec.mcd, mod=spec.mod, cache=cache,
     )
     return est.values
@@ -139,14 +141,12 @@ def _replicate(spec: StudySpec, rep: int, factor: np.ndarray) -> dict:
             grid, spec.contamination, RngStream(spec.base_seed, rep + _OFF_CONTAM)
         )
     out = {}
-    for d_idx, direction in enumerate(spec.directions):
+    for direction in spec.directions:
         lags = spec.lag_set(direction)
         cache: dict = {}
         for eid in spec.estimators:
             try:
-                out[(eid, direction.value)] = _estimate_one(
-                    spec, eid, grid, lags, d_idx, rep, cache
-                )
+                out[(eid, direction.value)] = _estimate_one(spec, eid, grid, lags, rep, cache)
             except RobustVarioError:
                 out[(eid, direction.value)] = None
     return out
@@ -300,18 +300,6 @@ class StudyResult:
                     f"{r.estimator},{r.direction},{r.lag},{r.bias:.17g},{r.rmse:.17g},"
                     f"{r.se_bias:.17g},{r.se_rmse:.17g},{r.n_ok},{r.n_fail}\n"
                 )
-
-    def format_table(self, lags=(1, 4, 7), scale: float = 10.0) -> str:
-        """Readable |bias|/rMSE table at selected lags, scaled (x10 matches
-        the usual presentation)."""
-        lines = ["estimator      direction  lag   |bias|     rMSE"]
-        for r in self.rows:
-            if r.lag in lags:
-                lines.append(
-                    f"{r.estimator:14s} {r.direction:9s} {r.lag:3d} "
-                    f"{abs(r.bias) * scale:8.2f} {r.rmse * scale:8.2f}"
-                )
-        return "\n".join(lines)
 
 
 def run_bias_rmse_study(spec: StudySpec) -> StudyResult:

@@ -9,10 +9,12 @@ range R is
 Exponential and gaussian use the practical-range convention (factor 3 in the
 exponent), so R marks ~95% of the sill.  Geometric anisotropy evaluates the
 isotropic model at the transformed distance sqrt(h' R' T' T R h) with
-rotation R(theta) and rescaling T = diag(1, sqrt(1/b)).
+rotation R(theta) and rescaling T = diag(1, sqrt(1/b)); theta = 0, b = 1 is
+the isotropic model.
 
-Under weak stationarity the covariance follows as C(h) = beta/2 - gamma(h),
-which is what the field simulator factorizes.
+:func:`aniso_variogram` is the one kernel: the study's true semivariogram
+and the simulator's covariance C(h) = beta/2 - gamma(h) (weak stationarity)
+both evaluate it.
 """
 
 from __future__ import annotations
@@ -24,24 +26,18 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = [
-    "IsoModel",
-    "AnisoModel",
-    "iso_variogram",
-    "aniso_variogram",
-    "model_covariance",
-    "covariance_matrix",
-    "parse_model",
-]
+__all__ = ["AnisoModel", "aniso_variogram", "covariance_matrix", "parse_model"]
 
 _FAMILIES = ("spherical", "exponential", "gaussian")
 
 
 @dataclass(frozen=True)
-class IsoModel:
+class AnisoModel:
     family: str
     range_: float
     sill: float
+    theta: float = 0.0
+    b: float = 1.0
 
     def __post_init__(self):
         if self.family not in _FAMILIES:
@@ -50,78 +46,33 @@ class IsoModel:
             raise ValueError(f"range must be positive and finite, got {self.range_}")
         if not 0.0 < self.sill < math.inf:
             raise ValueError(f"sill must be positive and finite, got {self.sill}")
-
-
-@dataclass(frozen=True)
-class AnisoModel:
-    iso: IsoModel
-    theta: float = 0.0
-    b: float = 1.0
-
-    def __post_init__(self):
         if not math.isfinite(self.theta):
             raise ValueError(f"anisotropy angle theta must be finite, got {self.theta}")
         if not 0.0 < self.b < math.inf:
             raise ValueError(f"anisotropy ratio b must be positive and finite, got {self.b}")
 
-    @property
-    def sill(self) -> float:
-        return self.iso.sill
 
-    def transformed_norm(self, h) -> float:
-        """Length of T @ R(theta) @ h."""
-        hx, hy = float(h[0]), float(h[1])
-        c, s = math.cos(self.theta), math.sin(self.theta)
-        u = c * hx + s * hy
-        v = (-s * hx + c * hy) * math.sqrt(1.0 / self.b)
-        return math.hypot(u, v)
-
-
-def iso_variogram(m: IsoModel, d: float) -> float:
-    """Variogram value 2*gamma0(d) of the isotropic model at distance d."""
-    if d < 0.0:
-        raise ValueError(f"distance must be >= 0, got {d}")
-    if d == 0.0:
-        return 0.0
-    r, beta = m.range_, m.sill
+def aniso_variogram(m: AnisoModel, h):
+    """Variogram value 2*gamma(h) at a lag pair h = (hx, hy), or at every
+    pair along the last axis of an (..., 2) array of lags."""
+    h = np.asarray(h, dtype=float)
+    c, s = math.cos(m.theta), math.sin(m.theta)
+    u = c * h[..., 0] + s * h[..., 1]
+    v = (-s * h[..., 0] + c * h[..., 1]) * math.sqrt(1.0 / m.b)
+    d = np.hypot(u, v)
     if m.family == "spherical":
-        if d >= r:
-            return beta
-        t = d / r
-        return beta * (1.5 * t - 0.5 * t**3)
+        t = np.minimum(d / m.range_, 1.0)
+        return m.sill * (1.5 * t - 0.5 * t**3)
     if m.family == "exponential":
-        return beta * (1.0 - math.exp(-3.0 * d / r))
-    return beta * (1.0 - math.exp(-3.0 * d * d / (r * r)))
-
-
-def aniso_variogram(m: AnisoModel, h) -> float:
-    """Variogram value 2*gamma(h) at an integer lag pair h = (hx, hy)."""
-    return iso_variogram(m.iso, m.transformed_norm(h))
-
-
-def model_covariance(m: AnisoModel, h) -> float:
-    """Covariance C(h) = beta/2 - gamma(h); the process variance is beta/2."""
-    return 0.5 * (m.sill - aniso_variogram(m, h))
+        return m.sill * (1.0 - np.exp(-3.0 * d / m.range_))
+    return m.sill * (1.0 - np.exp(-3.0 * (d / m.range_) ** 2))
 
 
 def covariance_matrix(m: AnisoModel, coords) -> np.ndarray:
-    """Dense covariance matrix over the given (x, y) locations."""
+    """Dense covariance matrix C(s_i - s_j) = beta/2 - gamma over the given
+    (x, y) locations; the process variance is beta/2."""
     coords = np.asarray(coords, dtype=float)
-    dx = coords[:, 0][:, None] - coords[:, 0][None, :]
-    dy = coords[:, 1][:, None] - coords[:, 1][None, :]
-    c, s = math.cos(m.theta), math.sin(m.theta)
-    u = c * dx + s * dy
-    v = (-s * dx + c * dy) * math.sqrt(1.0 / m.b)
-    d = np.hypot(u, v)
-    r, beta = m.iso.range_, m.iso.sill
-    if m.iso.family == "spherical":
-        t = np.minimum(d / r, 1.0)
-        vario = beta * (1.5 * t - 0.5 * t**3)
-    elif m.iso.family == "exponential":
-        vario = beta * (1.0 - np.exp(-3.0 * d / r))
-    else:
-        vario = beta * (1.0 - np.exp(-3.0 * (d / r) ** 2))
-    return 0.5 * (beta - vario)
+    return 0.5 * (m.sill - aniso_variogram(m, coords[:, None, :] - coords[None, :, :]))
 
 
 def parse_model(text: str) -> AnisoModel:
@@ -131,15 +82,7 @@ def parse_model(text: str) -> AnisoModel:
         raise InputError(
             f"model spec {text!r} must be family:R:beta or family:R:beta:theta:b"
         )
-    family = parts[0].strip().lower()
     try:
-        numbers = [float(p) for p in parts[1:]]
-    except ValueError as exc:
-        raise InputError(f"model spec {text!r}: {exc}") from None
-    try:
-        iso = IsoModel(family, numbers[0], numbers[1])
-        if len(numbers) == 4:
-            return AnisoModel(iso, theta=numbers[2], b=numbers[3])
-        return AnisoModel(iso)
+        return AnisoModel(parts[0].strip().lower(), *(float(p) for p in parts[1:]))
     except ValueError as exc:
         raise InputError(f"model spec {text!r}: {exc}") from None

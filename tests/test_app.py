@@ -56,6 +56,12 @@ class TestLoadAsc:
         with pytest.raises(AscFormatError, match="expected 6 cells"):
             load_asc(write(tmp_path / "c.asc", bad))
 
+    @pytest.mark.parametrize("line", ["ncols 3.7", "ncols inf", "ncols 0"])
+    def test_non_integer_dimensions(self, tmp_path, line):
+        bad = GOOD_ASC.replace("ncols 3", line)
+        with pytest.raises(AscFormatError, match="ncols must be a positive integer"):
+            load_asc(write(tmp_path / "f.asc", bad))
+
     def test_unparseable_number_with_position(self, tmp_path):
         bad = GOOD_ASC.replace("4 -9999 6", "4 oops 6")
         with pytest.raises(AscFormatError, match="line 8, field 2"):
@@ -210,14 +216,20 @@ class TestCli:
         asc = tmp_path / "field.asc"
         main(["simulate", "--nx", "20", "--ny", "20", "--seed", "3", "--out", str(asc)])
         rows = {}
-        for ids in ("mcd.org.re", "matheron,mcd.org,mcd.org.re"):
+        runs = [("mcd.org.re", "ew,sn"), ("matheron,mcd.org,mcd.org.re", "ew,sn"),
+                ("mcd.org.re", "sn"), ("mcd.org.re", "senw,sn,ew")]
+        for ids, directions in runs:
             out = tmp_path / "est.csv"
-            assert main(["estimate", str(asc), "--directions", "ew,sn",
+            assert main(["estimate", str(asc), "--directions", directions,
                          "--estimators", ids, "--out", str(out)]) == 0
-            rows[ids] = [line for line in out.read_text().splitlines()
-                         if line.startswith("mcd.org.re,")]
-        assert len(rows["mcd.org.re"]) == 2 * 4
-        assert rows["mcd.org.re"] == rows["matheron,mcd.org,mcd.org.re"]
+            rows[ids, directions] = sorted(line for line in out.read_text().splitlines()
+                                           if line.startswith("mcd.org.re,"))
+        want = rows["mcd.org.re", "ew,sn"]
+        assert len(want) == 2 * 4
+        assert rows["matheron,mcd.org,mcd.org.re", "ew,sn"] == want
+        # a direction's rows do not depend on the other directions or their order
+        assert rows["mcd.org.re", "sn"] == [r for r in want if ",sn," in r]
+        assert [r for r in rows["mcd.org.re", "senw,sn,ew"] if ",senw," not in r] == want
 
     @pytest.mark.parametrize("case", [
         "directions", "estimators", "clear-codes", "corrfac", "contam",
@@ -226,6 +238,8 @@ class TestCli:
         "corrfac-short-row", "corrfac-missing-direction", "jobs-zero", "jobs-negative",
         "simulate-seed-negative", "estimate-seed-negative", "corrfac-seed-negative",
         "quality-size", "contam-unknown-key", "model-non-finite",
+        "directions-repeated", "estimators-repeated", "corrfac-directions-repeated",
+        "biasrmse-estimators-repeated", "backscale-without-standardize",
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, case):
         asc = write(tmp_path / "grid.asc", GOOD_ASC)
@@ -265,6 +279,11 @@ class TestCli:
             "quality-size": estimate + ["--quality", str(quality)],
             "contam-unknown-key": study + ["--contam", "kind=block,eps=0.1,mu=50"],
             "model-non-finite": study + ["--model", "spherical:inf:2"],
+            "directions-repeated": estimate + ["--directions", "ew,EW"],
+            "estimators-repeated": estimate + ["--estimators", "matheron,mcd.org,matheron"],
+            "corrfac-directions-repeated": study_corrfac + ["--directions", "ew,ew"],
+            "biasrmse-estimators-repeated": study + ["--estimators", "matheron,matheron"],
+            "backscale-without-standardize": estimate + ["--backscale"],
         }[case]
         assert main(argv) == 2
 

@@ -28,9 +28,9 @@ from robustvario.grid import (
 from robustvario.mcd import McdConfig, fast_mcd, reweight_mcd
 from robustvario.numerics import RngStream
 from robustvario.scale import GAUSSIAN_CONSISTENCY, qn, qn_finite_sample_factor
-from robustvario.variomodel import AnisoModel, IsoModel, aniso_variogram, model_covariance
+from robustvario.variomodel import AnisoModel, aniso_variogram, covariance_matrix
 
-PAPER_MODEL = AnisoModel(IsoModel("spherical", 5.0, 2.0), theta=3.0 * math.pi / 8.0, b=2.0)
+PAPER_MODEL = AnisoModel("spherical", 5.0, 2.0, theta=3.0 * math.pi / 8.0, b=2.0)
 NON_MOD_IDS = tuple(eid for eid in ESTIMATOR_IDS if ".mod" not in eid)
 
 
@@ -95,10 +95,7 @@ class TestMcdOrg:
     def test_toeplitz_identity(self):
         # feeding the exact Toeplitz covariance reproduces the model variogram
         h_max = 5
-        sigma = np.empty((h_max + 1, h_max + 1))
-        for i in range(h_max + 1):
-            for j in range(h_max + 1):
-                sigma[i, j] = model_covariance(PAPER_MODEL, (abs(i - j), 0))
+        sigma = covariance_matrix(PAPER_MODEL, [(i, 0) for i in range(h_max + 1)])
         values = org_scatter_to_variogram(sigma)
         expected = [aniso_variogram(PAPER_MODEL, (l, 0)) for l in range(1, h_max + 1)]
         np.testing.assert_allclose(values, expected, atol=1e-12)
@@ -171,9 +168,9 @@ class TestProperties:
         cropped = Grid(values[:-1], mask[:-1])
         values[-1], mask[-1] = np.nan, True
         masked = Grid(values, mask)
-        for d_idx, direction in enumerate(Direction):
+        for direction in Direction:
             lags = LagSet(direction, h_max)
-            rng = direction_stream(seed, 0, d_idx)
+            rng = direction_stream(seed, 0, direction)
             cache_masked, cache_cropped = {}, {}
             for eid in NON_MOD_IDS:
                 assert _outcome(masked, lags, eid, rng, cache_masked) == _outcome(
@@ -385,7 +382,7 @@ class TestEstimateDispatch:
         g = _iid_grid(14, 12, seed=21)
         lags = LagSet(Direction.SN, 3)
         mod = ModConfig(1, 0)
-        base = direction_stream(5, 2, 1)
+        base = direction_stream(5, 2, Direction.SN)
         cfg = McdConfig()
 
         def stream(j):

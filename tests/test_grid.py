@@ -61,7 +61,7 @@ class TestVectorCounts:
         ]:
             lags = LagSet(direction, h)
             assert extract_diff_vectors(g, lags).n == expected
-            assert extract_diff_vectors(g, lags).dim == h
+            assert extract_diff_vectors(g, lags).rows.shape[1] == h
 
 
 class TestOrgVectors:
@@ -70,7 +70,7 @@ class TestOrgVectors:
         g = Grid(values)
         sample = extract_org_vectors(g, LagSet(Direction.EW, 1))
         assert sample.n == 6
-        assert sample.dim == 2
+        assert sample.rows.shape[1] == 2
         expected = [[0, 1], [1, 2], [3, 4], [4, 5], [6, 7], [7, 8]]
         np.testing.assert_array_equal(sample.rows, expected)
         np.testing.assert_array_equal(sample.origin_coords[0], [1, 1])
@@ -181,4 +181,4 @@ class TestGridValues:
     def test_masked_nan_allowed(self):
         values = np.array([[0.0, np.nan, 1.0]])
         g = Grid(values, np.array([[False, True, False]]))
-        assert g.n_observed == 2
+        assert int((~g.mask).sum()) == 2

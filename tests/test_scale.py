@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from robustvario.errors import InputError, SampleTooSmallError
 from robustvario.numerics import RngStream
+from robustvario import scale
 from robustvario.scale import GAUSSIAN_CONSISTENCY, qn, qn_finite_sample_factor, qn_raw
 
 
@@ -112,7 +113,7 @@ class TestQnSelectionOracle:
     offset that make the computed differences round."""
 
     @given(
-        n=st.integers(2, 3000),
+        n=st.integers(2, 3000),  # above the gather floor from n = 182 on
         levels=st.integers(1, 60),
         spread=st.sampled_from([1.0, 0.1, 1e-9]),
         offset=st.sampled_from([0.0, -3.7, 1e6]),
@@ -122,6 +123,18 @@ class TestQnSelectionOracle:
     def test_integer_valued_samples(self, n, levels, spread, offset, seed):
         x = offset + spread * np.random.default_rng(seed).integers(0, levels, n)
         assert bits(qn_raw(x)) == bits(qn_enumerated(x))
+
+    def test_pivot_rounds_above_the_gather_floor(self, monkeypatch):
+        # samples up to the floor are gathered at once; the property above
+        # reaches the pivot rounds only through sizes with more pairs
+        n_max = 3000
+        assert n_max * (n_max - 1) // 2 > max(scale._GATHER_PER_ROW * n_max, scale._GATHER_MIN)
+        cuts = []
+        row_cut = scale._row_cut
+        monkeypatch.setattr(scale, "_row_cut", lambda *a: cuts.append(1) or row_cut(*a))
+        x = np.random.default_rng(0).standard_normal(1000)
+        assert bits(qn_raw(x)) == bits(qn_enumerated(x))
+        assert cuts
 
     def test_rounded_differences(self):
         # at tenths and near 1e6 the differences round, so counting by

@@ -14,9 +14,9 @@ from robustvario.study import (
     run_correction_factor_study,
 )
 from robustvario import study as study_module
-from robustvario.variomodel import AnisoModel, IsoModel, aniso_variogram
+from robustvario.variomodel import AnisoModel, aniso_variogram
 
-MODEL = AnisoModel(IsoModel("spherical", 5.0, 2.0), theta=3.0 * math.pi / 8.0, b=2.0)
+MODEL = AnisoModel("spherical", 5.0, 2.0, theta=3.0 * math.pi / 8.0, b=2.0)
 
 
 def small_spec(**kwargs):
@@ -34,6 +34,14 @@ def small_spec(**kwargs):
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("field_name, value", [
+        ("estimators", ("matheron", "mcd.org", "matheron")),
+        ("directions", (Direction.EW, Direction.EW)),
+    ])
+    def test_repeated_entry_rejected(self, field_name, value):
+        with pytest.raises(InputError, match="requested once"):
+            small_spec(**{field_name: value})
+
     def test_unknown_estimator(self):
         with pytest.raises(ValueError):
             small_spec(estimators=("cressie",))
@@ -71,13 +79,22 @@ class TestReproducibility:
         spec = small_spec(contamination=ContaminationSpec("block", 0.1, mu0=3.0))
         assert run_bias_rmse_study(spec).rows == run_bias_rmse_study(spec).rows
 
+    def test_rows_independent_of_direction_order(self):
+        # the MCD streams are keyed by the direction, not by its position
+        def sn_rows(directions):
+            spec = small_spec(estimators=("mcd.org",), directions=directions, replications=4,
+                              lag_depths={Direction.EW: 2, Direction.SN: 2})
+            return [r for r in run_bias_rmse_study(spec).rows if r.direction == "sn"]
+
+        assert sn_rows((Direction.SN,)) == sn_rows((Direction.EW, Direction.SN))
+
 
 class TestCorrectionFactors:
     def test_stub_estimator_gives_exactly_one(self, monkeypatch):
         # an estimator returning the true variogram has c_opt == 1 under the
         # averaging divisor
-        def fake_estimate(spec, eid, grid, lags, d_idx, rep, cache):
-            return np.array([aniso_variogram(MODEL, h) for h in lags.lag_vectors])
+        def fake_estimate(spec, eid, grid, lags, rep, cache):
+            return aniso_variogram(MODEL, lags.lag_vectors)
 
         monkeypatch.setattr(study_module, "_estimate_one", fake_estimate)
         res = run_correction_factor_study(small_spec(corrfac_divisor="h_max_minus_1"))
@@ -86,8 +103,8 @@ class TestCorrectionFactors:
         assert row.se == pytest.approx(0.0, abs=1e-12)
 
     def test_divisor_readings_differ_by_known_ratio(self, monkeypatch):
-        def fake_estimate(spec, eid, grid, lags, d_idx, rep, cache):
-            return np.array([aniso_variogram(MODEL, h) for h in lags.lag_vectors])
+        def fake_estimate(spec, eid, grid, lags, rep, cache):
+            return aniso_variogram(MODEL, lags.lag_vectors)
 
         monkeypatch.setattr(study_module, "_estimate_one", fake_estimate)
         printed = run_correction_factor_study(small_spec(corrfac_divisor="h_max"))
@@ -110,8 +127,8 @@ class TestCorrectionFactors:
 
 class TestBiasRmse:
     def test_stubbed_truth_gives_zero(self, monkeypatch):
-        def fake_estimate(spec, eid, grid, lags, d_idx, rep, cache):
-            return np.array([aniso_variogram(MODEL, h) for h in lags.lag_vectors])
+        def fake_estimate(spec, eid, grid, lags, rep, cache):
+            return aniso_variogram(MODEL, lags.lag_vectors)
 
         monkeypatch.setattr(study_module, "_estimate_one", fake_estimate)
         res = run_bias_rmse_study(small_spec())
@@ -125,8 +142,8 @@ class TestBiasRmse:
             assert row.rmse >= abs(row.bias)
 
     def test_correction_factor_applied(self, monkeypatch):
-        def fake_estimate(spec, eid, grid, lags, d_idx, rep, cache):
-            return np.array([aniso_variogram(MODEL, h) for h in lags.lag_vectors])
+        def fake_estimate(spec, eid, grid, lags, rep, cache):
+            return aniso_variogram(MODEL, lags.lag_vectors)
 
         monkeypatch.setattr(study_module, "_estimate_one", fake_estimate)
         res = run_bias_rmse_study(
@@ -140,10 +157,10 @@ class TestBiasRmse:
 
         calls = {"n": 0}
 
-        def flaky(spec, eid, grid, lags, d_idx, rep, cache):
+        def flaky(spec, eid, grid, lags, rep, cache):
             if rep == 3:
                 raise EmptySampleError("synthetic failure")
-            return np.array([aniso_variogram(MODEL, h) for h in lags.lag_vectors])
+            return aniso_variogram(MODEL, lags.lag_vectors)
 
         monkeypatch.setattr(study_module, "_estimate_one", flaky)
         with pytest.raises(TooManyFailuresError):
@@ -169,9 +186,3 @@ class TestBiasRmse:
         lines = path.read_text().splitlines()
         assert lines[0] == "estimator,direction,lag,bias,rmse,se_bias,se_rmse,n_ok,n_fail"
         assert len(lines) == 1 + 4  # one row per lag
-
-    def test_format_table_selects_lags(self):
-        res = run_bias_rmse_study(small_spec(replications=10))
-        text = res.format_table(lags=(1, 4))
-        assert "lag" in text.splitlines()[0]
-        assert len(text.splitlines()) == 3

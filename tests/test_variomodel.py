@@ -4,58 +4,98 @@ import numpy as np
 import pytest
 
 from robustvario.errors import InputError
-from robustvario.variomodel import (
-    AnisoModel,
-    IsoModel,
-    aniso_variogram,
-    covariance_matrix,
-    iso_variogram,
-    model_covariance,
-    parse_model,
-)
+from robustvario.variomodel import AnisoModel, aniso_variogram, covariance_matrix, parse_model
 
-SPH = IsoModel("spherical", 5.0, 2.0)
-PAPER_MODEL = AnisoModel(SPH, theta=3.0 * math.pi / 8.0, b=2.0)
+SPH = AnisoModel("spherical", 5.0, 2.0)
+PAPER_MODEL = AnisoModel("spherical", 5.0, 2.0, theta=3.0 * math.pi / 8.0, b=2.0)
+FAMILIES = ("spherical", "exponential", "gaussian")
+
+
+def oracle_variogram(m: AnisoModel, h) -> float:
+    """Scalar oracle: the family formulas and the anisotropy transform
+    written with ``math``, one lag at a time."""
+    hx, hy = float(h[0]), float(h[1])
+    c, s = math.cos(m.theta), math.sin(m.theta)
+    d = math.hypot(c * hx + s * hy, (-s * hx + c * hy) * math.sqrt(1.0 / m.b))
+    if d == 0.0:
+        return 0.0
+    r, beta = m.range_, m.sill
+    if m.family == "spherical":
+        if d >= r:
+            return beta
+        t = d / r
+        return beta * (1.5 * t - 0.5 * t**3)
+    if m.family == "exponential":
+        return beta * (1.0 - math.exp(-3.0 * d / r))
+    return beta * (1.0 - math.exp(-3.0 * d * d / (r * r)))
+
+
+def covariance(m: AnisoModel, h) -> float:
+    """C(h) = beta/2 - gamma(h), from the two-location covariance matrix."""
+    return covariance_matrix(m, [(0.0, 0.0), (float(h[0]), float(h[1]))])[0, 1]
+
+
+def at(m: AnisoModel, d: float) -> float:
+    """Isotropic evaluation at distance d along the x axis."""
+    return aniso_variogram(m, (d, 0.0))
+
+
+class TestKernelOracle:
+    LAGS = np.array([(hx, hy) for hx in range(-8, 9) for hy in range(-8, 9)], dtype=float)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("theta, b", [(0.0, 1.0), (3.0 * math.pi / 8.0, 2.0), (1.1, 0.3)])
+    def test_kernel_matches_scalar_oracle(self, family, theta, b):
+        m = AnisoModel(family, 5.0, 2.0, theta=theta, b=b)
+        want = np.array([oracle_variogram(m, h) for h in self.LAGS])
+        np.testing.assert_allclose(aniso_variogram(m, self.LAGS), want, rtol=1e-14, atol=0.0)
+        for h, w in zip(self.LAGS[::37], want[::37]):
+            assert aniso_variogram(m, h) == pytest.approx(w, rel=1e-14, abs=0.0)
+
+    def test_array_shape_kept(self):
+        lags = self.LAGS.reshape(17, 17, 2)
+        assert aniso_variogram(PAPER_MODEL, lags).shape == (17, 17)
 
 
 class TestIsoVariogram:
     def test_zero_at_origin(self):
-        assert iso_variogram(SPH, 0.0) == 0.0
+        assert at(SPH, 0.0) == 0.0
 
     def test_sill_beyond_range(self):
-        assert iso_variogram(SPH, 7.0) == 2.0
-        assert iso_variogram(SPH, 5.0) == 2.0
+        assert at(SPH, 7.0) == 2.0
+        assert at(SPH, 5.0) == 2.0
 
     def test_spherical_formula(self):
         # beta*(3d/(2R) - d^3/(2R^3)) at d = 2.5
-        assert iso_variogram(SPH, 2.5) == pytest.approx(1.375, abs=1e-12)
+        assert at(SPH, 2.5) == pytest.approx(1.375, abs=1e-12)
 
     def test_exponential_practical_range(self):
-        m = IsoModel("exponential", 4.0, 1.0)
-        assert iso_variogram(m, 4.0) == pytest.approx(1.0 - math.exp(-3.0), abs=1e-12)
+        m = AnisoModel("exponential", 4.0, 1.0)
+        assert at(m, 4.0) == pytest.approx(1.0 - math.exp(-3.0), abs=1e-12)
 
     def test_gaussian_practical_range(self):
-        m = IsoModel("gaussian", 4.0, 1.0)
-        assert iso_variogram(m, 4.0) == pytest.approx(1.0 - math.exp(-3.0), abs=1e-12)
+        m = AnisoModel("gaussian", 4.0, 1.0)
+        assert at(m, 4.0) == pytest.approx(1.0 - math.exp(-3.0), abs=1e-12)
 
     def test_nondecreasing(self):
-        for family in ("spherical", "exponential", "gaussian"):
-            m = IsoModel(family, 5.0, 2.0)
-            vals = [iso_variogram(m, d) for d in np.linspace(0.0, 12.0, 200)]
-            assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+        for family in FAMILIES:
+            m = AnisoModel(family, 5.0, 2.0)
+            d = np.linspace(0.0, 12.0, 200)
+            vals = aniso_variogram(m, np.stack([d, np.zeros_like(d)], axis=1))
+            assert np.all(np.diff(vals) >= -1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            IsoModel("cubic", 1.0, 1.0)
+            AnisoModel("cubic", 1.0, 1.0)
         with pytest.raises(ValueError):
-            IsoModel("spherical", -1.0, 1.0)
+            AnisoModel("spherical", -1.0, 1.0)
 
     @pytest.mark.parametrize("range_, sill", [
         (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
     ])
     def test_non_finite_rejected(self, range_, sill):
         with pytest.raises(ValueError, match="finite"):
-            IsoModel("spherical", range_, sill)
+            AnisoModel("spherical", range_, sill)
 
 
 class TestAnisoVariogram:
@@ -64,17 +104,15 @@ class TestAnisoVariogram:
     ])
     def test_non_finite_rejected(self, theta, b):
         with pytest.raises(ValueError, match="finite"):
-            AnisoModel(SPH, theta=theta, b=b)
+            AnisoModel("spherical", 5.0, 2.0, theta=theta, b=b)
 
     def test_zero_lag(self):
         assert aniso_variogram(PAPER_MODEL, (0, 0)) == 0.0
 
     def test_isotropic_reduction(self):
-        m = AnisoModel(SPH, theta=0.7, b=1.0)
+        m = AnisoModel("spherical", 5.0, 2.0, theta=0.7, b=1.0)
         for h in [(1, 0), (2, 3), (0, 4)]:
-            assert aniso_variogram(m, h) == pytest.approx(
-                iso_variogram(SPH, math.hypot(*h)), abs=1e-12
-            )
+            assert aniso_variogram(m, h) == pytest.approx(at(SPH, math.hypot(*h)), abs=1e-12)
 
     def test_hand_computed_example(self):
         # R(theta) @ (1,0) = (cos t, -sin t); second coordinate scaled by 1/sqrt(2)
@@ -87,26 +125,26 @@ class TestAnisoVariogram:
 
     def test_rotation_by_pi_invariant(self):
         for h in [(1, 0), (2, 1), (1, -3)]:
-            a = aniso_variogram(AnisoModel(SPH, theta=0.3, b=2.0), h)
-            b = aniso_variogram(AnisoModel(SPH, theta=0.3 + math.pi, b=2.0), h)
+            a = aniso_variogram(AnisoModel("spherical", 5.0, 2.0, theta=0.3, b=2.0), h)
+            b = aniso_variogram(AnisoModel("spherical", 5.0, 2.0, theta=0.3 + math.pi, b=2.0), h)
             assert a == pytest.approx(b, abs=1e-12)
 
 
 class TestModelCovariance:
     def test_zero_lag_is_half_sill(self):
-        assert model_covariance(PAPER_MODEL, (0, 0)) == 1.0
+        assert covariance(PAPER_MODEL, (0, 0)) == 1.0
 
     def test_beyond_range_zero(self):
-        assert model_covariance(PAPER_MODEL, (10, 10)) == 0.0
+        assert covariance(PAPER_MODEL, (10, 10)) == 0.0
 
     def test_from_variogram_example(self):
-        assert model_covariance(PAPER_MODEL, (1, 0)) == pytest.approx(
+        assert covariance(PAPER_MODEL, (1, 0)) == pytest.approx(
             1.0 - aniso_variogram(PAPER_MODEL, (1, 0)) / 2.0, abs=1e-12
         )
 
     def test_variogram_covariance_round_trip(self):
         for h in [(1, 0), (0, 2), (3, 3), (2, -4)]:
-            lhs = 2.0 * model_covariance(PAPER_MODEL, (0, 0)) - 2.0 * model_covariance(PAPER_MODEL, h)
+            lhs = 2.0 * covariance(PAPER_MODEL, (0, 0)) - 2.0 * covariance(PAPER_MODEL, h)
             assert lhs == pytest.approx(aniso_variogram(PAPER_MODEL, h), abs=1e-12)
 
     def test_covariance_matrix_psd(self):
@@ -124,18 +162,18 @@ class TestModelCovariance:
         for i in range(3):
             for j in range(3):
                 h = coords[j] - coords[i]
-                assert cov[i, j] == pytest.approx(model_covariance(PAPER_MODEL, h), abs=1e-12)
+                want = 0.5 * (PAPER_MODEL.sill - oracle_variogram(PAPER_MODEL, h))
+                assert cov[i, j] == pytest.approx(want, abs=1e-12)
 
 
 class TestParseModel:
     def test_iso(self):
         m = parse_model("spherical:5:2")
-        assert m.iso == SPH and m.b == 1.0
+        assert m == SPH and m.b == 1.0
 
     def test_full(self):
         m = parse_model("gaussian:4:1.5:0.3:2")
-        assert m.iso.family == "gaussian"
-        assert m.theta == 0.3 and m.b == 2.0
+        assert m == AnisoModel("gaussian", 4.0, 1.5, theta=0.3, b=2.0)
 
     def test_errors(self):
         for bad in ("spherical:5", "cubic:5:2", "spherical:x:2", "spherical:5:2:1",
