@@ -25,8 +25,8 @@ from .estimators import (
     ESTIMATOR_IDS,
     ModConfig,
     VariogramEstimate,
-    direction_stream,
     estimate,
+    estimate_grid,
 )
 from .grid import (
     Direction,

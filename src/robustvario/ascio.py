@@ -33,8 +33,9 @@ class AscHeader:
     nodata_value: float = -9999.0
 
 
-def load_asc(path) -> Grid:
-    """Read an ESRI ASCII grid into a Grid (nodata cells masked)."""
+def load_asc(path) -> tuple[Grid, AscHeader]:
+    """Read an ESRI ASCII grid into a Grid (nodata cells masked) and the
+    header it was read with."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     header = {}
@@ -75,7 +76,9 @@ def load_asc(path) -> Grid:
     values = north_first[::-1].copy()  # row 0 becomes the southernmost row
     mask = values == nodata
     values[mask] = np.nan
-    return Grid(values, mask)
+    return Grid(values, mask), AscHeader(
+        ncols, nrows, header["xllcorner"], header["yllcorner"], header["cellsize"], nodata
+    )
 
 
 def save_asc(path, g: Grid, header: AscHeader | None = None):

@@ -13,11 +13,11 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .ascio import AscHeader, apply_quality_mask, load_asc, save_asc, standardize
+from .ascio import apply_quality_mask, load_asc, save_asc, standardize
 from .breakdown import BreakdownQuery, breakdown_point
 from .contamination import ContaminationSpec, contaminate
 from .errors import InputError, NumericalError, RobustVarioError
-from .estimators import ModConfig, direction_stream, estimate, parse_estimator_id
+from .estimators import ModConfig, estimate_grid
 from .grid import Direction, LagSet
 from .mcd import McdConfig
 from .numerics import RngStream
@@ -25,27 +25,8 @@ from .simfield import FieldSpec, simulate_field
 from .study import StudySpec, default_lag_depths, run_bias_rmse_study, run_correction_factor_study
 from .variomodel import parse_model
 
-_AXIS_DIRECTIONS = (Direction.EW, Direction.SN)
-
-
-def _names(flag: str, text: str) -> tuple[str, ...]:
-    """Comma list of lower-cased names, each allowed once."""
-    names = tuple(part.strip().lower() for part in text.split(","))
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise InputError(f"{flag} lists {name!r} more than once")
-    return names
-
-
 def _parse_directions(text: str) -> tuple[Direction, ...]:
-    return tuple(Direction.parse(name) for name in _names("--directions", text))
-
-
-def _parse_estimators(text: str) -> tuple[str, ...]:
-    ids = _names("--estimators", text)
-    for eid in ids:
-        parse_estimator_id(eid)
-    return ids
+    return tuple(Direction.parse(name) for name in text.split(","))
 
 
 _CONTAM_KEYS = ("kind", "eps", "epsilon", "mu0", "sigma0", "mode")
@@ -114,16 +95,16 @@ def _lag_depths(args) -> dict[Direction, int]:
 def _cmd_simulate(args) -> int:
     spec = FieldSpec(parse_model(args.model), args.nx, args.ny, mean=args.mean)
     grid = simulate_field(spec, RngStream(args.seed, args.stream))
-    save_asc(args.out, grid, AscHeader(ncols=grid.nx, nrows=grid.ny))
+    save_asc(args.out, grid)
     print(f"wrote {args.nx}x{args.ny} realization to {args.out}")
     return 0
 
 
 def _cmd_contaminate(args) -> int:
-    grid = load_asc(args.grid)
+    grid, header = load_asc(args.grid)
     spec = _parse_contam(args.contam)
     out, cells = contaminate(grid, spec, RngStream(args.seed, args.stream))
-    save_asc(args.out, out, AscHeader(ncols=out.nx, nrows=out.ny))
+    save_asc(args.out, out, header)
     print(f"contaminated {len(cells)} cells; wrote {args.out}")
     return 0
 
@@ -131,29 +112,29 @@ def _cmd_contaminate(args) -> int:
 def _cmd_estimate(args) -> int:
     if args.backscale and not args.standardize:
         raise InputError("--backscale needs --standardize")
-    grid = load_asc(args.grid)
+    grid, _ = load_asc(args.grid)
     if args.quality:
         clear = set(_parse_int_list(args.clear_codes))
-        grid = apply_quality_mask(grid, load_asc(args.quality), clear)
+        grid = apply_quality_mask(grid, load_asc(args.quality)[0], clear)
     scale = None
     if args.standardize:
         grid, scale = standardize(grid)
-    mcdcfg = McdConfig(alpha=args.alpha)
-    mod = ModConfig(m_x=args.mx, m_y=args.my) if args.mx is not None else None
     depths = _lag_depths(args)
-    estimators = _parse_estimators(args.estimators)
+    estimates = estimate_grid(
+        grid,
+        [LagSet(direction, depths[direction]) for direction in _parse_directions(args.directions)],
+        args.estimators.split(","),
+        seed=args.seed,
+        mcdcfg=McdConfig(alpha=args.alpha),
+        mod=ModConfig(m_x=args.mx, m_y=args.my) if args.mx is not None else None,
+    )
     rows = []
-    for direction in _parse_directions(args.directions):
-        lags = LagSet(direction, depths[direction])
-        rng = direction_stream(args.seed, 0, direction)
-        cache: dict = {}
-        for eid in estimators:
-            est = estimate(grid, lags, eid, rng=rng, mcdcfg=mcdcfg, mod=mod, cache=cache)
-            for lag_idx, value in enumerate(est.values):
-                out_value = value * scale**2 if args.backscale else value
-                rows.append(
-                    f"{eid},{direction.value},{lag_idx + 1},{out_value:.17g},{est.counts[lag_idx]}"
-                )
+    for (eid, direction), est in estimates.items():
+        if isinstance(est, RobustVarioError):
+            raise est
+        for lag_idx, value in enumerate(est.values):
+            out_value = value * scale**2 if args.backscale else value
+            rows.append(f"{eid},{direction},{lag_idx + 1},{out_value:.17g},{est.counts[lag_idx]}")
     _write_text("estimator,direction,lag,variogram,count\n" + "\n".join(rows) + "\n", args.out)
     return 0
 
@@ -161,7 +142,7 @@ def _cmd_estimate(args) -> int:
 def _study_spec(args, contamination=None, correction_factors=None) -> StudySpec:
     return StudySpec(
         field=FieldSpec(parse_model(args.model), args.nx, args.ny),
-        estimators=_parse_estimators(args.estimators),
+        estimators=args.estimators.split(","),
         lag_depths=_lag_depths(args),
         directions=_parse_directions(args.directions),
         contamination=contamination,

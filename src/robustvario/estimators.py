@@ -1,11 +1,12 @@
 """Directional variogram estimators.
 
-:func:`estimate` is the one entry point: it maps an estimator id, a grid
-and a lag set to the variogram 2*gammahat per lag (halve for the
-semivariogram); the CLI, the study harness and the breakdown checker all
-call it.  Matheron averages squared pairwise differences; Genton squares a
-Qn scale of the pairwise differences.  The multivariate estimators fit an
-MCD scatter to joint lag vectors:
+:func:`estimate_grid` maps a grid, its lag sets and the requested
+estimator ids to the variogram 2*gammahat per lag (halve for the
+semivariogram); the ``estimate`` command and every study replication call
+it, and it owns the MCD stream rule.  :func:`estimate` runs one id on one
+lag set, for the breakdown checker.  Matheron averages squared pairwise
+differences; Genton squares a Qn scale of the pairwise differences.  The
+multivariate estimators fit an MCD scatter to joint lag vectors:
 
 * "diff" uses difference vectors, whose scatter diagonal is the variogram
   directly;
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleError, InputError, NoValidPartitionError
+from .errors import EmptySampleError, InputError, NoValidPartitionError, RobustVarioError
 from .grid import (
     Direction,
     Grid,
@@ -45,8 +46,9 @@ __all__ = [
     "ModConfig",
     "ESTIMATOR_IDS",
     "parse_estimator_id",
+    "check_request",
     "estimate",
-    "direction_stream",
+    "estimate_grid",
     "org_scatter_to_variogram",
     "non_overlapping_count",
 ]
@@ -137,15 +139,58 @@ class ModConfig:
             raise InputError("dependence ranges must be >= 0")
 
 
-def direction_stream(seed: int, rep: int, direction: Direction) -> RngStream:
-    """Base stream of the MCD searches for ``direction`` in replication
-    ``rep``.  With d the direction's index in :class:`Direction` (ew 0, sn 1,
-    swne 2, senw 3), :func:`estimate` draws family j (org, diff, org.mod,
-    diff.mod) from stream rep + 2^32 + (4*d + j + 1)*2^40, clear of the
-    field (rep) and contamination (rep + 2^32) streams of the study.  The
-    stream does not depend on which other directions are requested."""
-    d = list(Direction).index(direction)
-    return RngStream(seed, rep + 2**32 + d * len(_FAMILY_STREAM) * _OFF_MCD)
+def check_request(estimator_ids, directions, mod: ModConfig | None) -> tuple[str, ...]:
+    """The normalized estimator ids of a request.  Raises InputError on an
+    unknown id, on an id or direction requested twice (after normalization)
+    and on a ``.mod`` id without ``mod``."""
+    kinds = [parse_estimator_id(eid) for eid in estimator_ids]
+    ids = tuple(kind.id for kind in kinds)
+    for name, items in (("estimator", ids), ("direction", tuple(directions))):
+        if len(set(items)) < len(items):
+            raise InputError(f"each {name} may be requested once, got {items}")
+    for kind in kinds:
+        if kind.mod and mod is None:
+            raise InputError(f"estimator {kind.id} needs dependence ranges m_x, m_y (--mx/--my)")
+    return ids
+
+
+def estimate_grid(
+    g: Grid,
+    lag_sets: list[LagSet],
+    estimator_ids,
+    *,
+    seed: int = 0,
+    rep: int = 0,
+    mcdcfg: McdConfig = McdConfig(),
+    mod: ModConfig | None = None,
+) -> dict:
+    """Every requested id on every lag set of one grid.
+
+    Returns {(id, direction value): VariogramEstimate, or the
+    RobustVarioError it raised}, directions in the order of ``lag_sets``
+    and ids in request order within each.  ``X`` and ``X.re`` share their
+    raw MCD fits.  Stream rule: with d the direction's index in
+    :class:`Direction` (ew 0, sn 1, swne 2, senw 3), the MCD searches of
+    family j (org, diff, org.mod, diff.mod) draw from stream
+    rep + 2^32 + (4*d + j + 1)*2^40 of ``seed``, clear of the study's field
+    (rep) and contamination (rep + 2^32) streams; a ``.mod`` partition i
+    draws from that stream's child i.  So an estimate depends on neither
+    the other ids nor the other directions requested.
+    """
+    ids = check_request(estimator_ids, [lags.direction for lags in lag_sets], mod)
+    kinds = [parse_estimator_id(eid) for eid in ids]
+    out = {}
+    for lags in lag_sets:
+        d = list(Direction).index(lags.direction)
+        rng = RngStream(seed, rep + 2**32 + d * len(_FAMILY_STREAM) * _OFF_MCD)
+        fits: dict = {}
+        for kind in kinds:
+            try:
+                result = _estimate(g, lags, kind, rng, mcdcfg, mod, fits)
+            except RobustVarioError as exc:
+                result = exc
+            out[(kind.id, lags.direction.value)] = result
+    return out
 
 
 def estimate(
@@ -156,23 +201,44 @@ def estimate(
     rng: RngStream = RngStream(0),
     mcdcfg: McdConfig = McdConfig(),
     mod: ModConfig | None = None,
-    cache: dict | None = None,
 ) -> VariogramEstimate:
-    """Run one estimator id on one grid and direction.
+    """Run one estimator id on one lag set; ``rng`` is the direction's base
+    stream (see :func:`estimate_grid`).  The ``.mod`` ids need ``mod``."""
+    (eid,) = check_request((estimator_id,), (lags.direction,), mod)
+    return _estimate(g, lags, parse_estimator_id(eid), rng, mcdcfg, mod, {})
 
-    ``rng`` is the direction's base stream (see :func:`direction_stream`);
-    each MCD family draws from its own child of it, so an estimate does not
-    depend on which other ids are requested.  Passing the same ``cache``
-    dict to every call on one (grid, lags) lets ``X`` and ``X.re`` share
-    their raw MCD fits.  The ``.mod`` ids need ``mod``.
-    """
-    kind = parse_estimator_id(estimator_id)
+
+def _estimate(
+    g: Grid,
+    lags: LagSet,
+    kind: EstimatorKind,
+    rng: RngStream,
+    mcdcfg: McdConfig,
+    mod: ModConfig | None,
+    fits: dict,
+) -> VariogramEstimate:
+    """One id on one lag set.  Each MCD family draws from its own child of
+    ``rng`` and keeps its raw fits in ``fits``; the values are the per-lag
+    estimates, optionally reweighted, averaged over the fitted samples."""
     if kind.family in ("matheron", "genton"):
         return _pairwise_estimate(g, lags, kind.family)
-    if kind.mod and mod is None:
-        raise InputError(f"estimator {kind.id} needs dependence ranges m_x, m_y (--mx/--my)")
-    stream = rng.child((_FAMILY_STREAM[kind.fit_key] + 1) * _OFF_MCD)
-    return _mcd_estimate(g, lags, kind, mcdcfg, stream, mod, cache)
+    if kind.fit_key not in fits:
+        stream = rng.child((_FAMILY_STREAM[kind.fit_key] + 1) * _OFF_MCD)
+        if kind.mod:
+            fits[kind.fit_key] = _mod_raw_fits(g, lags, kind.family, mod, mcdcfg, stream)
+        else:
+            rows = _extract(kind.family, g, lags).rows
+            fits[kind.fit_key] = [(rows, fast_mcd(rows, mcdcfg, stream))]
+    samples = fits[kind.fit_key]
+    per_sample = []
+    for rows, raw in samples:
+        fit = reweight_mcd(rows, raw) if kind.reweight else raw
+        if kind.family == "org":
+            per_sample.append(org_scatter_to_variogram(fit.sigma))
+        else:
+            per_sample.append(np.diag(fit.sigma).copy())
+    counts = np.full(lags.h_max, sum(rows.shape[0] for rows, _ in samples))
+    return VariogramEstimate(kind.id, lags.direction, lags, np.mean(per_sample, axis=0), counts)
 
 
 def _pairwise_estimate(g: Grid, lags: LagSet, family: str) -> VariogramEstimate:
@@ -194,37 +260,6 @@ def org_scatter_to_variogram(sigma: np.ndarray) -> np.ndarray:
     p = sigma.shape[0]
     a0 = float(np.mean(np.diag(sigma)))
     return np.array([2.0 * (a0 - float(np.mean(np.diag(sigma, l)))) for l in range(1, p)])
-
-
-def _mcd_estimate(
-    g: Grid,
-    lags: LagSet,
-    kind: EstimatorKind,
-    mcdcfg: McdConfig,
-    rng: RngStream,
-    mod: ModConfig | None = None,
-    cache: dict | None = None,
-) -> VariogramEstimate:
-    """Raw fits (from ``cache`` when present), optional reweighting, and the
-    per-lag values averaged over the fitted samples."""
-    fits = None if cache is None else cache.get(kind.fit_key)
-    if fits is None:
-        if kind.mod:
-            fits = _mod_raw_fits(g, lags, kind.family, mod, mcdcfg, rng)
-        else:
-            rows = _extract(kind.family, g, lags).rows
-            fits = [(rows, fast_mcd(rows, mcdcfg, rng))]
-        if cache is not None:
-            cache[kind.fit_key] = fits
-    per_sample = []
-    for rows, raw in fits:
-        fit = reweight_mcd(rows, raw) if kind.reweight else raw
-        if kind.family == "org":
-            per_sample.append(org_scatter_to_variogram(fit.sigma))
-        else:
-            per_sample.append(np.diag(fit.sigma).copy())
-    counts = np.full(lags.h_max, sum(rows.shape[0] for rows, _ in fits))
-    return VariogramEstimate(kind.id, lags.direction, lags, np.mean(per_sample, axis=0), counts)
 
 
 def _extract(family: str, g: Grid, lags: LagSet) -> VectorSample:

@@ -12,15 +12,12 @@ applies optional correction factors, and reports per-lag bias and root mean
 squared error on the semivariogram scale with Monte-Carlo standard errors.
 
 Reproducibility: replication r draws its field from stream r, its
-contamination from stream r + 2^32, and the MCD searches of direction d
-from streams r + 2^32 + (4*d + j + 1) * 2^40, d indexing the direction in
-``Direction`` (ew, sn, swne, senw) and j the estimator family (org, diff,
-org.mod, diff.mod); see :func:`robustvario.estimators.direction_stream`.
-So an (estimator, direction) row does not depend on which other ids or
-directions are requested.  The ``estimate`` command uses the same rule
-with r = 0.  An estimator and its reweighted variant share one raw fit.
-Results are reduced in fixed replication order, so reruns and parallel
-runs are bit-identical.
+contamination from stream r + 2^32, and its estimates from
+:func:`robustvario.estimators.estimate_grid` with rep = r, whose stream
+rule keeps an (estimator, direction) row independent of which other ids or
+directions are requested.  The ``estimate`` command uses the same call with
+rep = 0.  Results are reduced in fixed replication order, so reruns and
+parallel runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ import numpy as np
 
 from .contamination import ContaminationSpec, contaminate
 from .errors import InputError, NumericalError, RobustVarioError, TooManyFailuresError
-from .estimators import ModConfig, direction_stream, estimate, parse_estimator_id
+from .estimators import ModConfig, check_request, estimate_grid
 from .grid import Direction, LagSet
 from .mcd import McdConfig
 from .numerics import RngStream
@@ -86,21 +83,16 @@ class StudySpec:
     n_jobs: int | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "estimators", tuple(self.estimators))
         object.__setattr__(self, "directions", tuple(self.directions))
+        object.__setattr__(
+            self, "estimators", check_request(self.estimators, self.directions, self.mod)
+        )
         if self.replications < 2:
             raise InputError(f"need at least 2 replications, got {self.replications}")
         if self.n_jobs is not None and self.n_jobs < 1:
             raise InputError(f"n_jobs must be >= 1 (None for all cores), got {self.n_jobs}")
         if self.corrfac_divisor not in ("h_max", "h_max_minus_1"):
             raise InputError("corrfac_divisor must be 'h_max' or 'h_max_minus_1'")
-        for name, items in (("estimator", self.estimators), ("direction", self.directions)):
-            if len(set(items)) < len(items):
-                raise InputError(f"each {name} may be requested once, got {items}")
-        for eid in self.estimators:
-            kind = parse_estimator_id(eid)  # raises on unknown ids
-            if kind.mod and self.mod is None:
-                raise InputError(f"estimator {eid} needs a ModConfig in spec.mod")
         if self.lag_depths is None:
             object.__setattr__(self, "lag_depths", default_lag_depths())
         missing = [d for d in self.directions if d not in self.lag_depths]
@@ -119,91 +111,59 @@ class StudySpec:
         return 0.5 * aniso_variogram(self.field.model, self.lag_set(direction).lag_vectors)
 
 
-def _estimate_one(spec: StudySpec, eid: str, grid, lags: LagSet, rep: int, cache: dict):
-    """One estimator on one grid/direction; returns 2*gammahat values.
-
-    ``cache`` is shared by the estimators of one (replication, direction),
-    so an estimator and its reweighted variant share their raw MCD fits.
-    """
-    est = estimate(
-        grid, lags, eid, rng=direction_stream(spec.base_seed, rep, lags.direction),
-        mcdcfg=spec.mcd, mod=spec.mod, cache=cache,
-    )
-    return est.values
-
-
 def _replicate(spec: StudySpec, rep: int, factor: np.ndarray) -> dict:
-    """All requested (estimator, direction) estimates for one replication;
-    a failed estimate is recorded as None."""
+    """The 2*gammahat values of every requested (estimator, direction) for
+    one replication; a failed estimate is recorded as None."""
     grid = simulate_field(spec.field, RngStream(spec.base_seed, rep), factor)
     if spec.contamination is not None:
         grid, _ = contaminate(
             grid, spec.contamination, RngStream(spec.base_seed, rep + _OFF_CONTAM)
         )
-    out = {}
-    for direction in spec.directions:
-        lags = spec.lag_set(direction)
-        cache: dict = {}
-        for eid in spec.estimators:
-            try:
-                out[(eid, direction.value)] = _estimate_one(spec, eid, grid, lags, rep, cache)
-            except RobustVarioError:
-                out[(eid, direction.value)] = None
-    return out
+    estimates = estimate_grid(
+        grid, [spec.lag_set(d) for d in spec.directions], spec.estimators,
+        seed=spec.base_seed, rep=rep, mcdcfg=spec.mcd, mod=spec.mod,
+    )
+    return {
+        key: None if isinstance(est, RobustVarioError) else est.values
+        for key, est in estimates.items()
+    }
 
 
-def _run_chunk(args) -> list:
+def _run_chunk(args) -> list[dict]:
     spec, reps = args
     factor = field_cholesky(spec.field)
-    return [(rep, _replicate(spec, rep, factor)) for rep in reps]
+    return [_replicate(spec, rep, factor) for rep in reps]
 
 
-def _collect(spec: StudySpec) -> dict:
-    """Run all replications (in parallel when configured) and return
-    per-(estimator, direction) arrays of shape (replications, h_max) with
-    NaN rows marking failures."""
+def _collect(spec: StudySpec) -> list[dict]:
+    """Run all replications (in parallel when configured) and return their
+    per-replication dicts in replication order."""
     n_jobs = spec.n_jobs or os.cpu_count() or 1
     reps = list(range(spec.replications))
-    results: dict = {}
-    for direction in spec.directions:
-        h = spec.lag_depths[direction]
-        for eid in spec.estimators:
-            results[(eid, direction.value)] = np.full((spec.replications, h), np.nan)
-
-    def _fill(chunk_results):
-        for chunk_result in chunk_results:
-            for rep, out in chunk_result:
-                for key, values in out.items():
-                    if values is not None:
-                        results[key][rep] = values
-
     if n_jobs == 1 or spec.replications < 8:
-        _fill(map(_run_chunk, [(spec, reps)]))
-    else:
-        n_chunks = min(len(reps), 4 * n_jobs)
-        bounds = np.array_split(np.asarray(reps), n_chunks)
-        chunks = [(spec, [int(r) for r in b]) for b in bounds if len(b)]
-        method = "fork" if "fork" in get_all_start_methods() else None
-        with ProcessPoolExecutor(max_workers=n_jobs, mp_context=get_context(method)) as pool:
-            _fill(pool.map(_run_chunk, chunks))
-    return results
+        return _run_chunk((spec, reps))
+    n_chunks = min(len(reps), 4 * n_jobs)
+    chunks = [(spec, [int(r) for r in b]) for b in np.array_split(np.asarray(reps), n_chunks)]
+    method = "fork" if "fork" in get_all_start_methods() else None
+    with ProcessPoolExecutor(max_workers=n_jobs, mp_context=get_context(method)) as pool:
+        return [out for chunk in pool.map(_run_chunk, chunks) for out in chunk]
 
 
-def _successes(spec: StudySpec, results: dict):
+def _successes(spec: StudySpec, outs: list[dict]):
     """Per requested (estimator, direction): the id, the direction, its true
-    semivariogram, the rows of the successful replications and the failure
-    count.  Raises when failures exceed the tolerated share."""
+    semivariogram, the stacked rows of the successful replications and the
+    failure count.  Raises when failures exceed the tolerated share."""
     for eid in spec.estimators:
         for direction in spec.directions:
-            values = results[(eid, direction.value)]
-            ok = ~np.isnan(values[:, 0])
-            n_fail = spec.replications - int(ok.sum())
+            key = (eid, direction.value)
+            ok = [out[key] for out in outs if out[key] is not None]
+            n_fail = spec.replications - len(ok)
             if n_fail > _MAX_FAILURE_SHARE * spec.replications:
                 raise TooManyFailuresError(
                     f"{eid}/{direction.value}: {n_fail}/{spec.replications} replications "
                     f"failed (> {_MAX_FAILURE_SHARE:.0%})"
                 )
-            yield eid, direction, spec.true_semivariogram(direction), values[ok], n_fail
+            yield eid, direction, spec.true_semivariogram(direction), np.stack(ok), n_fail
 
 
 @dataclass(frozen=True)
@@ -219,13 +179,6 @@ class CorrfacRow:
 @dataclass
 class CorrfacResult:
     rows: list[CorrfacRow]
-
-    def get(self, estimator: str, direction: Direction | str) -> CorrfacRow:
-        d = direction.value if isinstance(direction, Direction) else direction
-        for row in self.rows:
-            if row.estimator == estimator and row.direction == d:
-                return row
-        raise KeyError((estimator, d))
 
     def to_csv(self, path):
         with open(path, "w") as fh:
@@ -284,13 +237,6 @@ class StudyRow:
 @dataclass
 class StudyResult:
     rows: list[StudyRow]
-
-    def get(self, estimator: str, direction: Direction | str, lag: int) -> StudyRow:
-        d = direction.value if isinstance(direction, Direction) else direction
-        for row in self.rows:
-            if row.estimator == estimator and row.direction == d and row.lag == lag:
-                return row
-        raise KeyError((estimator, d, lag))
 
     def to_csv(self, path):
         with open(path, "w") as fh:

@@ -25,7 +25,8 @@ NODATA_value -9999
 
 class TestLoadAsc:
     def test_rows_reversed_and_masked(self, tmp_path):
-        g = load_asc(write(tmp_path / "a.asc", GOOD_ASC))
+        g, header = load_asc(write(tmp_path / "a.asc", GOOD_ASC))
+        assert header == AscHeader(ncols=3, nrows=2)
         assert (g.nx, g.ny) == (3, 2)
         # first file row is northernmost: grid row y=2
         assert g.values[1].tolist() == [1.0, 2.0, 3.0]
@@ -39,11 +40,11 @@ class TestLoadAsc:
         g = Grid(values.copy(), mask.copy())
         p1 = tmp_path / "x.asc"
         save_asc(p1, g)
-        loaded = load_asc(p1)
+        loaded, header = load_asc(p1)
         np.testing.assert_array_equal(loaded.mask, mask)
         np.testing.assert_array_equal(loaded.values[~mask], values[~mask])
         p2 = tmp_path / "y.asc"
-        save_asc(p2, loaded)
+        save_asc(p2, loaded, header)
         assert p1.read_text() == p2.read_text()
 
     def test_malformed_header(self, tmp_path):
@@ -188,8 +189,25 @@ class TestCli:
             "--seed", "2", "--out", str(out),
         ])
         assert code == 0
-        a, b = load_asc(asc), load_asc(out)
+        (a, _), (b, _) = load_asc(asc), load_asc(out)
         assert (a.values != b.values).sum() == 10
+
+    def test_contaminate_keeps_header(self, tmp_path):
+        # georeferencing and the nodata value survive contamination
+        asc = tmp_path / "field.asc"
+        values = np.random.default_rng(5).standard_normal((10, 10))
+        mask = np.zeros((10, 10), dtype=bool)
+        mask[2, 3] = True
+        save_asc(asc, Grid(values, mask), AscHeader(10, 10, 500000.5, 4100000.0, 30.0, -1.0))
+        out = tmp_path / "contaminated.asc"
+        assert main(["contaminate", str(asc), "--contam", "kind=block,eps=0.1,mu0=5",
+                     "--out", str(out)]) == 0
+        header_in = asc.read_text().splitlines()[:6]
+        header_out = out.read_text().splitlines()[:6]
+        assert header_out == header_in
+        assert header_out[2:] == ["xllcorner 500000.5", "yllcorner 4100000", "cellsize 30",
+                                  "NODATA_value -1"]
+        assert load_asc(out)[0].mask.sum() == 1
 
     def test_breakdown_table(self, capsys):
         assert main([

@@ -11,8 +11,9 @@ from robustvario.errors import InputError, NoValidPartitionError, RobustVarioErr
 from robustvario.estimators import (
     ESTIMATOR_IDS,
     ModConfig,
-    direction_stream,
+    check_request,
     estimate,
+    estimate_grid,
     non_overlapping_count,
     org_scatter_to_variogram,
     parse_estimator_id,
@@ -140,13 +141,13 @@ class TestInvariances:
             )
 
 
-def _outcome(g, lags, eid, rng, cache):
-    """Values and counts as bytes, or the error class name."""
-    try:
-        est = estimate(g, lags, eid, rng=rng, cache=cache)
-    except RobustVarioError as exc:
-        return type(exc).__name__
-    return est.values.tobytes(), est.counts.tobytes()
+def _outcomes(g, lag_sets, seed):
+    """Per (id, direction): values and counts as bytes, or the error class name."""
+    return {
+        key: type(est).__name__ if isinstance(est, RobustVarioError)
+        else (est.values.tobytes(), est.counts.tobytes())
+        for key, est in estimate_grid(g, lag_sets, NON_MOD_IDS, seed=seed).items()
+    }
 
 
 class TestProperties:
@@ -168,14 +169,8 @@ class TestProperties:
         cropped = Grid(values[:-1], mask[:-1])
         values[-1], mask[-1] = np.nan, True
         masked = Grid(values, mask)
-        for direction in Direction:
-            lags = LagSet(direction, h_max)
-            rng = direction_stream(seed, 0, direction)
-            cache_masked, cache_cropped = {}, {}
-            for eid in NON_MOD_IDS:
-                assert _outcome(masked, lags, eid, rng, cache_masked) == _outcome(
-                    cropped, lags, eid, rng, cache_cropped
-                ), (eid, direction)
+        lag_sets = [LagSet(direction, h_max) for direction in Direction]
+        assert _outcomes(masked, lag_sets, seed) == _outcomes(cropped, lag_sets, seed)
 
     @given(
         nx=st.integers(6, 12),
@@ -382,7 +377,6 @@ class TestEstimateDispatch:
         g = _iid_grid(14, 12, seed=21)
         lags = LagSet(Direction.SN, 3)
         mod = ModConfig(1, 0)
-        base = direction_stream(5, 2, Direction.SN)
         cfg = McdConfig()
 
         def stream(j):
@@ -410,8 +404,10 @@ class TestEstimateDispatch:
             "mcd.org.mod.re": mod_values("org", 2, True),
             "mcd.diff.mod": mod_values("diff", 3, False),
         }
+        estimates = estimate_grid(g, [lags], list(expected), seed=5, rep=2, mod=mod)
+        assert list(estimates) == [(eid, "sn") for eid in expected]
         for eid, (values, counts) in expected.items():
-            got = estimate(g, lags, eid, rng=base, mod=mod)
+            got = estimates[(eid, "sn")]
             assert got.estimator_id == eid
             np.testing.assert_array_equal(got.values, values, err_msg=eid)
             np.testing.assert_array_equal(got.counts, np.broadcast_to(counts, (3,)), err_msg=eid)
@@ -432,14 +428,29 @@ class TestEstimateDispatch:
         g = _iid_grid(20, 8, seed=3)
         lags = LagSet(Direction.EW, 2)
         mod = ModConfig(1, 1)
-        estimate(g, lags, f"mcd.{family}", mod=mod)
+        raw, reweighted = f"mcd.{family}", f"mcd.{family}.re"
+        estimate_grid(g, [lags], [raw], mod=mod)
         fits_alone = len(calls)
         calls.clear()
-        cache: dict = {}
-        estimate(g, lags, f"mcd.{family}", mod=mod, cache=cache)
-        reweighted = estimate(g, lags, f"mcd.{family}.re", mod=mod, cache=cache)
+        both = estimate_grid(g, [lags], [raw, reweighted], mod=mod)
         # 20 x 8, EW, m = (1, 1): 2 chain offsets x 4 start offsets
         assert fits_alone == (8 if "mod" in family else 1)
         assert len(calls) == fits_alone
-        alone = estimate(g, lags, f"mcd.{family}.re", mod=mod)
-        np.testing.assert_array_equal(reweighted.values, alone.values)
+        alone = estimate_grid(g, [lags], [reweighted], mod=mod)
+        key = (reweighted, "ew")
+        np.testing.assert_array_equal(both[key].values, alone[key].values)
+
+    def test_failed_estimate_is_a_value(self):
+        # the .mod id finds no partition on a 3 x 3 grid; Matheron still runs
+        g = _iid_grid(3, 3)
+        lags = LagSet(Direction.EW, 2)
+        out = estimate_grid(g, [lags], ["mcd.org.mod", "matheron"], mod=ModConfig(0, 0))
+        assert list(out) == [("mcd.org.mod", "ew"), ("matheron", "ew")]
+        assert isinstance(out[("mcd.org.mod", "ew")], NoValidPartitionError)
+        np.testing.assert_array_equal(
+            out[("matheron", "ew")].values, estimate(g, lags, "matheron").values
+        )
+
+    def test_check_request_normalizes_ids(self):
+        ids = check_request([" MCD.Org", "matheron"], [Direction.EW], None)
+        assert ids == ("mcd.org", "matheron")

@@ -1,10 +1,12 @@
 import math
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from robustvario.contamination import ContaminationSpec
-from robustvario.errors import InputError, TooManyFailuresError
+from robustvario.errors import EmptySampleError, InputError, TooManyFailuresError
 from robustvario.grid import Direction
 from robustvario.simfield import FieldSpec
 from robustvario.study import (
@@ -33,10 +35,28 @@ def small_spec(**kwargs):
     return StudySpec(**defaults)
 
 
+def true_grid(grid, lag_sets, ids, *, rep, fail_rep=None, **_):
+    """Stand-in for ``estimate_grid``: the true variogram for every
+    (id, direction), or an error for each at replication ``fail_rep``."""
+    return {
+        (eid, lags.direction.value): EmptySampleError("synthetic failure") if rep == fail_rep
+        else SimpleNamespace(values=aniso_variogram(MODEL, lags.lag_vectors))
+        for lags in lag_sets
+        for eid in ids
+    }
+
+
+def lookup(result, estimator, direction, lag=None):
+    """The result row of (estimator, direction[, lag])."""
+    return next(r for r in result.rows if (r.estimator, r.direction) == (estimator, direction)
+                and getattr(r, "lag", None) == lag)
+
+
 class TestSpecValidation:
     @pytest.mark.parametrize("field_name, value", [
         ("estimators", ("matheron", "mcd.org", "matheron")),
         ("directions", (Direction.EW, Direction.EW)),
+        ("estimators", ("mcd.org", "MCD.ORG")),
     ])
     def test_repeated_entry_rejected(self, field_name, value):
         with pytest.raises(InputError, match="requested once"):
@@ -93,23 +113,17 @@ class TestCorrectionFactors:
     def test_stub_estimator_gives_exactly_one(self, monkeypatch):
         # an estimator returning the true variogram has c_opt == 1 under the
         # averaging divisor
-        def fake_estimate(spec, eid, grid, lags, rep, cache):
-            return aniso_variogram(MODEL, lags.lag_vectors)
-
-        monkeypatch.setattr(study_module, "_estimate_one", fake_estimate)
+        monkeypatch.setattr(study_module, "estimate_grid", true_grid)
         res = run_correction_factor_study(small_spec(corrfac_divisor="h_max_minus_1"))
-        row = res.get("matheron", Direction.EW)
-        assert row.c_opt == pytest.approx(1.0, abs=1e-12)
-        assert row.se == pytest.approx(0.0, abs=1e-12)
+        cf = lookup(res, "matheron", "ew")
+        assert cf.c_opt == pytest.approx(1.0, abs=1e-12)
+        assert cf.se == pytest.approx(0.0, abs=1e-12)
 
     def test_divisor_readings_differ_by_known_ratio(self, monkeypatch):
-        def fake_estimate(spec, eid, grid, lags, rep, cache):
-            return aniso_variogram(MODEL, lags.lag_vectors)
-
-        monkeypatch.setattr(study_module, "_estimate_one", fake_estimate)
+        monkeypatch.setattr(study_module, "estimate_grid", true_grid)
         printed = run_correction_factor_study(small_spec(corrfac_divisor="h_max"))
         # h_max = 4: the printed formula divides the 3-term sum by 4
-        assert printed.get("matheron", "ew").c_opt == pytest.approx(4.0 / 3.0, abs=1e-12)
+        assert lookup(printed, "matheron", "ew").c_opt == pytest.approx(4.0 / 3.0, abs=1e-12)
 
     def test_contaminated_spec_rejected(self):
         spec = small_spec(contamination=ContaminationSpec("block", 0.1))
@@ -127,10 +141,7 @@ class TestCorrectionFactors:
 
 class TestBiasRmse:
     def test_stubbed_truth_gives_zero(self, monkeypatch):
-        def fake_estimate(spec, eid, grid, lags, rep, cache):
-            return aniso_variogram(MODEL, lags.lag_vectors)
-
-        monkeypatch.setattr(study_module, "_estimate_one", fake_estimate)
+        monkeypatch.setattr(study_module, "estimate_grid", true_grid)
         res = run_bias_rmse_study(small_spec())
         for row in res.rows:
             assert row.bias == 0.0
@@ -142,40 +153,28 @@ class TestBiasRmse:
             assert row.rmse >= abs(row.bias)
 
     def test_correction_factor_applied(self, monkeypatch):
-        def fake_estimate(spec, eid, grid, lags, rep, cache):
-            return aniso_variogram(MODEL, lags.lag_vectors)
-
-        monkeypatch.setattr(study_module, "_estimate_one", fake_estimate)
+        monkeypatch.setattr(study_module, "estimate_grid", true_grid)
         res = run_bias_rmse_study(
             small_spec(correction_factors={("matheron", "ew"): 2.0})
         )
         truth = 0.5 * aniso_variogram(MODEL, (1, 0))
-        assert res.get("matheron", "ew", 1).bias == pytest.approx(truth, rel=1e-12)
+        assert lookup(res, "matheron", "ew", 1).bias == pytest.approx(truth, rel=1e-12)
 
     def test_failures_counted_and_capped(self, monkeypatch):
-        from robustvario.errors import EmptySampleError
-
-        calls = {"n": 0}
-
-        def flaky(spec, eid, grid, lags, rep, cache):
-            if rep == 3:
-                raise EmptySampleError("synthetic failure")
-            return aniso_variogram(MODEL, lags.lag_vectors)
-
-        monkeypatch.setattr(study_module, "_estimate_one", flaky)
+        monkeypatch.setattr(study_module, "estimate_grid", partial(true_grid, fail_rep=3))
         with pytest.raises(TooManyFailuresError):
             run_bias_rmse_study(small_spec(replications=40))  # 1/40 > 1%
 
         res = run_bias_rmse_study(small_spec(replications=400))  # 1/400 <= 1%
-        row = res.get("matheron", "ew", 1)
-        assert row.n_fail == 1 and row.n_ok == 399
+        cell = lookup(res, "matheron", "ew", 1)
+        assert cell.n_fail == 1 and cell.n_ok == 399
 
     def test_seed_sensitivity_sanity(self):
         # halving replications at another seed moves cells by < 6 MC SEs
         big = run_bias_rmse_study(small_spec(replications=120, base_seed=1))
         half = run_bias_rmse_study(small_spec(replications=60, base_seed=999))
         for row_b in big.rows:
-            row_h = half.get(row_b.estimator, row_b.direction, row_b.lag)
+            row_h = lookup(half, row_b.estimator, row_b.direction, row_b.lag)
             se = math.hypot(row_b.se_bias, row_h.se_bias)
             assert abs(row_b.bias - row_h.bias) < 6 * se
 
