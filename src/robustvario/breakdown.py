@@ -19,6 +19,10 @@ p = h_max + 1 (org vectors) or h_max (difference vectors):
 
 For the plain MCD estimators the isolated-scenario value is only a lower
 bound; the empirical check is one-sided there.
+
+Estimators are named by their raw ids in ``ESTIMATOR_IDS`` (``mcd.org``,
+``mcd.diff``, ``mcd.org.mod``, ``mcd.diff.mod``, ``genton``); "_" is
+accepted for ".", so ``mcd_org`` names ``mcd.org``.
 """
 
 from __future__ import annotations
@@ -30,14 +34,17 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import EstimatorUnusableError, InputError
-from .estimators import ModConfig, estimate, non_overlapping_count
+from .estimators import (
+    EstimatorKind,
+    ModConfig,
+    estimate,
+    non_overlapping_count,
+    parse_estimator_id,
+)
 from .grid import Direction, Grid, LagSet
 from .numerics import RngStream
 
 __all__ = ["BreakdownQuery", "breakdown_point", "empirical_breakdown_check"]
-
-_ESTIMATORS = ("mcd_org", "mcd_diff", "mcd_org_mod", "mcd_diff_mod", "genton")
-
 
 @dataclass(frozen=True)
 class BreakdownQuery:
@@ -50,16 +57,22 @@ class BreakdownQuery:
     def __post_init__(self):
         if self.scenario not in ("block", "isolated"):
             raise InputError(f"scenario must be 'block' or 'isolated', got {self.scenario!r}")
-        if self.estimator not in _ESTIMATORS:
-            raise InputError(f"estimator must be one of {_ESTIMATORS}, got {self.estimator!r}")
+        kind = parse_estimator_id(self.estimator.replace("_", "."))
+        if kind.reweight or kind.family == "matheron":
+            raise InputError(f"no closed-form breakdown point for {kind.id}")
+        object.__setattr__(self, "estimator", kind.id)
         if self.h_max < 1 or self.n_x <= self.h_max:
             raise InputError(f"need n_x > h_max >= 1, got n_x={self.n_x}, h_max={self.h_max}")
         if self.m < 0:
             raise InputError(f"dependence range must be >= 0, got {self.m}")
 
     @property
+    def kind(self) -> EstimatorKind:
+        return parse_estimator_id(self.estimator)
+
+    @property
     def p(self) -> int:
-        return self.h_max + 1 if "org" in self.estimator else self.h_max
+        return self.h_max + 1 if self.kind.family == "org" else self.h_max
 
 
 def _ell_star(n_star: int, p: int) -> int:
@@ -85,7 +98,7 @@ def breakdown_point(q: BreakdownQuery) -> Fraction:
         l_min = max(Fraction(need - q.h_max), Fraction(need, 2))
         return l_min / q.n_x
 
-    if q.estimator.endswith("_mod"):
+    if q.kind.mod:
         n_star = non_overlapping_count(q.n_x, q.h_max, q.m)
         if n_star <= q.p:
             raise EstimatorUnusableError(
@@ -111,7 +124,7 @@ def _outlier_values(q: BreakdownQuery, count: int, magnitude: float) -> np.ndarr
     scales = magnitude * (1.0 + i / 8.0)
     if q.estimator == "genton":
         signs = np.where(((i - 1) // q.h_max) % 2 == 0, 1.0, -1.0)
-    elif "diff" in q.estimator:
+    elif q.kind.family == "diff":
         signs = np.where(i % 2 == 0, 1.0, -1.0)
     else:
         signs = np.ones_like(i)
@@ -141,7 +154,7 @@ def empirical_breakdown_check(
 
     def explodes(values: np.ndarray, stream: RngStream) -> bool:
         grid = Grid(values.reshape(1, -1))
-        est = estimate(grid, lags, q.estimator.replace("_", "."), rng=stream, mod=mod)
+        est = estimate(grid, lags, q.estimator, rng=stream, mod=mod)
         return bool(np.any(est.values > magnitude**2 / 100.0))
 
     if count <= 0:
@@ -156,7 +169,7 @@ def empirical_breakdown_check(
                 return True
         return False
 
-    if q.estimator.endswith("_mod"):
+    if q.kind.mod:
         stride = q.h_max + 1 + q.m
         positions = [j * stride for j in range(count)]
     else:

@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("breakdown", help="closed-form breakdown points as CSV")
     p.add_argument("--scenario", choices=("block", "isolated"), required=True)
     p.add_argument("--estimator", required=True,
-                   help="comma list of mcd_org,mcd_diff,mcd_org_mod,mcd_diff_mod,genton")
+                   help="comma list of mcd.org,mcd.diff,mcd.org.mod,mcd.diff.mod,genton "
+                        "(_ may stand for .)")
     p.add_argument("--nx", required=True, help="comma list of series lengths")
     p.add_argument("--hmax", required=True, help="comma list of lag depths")
     p.add_argument("--m", default="0", help="comma list of dependence ranges")

@@ -218,18 +218,24 @@ def _estimate(
     fits: dict,
 ) -> VariogramEstimate:
     """One id on one lag set.  Each MCD family draws from its own child of
-    ``rng`` and keeps its raw fits in ``fits``; the values are the per-lag
-    estimates, optionally reweighted, averaged over the fitted samples."""
+    ``rng`` and keeps its raw fits, or the error their search raised, in
+    ``fits``; the values are the per-lag estimates, optionally reweighted,
+    averaged over the fitted samples."""
     if kind.family in ("matheron", "genton"):
         return _pairwise_estimate(g, lags, kind.family)
     if kind.fit_key not in fits:
         stream = rng.child((_FAMILY_STREAM[kind.fit_key] + 1) * _OFF_MCD)
-        if kind.mod:
-            fits[kind.fit_key] = _mod_raw_fits(g, lags, kind.family, mod, mcdcfg, stream)
-        else:
-            rows = _extract(kind.family, g, lags).rows
-            fits[kind.fit_key] = [(rows, fast_mcd(rows, mcdcfg, stream))]
+        try:
+            if kind.mod:
+                fits[kind.fit_key] = _mod_raw_fits(g, lags, kind.family, mod, mcdcfg, stream)
+            else:
+                rows = _extract(kind.family, g, lags).rows
+                fits[kind.fit_key] = [(rows, fast_mcd(rows, mcdcfg, stream))]
+        except RobustVarioError as exc:
+            fits[kind.fit_key] = exc
     samples = fits[kind.fit_key]
+    if isinstance(samples, RobustVarioError):
+        raise samples
     per_sample = []
     for rows, raw in samples:
         fit = reweight_mcd(rows, raw) if kind.reweight else raw

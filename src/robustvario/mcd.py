@@ -12,8 +12,12 @@ when none is left.  A C-step re-ranks all rows by squared Mahalanobis
 distance under the current fit, keeps the k closest and refits; the
 determinant never increases.  The survivors iterate until their support is
 a fixed point, their log-determinant changes by at most ``CSTEP_TOL``
-(relative) or ``MAX_CSTEPS`` steps have run.  Every raw fit is scaled by
-its Fisher-consistency factor.
+(relative) or ``MAX_CSTEPS`` steps have run.  Small samples skip the
+search: when C(n, k) is at most ``_ENUM_MAX`` (3000, where enumeration and
+search took about the same time on the study's shapes), every k-subset is
+fitted and the exact MCD returned, as robustbase's ``covMcd`` does; that
+fit draws nothing from the stream.  Every raw fit is scaled by its
+Fisher-consistency factor.
 
 The C-step kernel inverts each candidate scatter once and gets all squared
 distances from one matmul.  A candidate whose scatter has a 1-norm
@@ -37,6 +41,7 @@ seeds.  Sample rows must be finite.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -68,6 +73,7 @@ REWEIGHT_DELTA = 0.975
 _CHUNK_BYTES = 8 << 20  # float64 budget of one C-step chunk's (chunk, n, p) block
 _COND_MAX = 1e8  # 1-norm condition number above which distances use an LU solve
 _RANK_TOL = 64 * np.finfo(float).eps  # near-tie band at the k-th distance, per unit of cond
+_ENUM_MAX = 3000  # C(n, k) up to which fast_mcd enumerates every k-subset (measured crossover)
 
 
 @dataclass(frozen=True)
@@ -305,11 +311,35 @@ def _draw_seeds(x: np.ndarray, cfg: McdConfig, rng: RngStream) -> np.ndarray:
     return seeds[ok]
 
 
+def _enumerate_mcd(x: np.ndarray, k: int) -> McdFit:
+    """Exact MCD: every k-subset is fitted, in lexicographic chunks whose
+    (chunk, k, p) float64 block fits ``_CHUNK_BYTES``, and the best by
+    (log_det, support) wins.  Raises ``SingularDataError`` when every
+    k-subset is singular, which holds exactly when every (p+1)-subset is."""
+    n, p = x.shape
+    chunk = max(1, _CHUNK_BYTES // (8 * k * p))
+    subsets = itertools.combinations(range(n), k)
+    best, regular = None, False
+    for _ in range(0, math.comb(n, k), chunk):
+        flat = itertools.chain.from_iterable(itertools.islice(subsets, chunk))
+        supports = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+        mus, sigmas, logdets = _batch_fit(x, supports)
+        regular |= bool(np.isfinite(logdets).any())
+        i = int(np.argmin(logdets))  # the first minimum, so ties go to the lower support
+        if best is None or logdets[i] < best[3]:
+            best = (mus[i], sigmas[i], supports[i], logdets[i])
+    if not regular:
+        raise SingularDataError("all k-subsets are singular")
+    return _finalize(k, n, p, *best)
+
+
 def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) -> McdFit:
     """Randomized MCD search; deterministic given (data, cfg, rng).
 
     Raises ``SampleTooSmallError`` unless n > p.  With k = n the fit is the
-    classical mean and covariance of all rows.
+    classical mean and covariance of all rows.  When C(n, k) is at most
+    ``_ENUM_MAX`` the fit is the exact MCD of every k-subset instead: it
+    draws nothing from ``rng`` and ignores ``cfg.n_initial_subsets``.
     """
     x = _rows(data)
     n, p = x.shape
@@ -319,6 +349,8 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     if k == n:
         mu, sigma, logdet = _subset_logdet(x)
         return _finalize(k, n, p, mu, sigma, range(n), logdet)
+    if n <= _ENUM_MAX and math.comb(n, k) <= _ENUM_MAX:  # C(n, k) >= n
+        return _enumerate_mcd(x, k)
 
     supports = _draw_seeds(x, cfg, rng)
     mus, sigmas, logdets = _batch_fit(x, supports)

@@ -142,7 +142,8 @@ def _collect(spec: StudySpec) -> list[dict]:
     reps = list(range(spec.replications))
     if n_jobs == 1 or spec.replications < 8:
         return _run_chunk((spec, reps))
-    n_chunks = min(len(reps), 4 * n_jobs)
+    # one chunk per worker, so each worker factors the field covariance once
+    n_chunks = min(len(reps), n_jobs)
     chunks = [(spec, [int(r) for r in b]) for b in np.array_split(np.asarray(reps), n_chunks)]
     method = "fork" if "fork" in get_all_start_methods() else None
     with ProcessPoolExecutor(max_workers=n_jobs, mp_context=get_context(method)) as pool:

@@ -216,7 +216,7 @@ class TestCli:
         ]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0].startswith("scenario,estimator")
-        assert "block,mcd_org_mod,50,4,1,3,50," in lines[1]
+        assert "block,mcd.org.mod,50,4,1,3,50," in lines[1]
 
     def test_missing_file_exit_2(self):
         assert main(["estimate", "/nonexistent/grid.asc"]) == 2

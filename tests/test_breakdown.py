@@ -54,6 +54,17 @@ class TestClosedForms:
                 ]
                 assert all(b <= a for a, b in zip(values, values[1:])), (estimator, n_x)
 
+    def test_ids_are_estimator_ids(self):
+        # the underscore spelling names the same estimator id
+        for spelled, eid in [("mcd_org", "mcd.org"), ("MCD_Diff_Mod", "mcd.diff.mod"),
+                             ("mcd.org.mod", "mcd.org.mod"), ("genton", "genton")]:
+            q = BreakdownQuery("block", spelled, 50, 4, 1)
+            assert q.estimator == eid
+            assert breakdown_point(q) == breakdown_point(BreakdownQuery("block", eid, 50, 4, 1))
+        for no_closed_form in ("matheron", "mcd.org.re", "mcd_diff_mod_re"):
+            with pytest.raises(InputError, match="no closed-form"):
+                BreakdownQuery("block", no_closed_form, 50, 4)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             BreakdownQuery("block", "mcd_org", 4, 4)

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustvario import estimators as estimators_module
-from robustvario.errors import InputError, NoValidPartitionError, RobustVarioError
+from robustvario.errors import (
+    InputError,
+    NoValidPartitionError,
+    RobustVarioError,
+    SingularDataError,
+)
 from robustvario.estimators import (
     ESTIMATOR_IDS,
     ModConfig,
@@ -450,6 +455,27 @@ class TestEstimateDispatch:
         np.testing.assert_array_equal(
             out[("matheron", "ew")].values, estimate(g, lags, "matheron").values
         )
+
+    @pytest.mark.parametrize("family", ["diff", "org.mod"])
+    def test_failed_raw_fit_searched_once(self, monkeypatch, family):
+        # constant EW differences leave every diff row equal, so the raw
+        # search raises SingularDataError; a 3 x 3 grid has no .mod partition
+        calls = []
+        name = "_mod_raw_fits" if "mod" in family else "fast_mcd"
+        original = getattr(estimators_module, name)
+        monkeypatch.setattr(
+            estimators_module, name, lambda *a: calls.append(1) or original(*a)
+        )
+        if "mod" in family:
+            g, error = _iid_grid(3, 3), NoValidPartitionError
+        else:
+            g, error = Grid(np.tile(np.arange(20.0), (8, 1))), SingularDataError
+        out = estimate_grid(
+            g, [LagSet(Direction.EW, 2)], [f"mcd.{family}", f"mcd.{family}.re"],
+            mod=ModConfig(0, 0),
+        )
+        assert calls == [1]
+        assert [type(v) for v in out.values()] == [error, error]
 
     def test_check_request_normalizes_ids(self):
         ids = check_request([" MCD.Org", "matheron"], [Direction.EW], None)

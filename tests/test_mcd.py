@@ -97,7 +97,10 @@ class TestExactMcd:
 
 
 class TestFastMcd:
-    def test_matches_exact_on_small_samples(self):
+    # these samples are small enough for the exact enumeration; _ENUM_MAX = 0
+    # keeps the randomized search under test against the oracle
+    def test_matches_exact_on_small_samples(self, monkeypatch):
+        monkeypatch.setattr(mcd_module, "_ENUM_MAX", 0)
         rng = np.random.default_rng(7)
         for i in range(25):
             n = int(rng.integers(8, 13))
@@ -108,9 +111,10 @@ class TestFastMcd:
             assert f.support == e.support
             assert f.log_det == pytest.approx(e.log_det, rel=1e-10, abs=1e-10)
 
-    def test_matches_exact_on_mod_partition_shape(self):
+    def test_matches_exact_on_mod_partition_shape(self, monkeypatch):
         # the commonest fit of a .mod correction-factor study: n = 15 rows of
         # p = 7 or 8 lags; every third sample has 2 rows shifted by 20
+        monkeypatch.setattr(mcd_module, "_ENUM_MAX", 0)
         rng = np.random.default_rng(16)
         for i in range(12):
             p = 7 + i % 2
@@ -210,6 +214,101 @@ class TestFastMcd:
                 devs[n] = np.mean(trials)
             ratio = devs[2000] / devs[200]
             assert 0.2 <= ratio <= 0.5, (p, devs)
+
+
+# (n, p, k) of the study's raw fits with C(n, k) <= _ENUM_MAX; the last two
+# are the .mod partitions of the 15x15 correction-factor study
+STUDY_SHAPES = [(11, 5, 8), (11, 6, 9), (14, 5, 10), (14, 6, 10), (15, 7, 11), (15, 8, 12)]
+
+
+def shifted_sample(n, p, seed):
+    """Gaussian rows; odd seeds shift 2 of them by 20."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    if seed % 2:
+        x[rng.choice(n, 2, replace=False)] += 20.0
+    return x
+
+
+def fit_bits(fit):
+    return fit.support, fit.log_det, fit.mu.tobytes(), fit.sigma.tobytes(), fit.singular
+
+
+class TestEnumeration:
+    """Samples with C(n, k) <= ``_ENUM_MAX`` get the exact MCD from every
+    k-subset instead of the randomized search."""
+
+    @pytest.mark.parametrize("n,p,k", STUDY_SHAPES)
+    def test_matches_exact_at_study_shapes(self, n, p, k):
+        assert McdConfig().subset_size(n, p) == k
+        assert math.comb(n, k) <= mcd_module._ENUM_MAX
+        for seed in range(4):
+            x = shifted_sample(n, p, seed)
+            e = exact_mcd(x)
+            f = fast_mcd(x, McdConfig(), RngStream(seed))
+            assert f.support == e.support
+            assert f.log_det == pytest.approx(e.log_det, rel=1e-10)
+
+    @pytest.mark.parametrize("n,p,k", STUDY_SHAPES[-2:])
+    def test_same_bits_as_search_at_mod_shapes(self, n, p, k, monkeypatch):
+        samples = [shifted_sample(n, p, seed) for seed in range(10)]
+        enumerated = [fit_bits(fast_mcd(x, McdConfig(), RngStream(s))) for s, x in enumerate(samples)]
+        monkeypatch.setattr(mcd_module, "_ENUM_MAX", 0)
+        searched = [fit_bits(fast_mcd(x, McdConfig(), RngStream(s))) for s, x in enumerate(samples)]
+        assert enumerated == searched
+
+    def test_independent_of_stream(self):
+        x = shifted_sample(15, 7, 1)
+        fits = [
+            fast_mcd(x, McdConfig(), RngStream(0)),
+            fast_mcd(x, McdConfig(), RngStream(99, 7)),
+            fast_mcd(x, McdConfig(n_initial_subsets=1), RngStream(3)),
+        ]
+        assert len({fit_bits(f) for f in fits}) == 1
+
+    def test_all_singular_raises(self):
+        with pytest.raises(SingularDataError, match="k-subsets"):
+            fast_mcd(np.ones((15, 7)), McdConfig(), RngStream(0))
+
+    def test_duplicated_rows_take_first_support(self):
+        # every row twice in a row: a subset and its copy with row 2j swapped
+        # for its twin 2j + 1 fit the same values in the same order, so their
+        # bits tie and only the support order decides
+        x = np.repeat(shifted_sample(6, 2, 3), 2, axis=0)
+        fit = fast_mcd(x, McdConfig(), RngStream(0))
+        assert fit.support == exact_mcd(x).support
+        assert all(i - 1 in fit.support for i in fit.support if i % 2)
+
+    @pytest.mark.parametrize(
+        "x",
+        [shifted_sample(15, 7, 1), np.repeat(shifted_sample(7, 3, 2), 2, axis=0)],
+        ids=["shifted", "duplicated"],
+    )
+    @pytest.mark.parametrize("per_chunk", [1, 97])
+    def test_several_chunks(self, x, per_chunk, monkeypatch):
+        # one subset per chunk puts every tie between chunks
+        n, p = x.shape
+        k = McdConfig().subset_size(n, p)
+        one = fast_mcd(x, McdConfig(), RngStream(0))
+        monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 8 * k * p * per_chunk)
+        assert math.comb(n, k) > 5 * per_chunk
+        assert fit_bits(fast_mcd(x, McdConfig(), RngStream(0))) == fit_bits(one)
+
+    def test_search_just_above_cutoff(self, monkeypatch):
+        n, p = 15, 5  # k = 10, C(15, 10) = 3003
+        k = McdConfig().subset_size(n, p)
+        assert math.comb(n, k) - 10 < mcd_module._ENUM_MAX < math.comb(n, k)
+        calls = []
+        draw_seeds = mcd_module._draw_seeds
+        monkeypatch.setattr(
+            mcd_module, "_draw_seeds", lambda *a: calls.append(1) or draw_seeds(*a)
+        )
+        x = shifted_sample(n, p, 1)
+        fast_mcd(x, McdConfig(), RngStream(0))
+        assert calls == [1]
+        monkeypatch.setattr(mcd_module, "_ENUM_MAX", math.comb(n, k))
+        fast_mcd(x, McdConfig(), RngStream(0))
+        assert calls == [1]
 
 
 def cholesky_weights(x, raw):
