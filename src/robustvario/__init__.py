@@ -6,7 +6,7 @@ simulator, outlier injectors, closed-form breakdown points, and a
 Monte-Carlo study harness.
 """
 
-from .breakdown import BreakdownQuery, breakdown_point, empirical_breakdown_check
+from .breakdown import BreakdownQuery, breakdown_point
 from .contamination import ContaminationSpec, contaminate
 from .errors import (
     AscFormatError,
@@ -25,7 +25,6 @@ from .estimators import (
     ESTIMATOR_IDS,
     ModConfig,
     VariogramEstimate,
-    estimate,
     estimate_grid,
 )
 from .grid import (

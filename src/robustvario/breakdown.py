@@ -1,6 +1,5 @@
 """Closed-form finite-sample explosion breakdown points for directional
-variogram estimators on a one-row grid (n_y = 1), plus an empirical checker
-that plants worst-case contamination and watches the estimates explode.
+variogram estimators on a one-row grid (n_y = 1).
 
 Both contamination scenarios are covered: a single contiguous outlier block,
 and isolated outliers.  All values are exact rationals.  Conventions, with
@@ -18,7 +17,8 @@ p = h_max + 1 (org vectors) or h_max (difference vectors):
   floor((n*+1)/2)/n* over its n* = n_x - h differences.
 
 For the plain MCD estimators the isolated-scenario value is only a lower
-bound; the empirical check is one-sided there.
+bound.  The tests confirm the values by planting contamination of the
+critical size at the worst position (``tests/test_breakdown.py``).
 
 Estimators are named by their raw ids in ``ESTIMATOR_IDS`` (``mcd.org``,
 ``mcd.diff``, ``mcd.org.mod``, ``mcd.diff.mod``, ``genton``); "_" is
@@ -27,24 +27,14 @@ accepted for ".", so ``mcd_org`` names ``mcd.org``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import EstimatorUnusableError, InputError
-from .estimators import (
-    EstimatorKind,
-    ModConfig,
-    estimate,
-    non_overlapping_count,
-    parse_estimator_id,
-)
-from .grid import Direction, Grid, LagSet
-from .numerics import RngStream
+from .estimators import EstimatorKind, non_overlapping_count, parse_estimator_id
 
-__all__ = ["BreakdownQuery", "breakdown_point", "empirical_breakdown_check"]
+__all__ = ["BreakdownQuery", "breakdown_point"]
+
 
 @dataclass(frozen=True)
 class BreakdownQuery:
@@ -115,67 +105,3 @@ def breakdown_point(q: BreakdownQuery) -> Fraction:
     if q.scenario == "block":
         return Fraction(max(ell - q.h_max, 1), q.n_x)
     return Fraction(ell, (q.h_max + 1) * q.n_x)
-
-
-def _outlier_values(q: BreakdownQuery, count: int, magnitude: float) -> np.ndarray:
-    """Planted values: magnitude-scaled, pairwise distinct, with the sign
-    pattern that prevents cancellation for the difference-based targets."""
-    i = np.arange(1, count + 1, dtype=float)
-    scales = magnitude * (1.0 + i / 8.0)
-    if q.estimator == "genton":
-        signs = np.where(((i - 1) // q.h_max) % 2 == 0, 1.0, -1.0)
-    elif q.kind.family == "diff":
-        signs = np.where(i % 2 == 0, 1.0, -1.0)
-    else:
-        signs = np.ones_like(i)
-    return signs * scales
-
-
-def empirical_breakdown_check(
-    q: BreakdownQuery,
-    magnitude: float = 1e6,
-    rng: RngStream = RngStream(0),
-    size_offset: int = 0,
-) -> bool:
-    """Plant contamination of the formula's critical size (plus
-    ``size_offset``) at the worst position and report whether any lag
-    estimate exceeds magnitude^2 / 100.
-
-    Blocks are scanned exhaustively over all start positions; isolated
-    outliers go to the deterministic worst-case placement (one per
-    non-overlapping vector for the modified estimators, spaced h_max + 1
-    apart for the plain ones).  For the modified estimators the bound is
-    exact: one outlier below the critical size must not break anything.
-    """
-    count = math.ceil(breakdown_point(q) * q.n_x) + size_offset
-    clean = rng.generator().standard_normal(q.n_x)
-    lags = LagSet(Direction.EW, q.h_max)
-    mod = ModConfig(m_x=q.m, m_y=0, average_partitions=False, min_vectors=q.p)
-
-    def explodes(values: np.ndarray, stream: RngStream) -> bool:
-        grid = Grid(values.reshape(1, -1))
-        est = estimate(grid, lags, q.estimator, rng=stream, mod=mod)
-        return bool(np.any(est.values > magnitude**2 / 100.0))
-
-    if count <= 0:
-        return explodes(clean, rng.child(1))
-
-    outliers = _outlier_values(q, count, magnitude)
-    if q.scenario == "block":
-        for pos, start in enumerate(range(q.n_x - count + 1)):
-            values = clean.copy()
-            values[start:start + count] = outliers
-            if explodes(values, rng.child(pos + 1)):
-                return True
-        return False
-
-    if q.kind.mod:
-        stride = q.h_max + 1 + q.m
-        positions = [j * stride for j in range(count)]
-    else:
-        positions = [q.h_max + j * (q.h_max + 1) for j in range(count)]
-    if positions and positions[-1] >= q.n_x:
-        raise ValueError(f"cannot place {count} worst-case outliers on n_x={q.n_x}")
-    values = clean.copy()
-    values[positions] = outliers
-    return explodes(values, rng.child(1))

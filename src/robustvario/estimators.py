@@ -2,11 +2,11 @@
 
 :func:`estimate_grid` maps a grid, its lag sets and the requested
 estimator ids to the variogram 2*gammahat per lag (halve for the
-semivariogram); the ``estimate`` command and every study replication call
-it, and it owns the MCD stream rule.  :func:`estimate` runs one id on one
-lag set, for the breakdown checker.  Matheron averages squared pairwise
-differences; Genton squares a Qn scale of the pairwise differences.  The
-multivariate estimators fit an MCD scatter to joint lag vectors:
+semivariogram); it is the one way to run an estimator: the ``estimate``
+command and every study replication call it, and it owns the MCD stream
+rule.  Matheron averages squared pairwise differences; Genton squares a Qn
+scale of the pairwise differences.  The multivariate estimators fit an MCD
+scatter to joint lag vectors:
 
 * "diff" uses difference vectors, whose scatter diagonal is the variogram
   directly;
@@ -47,7 +47,6 @@ __all__ = [
     "ESTIMATOR_IDS",
     "parse_estimator_id",
     "check_request",
-    "estimate",
     "estimate_grid",
     "org_scatter_to_variogram",
     "non_overlapping_count",
@@ -122,17 +121,14 @@ class ModConfig:
     kept chains have |dx| > m_x or |dy| > m_y.  A partition is one choice of
     (chain offset, in-chain start offset); its vectors are mutually
     independent under (m_x, m_y)-dependence.  A partition is used only if it
-    keeps more than ``min_vectors`` vectors (default 2*h_max, guarding MCD
-    singularity).  Each used partition is fitted separately and the per-lag
-    estimates are averaged with equal weights; with ``average_partitions``
-    off only the first (zero-offset, maximal) one is used, which is the
-    construction behind the closed-form breakdown values.
+    keeps more than 2*h_max vectors, guarding MCD singularity; that is never
+    fewer than the vector dimension p (h_max or h_max + 1), as MCD needs
+    n > p.  Each used partition is fitted separately and the per-lag
+    estimates are averaged with equal weights.
     """
 
     m_x: int
     m_y: int
-    average_partitions: bool = True
-    min_vectors: int | None = None
 
     def __post_init__(self):
         if self.m_x < 0 or self.m_y < 0:
@@ -191,21 +187,6 @@ def estimate_grid(
                 result = exc
             out[(kind.id, lags.direction.value)] = result
     return out
-
-
-def estimate(
-    g: Grid,
-    lags: LagSet,
-    estimator_id: str,
-    *,
-    rng: RngStream = RngStream(0),
-    mcdcfg: McdConfig = McdConfig(),
-    mod: ModConfig | None = None,
-) -> VariogramEstimate:
-    """Run one estimator id on one lag set; ``rng`` is the direction's base
-    stream (see :func:`estimate_grid`).  The ``.mod`` ids need ``mod``."""
-    (eid,) = check_request((estimator_id,), (lags.direction,), mod)
-    return _estimate(g, lags, parse_estimator_id(eid), rng, mcdcfg, mod, {})
 
 
 def _estimate(
@@ -329,9 +310,7 @@ def _mod_raw_fits(
 ) -> list:
     """Raw fits of the qualifying partitions; partition i draws from
     ``rng.child(i)``, numbered from 1."""
-    p = lags.h_max + 1 if family == "org" else lags.h_max
-    min_vectors = 2 * lags.h_max if mod.min_vectors is None else mod.min_vectors
-    threshold = max(min_vectors, p)  # MCD additionally needs n > p
+    threshold = 2 * lags.h_max  # max(2*h_max, p), as p <= h_max + 1 and h_max >= 1
     try:
         sample = _extract(family, g, lags)
     except EmptySampleError:
@@ -344,8 +323,6 @@ def _mod_raw_fits(
             continue
         rows = sample.rows[idx]
         fits.append((rows, fast_mcd(rows, mcdcfg, rng.child(number))))
-        if not mod.average_partitions:
-            break
     if not fits:
         raise NoValidPartitionError(
             f"no partition keeps more than {threshold} vectors "

@@ -5,18 +5,18 @@ and (consistency-scaled) sample covariance of the k rows whose covariance
 determinant is minimal.  ``fast_mcd`` finds it by the randomized
 concentration search of Rousseeuw & Van Driessen (1999): many (p+1)-row
 seeds, two C-steps each, then full C-step iteration of the ``N_BEST_KEPT``
-best candidates.  The seeds are ``McdConfig.n_initial_subsets`` random
-(p+1)-subsets, a singular one redrawn up to a budget of 100 draws per seed;
-seeds that stay singular are dropped, and ``SingularDataError`` is raised
-when none is left.  A C-step re-ranks all rows by squared Mahalanobis
-distance under the current fit, keeps the k closest and refits; the
-determinant never increases.  The survivors iterate until their support is
-a fixed point, their log-determinant changes by at most ``CSTEP_TOL``
-(relative) or ``MAX_CSTEPS`` steps have run.  Small samples skip the
-search: when C(n, k) is at most ``_ENUM_MAX`` (3000, where enumeration and
-search took about the same time on the study's shapes), every k-subset is
-fitted and the exact MCD returned, as robustbase's ``covMcd`` does; that
-fit draws nothing from the stream.  Every raw fit is scaled by its
+best candidates.  The seeds are ``McdConfig.n_initial_subsets`` (a fixed
+500) random (p+1)-subsets, a singular one redrawn up to a budget of 100
+draws per seed; seeds that stay singular are dropped, and
+``SingularDataError`` is raised when none is left.  A C-step re-ranks all
+rows by squared Mahalanobis distance under the current fit, keeps the k
+closest and refits; the determinant never increases.  The survivors iterate
+until their support is a fixed point, their log-determinant changes by at
+most ``CSTEP_TOL`` (relative) or ``MAX_CSTEPS`` steps have run.  Small
+samples skip the search: when C(n, k) is at most ``_ENUM_MAX`` (3000, where
+enumeration and search took about the same time on the study's shapes),
+every k-subset is fitted and the exact MCD returned, as robustbase's
+``covMcd`` does; that fit draws nothing from the stream.  Every raw fit is scaled by its
 Fisher-consistency factor.
 
 The C-step kernel inverts each candidate scatter once and gets all squared
@@ -34,9 +34,8 @@ Reweighting keeps rows whose squared robust distance, from the same LU
 solve, is at most the chi-square cutoff chi2_{p, REWEIGHT_DELTA} and
 refits with its own consistency factor; a singular raw fit, or a raw
 scatter without a positive finite determinant, raises
-``NotPositiveDefiniteError``.  :class:`McdConfig`
-holds only what callers choose: the subset fraction and the number of
-seeds.  Sample rows must be finite.
+``NotPositiveDefiniteError``.  :class:`McdConfig` holds only what callers
+choose: the subset fraction.  Sample rows must be finite.
 """
 
 from __future__ import annotations
@@ -45,6 +44,7 @@ import itertools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -82,18 +82,16 @@ class McdConfig:
 
     The subset size k is floor((n+p+1)/2), the maximal-breakdown choice;
     setting ``alpha`` instead derives k = floor(alpha*n), clamped to the
-    admissible range floor((n+p+1)/2) <= k <= n.  ``n_initial_subsets``
-    random (p+1)-seeds are concentrated.
+    admissible range floor((n+p+1)/2) <= k <= n.  The search concentrates
+    ``n_initial_subsets`` random (p+1)-seeds, a class constant.
     """
 
     alpha: float | None = None
-    n_initial_subsets: int = 500
+    n_initial_subsets: ClassVar[int] = 500
 
     def __post_init__(self):
         if self.alpha is not None and not 0.0 < self.alpha <= 1.0:
             raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.n_initial_subsets < 1:
-            raise InputError(f"n_initial_subsets must be >= 1, got {self.n_initial_subsets}")
 
     def subset_size(self, n: int, p: int) -> int:
         """k for an n x p sample with n > p, so that k_min <= n."""
@@ -339,7 +337,7 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     Raises ``SampleTooSmallError`` unless n > p.  With k = n the fit is the
     classical mean and covariance of all rows.  When C(n, k) is at most
     ``_ENUM_MAX`` the fit is the exact MCD of every k-subset instead: it
-    draws nothing from ``rng`` and ignores ``cfg.n_initial_subsets``.
+    draws nothing from ``rng``.
     """
     x = _rows(data)
     n, p = x.shape
@@ -386,22 +384,17 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
 
 def _rank_candidates(logdets: np.ndarray, supports: np.ndarray, n_keep: int) -> list[int]:
     """Indices of the ``n_keep`` best distinct candidates, ordered by
-    (determinant, support lexicographic)."""
-    m = len(logdets)
-    order = np.argsort(logdets, kind="stable")
-    for shortlist in ([order[: 8 * n_keep], order] if m > 8 * n_keep else [order]):
-        ranked = sorted(shortlist, key=lambda i: (logdets[i], tuple(supports[i])))
-        kept, seen = [], set()
-        for i in ranked:
-            key = supports[i].tobytes()
-            if key in seen:
-                continue
-            seen.add(key)
-            kept.append(int(i))
+    (determinant, support lexicographic).  A support's big-endian int64
+    bytes compare in the numeric order of its indices."""
+    dets = logdets.tolist()
+    keys = [row.tobytes() for row in supports.astype(">i8")]
+    kept, seen = [], set()
+    for i in sorted(range(len(dets)), key=lambda i: (dets[i], keys[i])):
+        if keys[i] not in seen:
+            seen.add(keys[i])
+            kept.append(i)
             if len(kept) == n_keep:
-                return kept
-        if len(shortlist) == m:  # duplicates exhausted the shortlist; full pass done
-            return kept
+                break
     return kept
 
 

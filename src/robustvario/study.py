@@ -10,6 +10,8 @@ yielding a multiplicative finite-sample bias correction per estimator and
 direction.  The bias/rMSE study simulates (optionally contaminated) fields,
 applies optional correction factors, and reports per-lag bias and root mean
 squared error on the semivariogram scale with Monte-Carlo standard errors.
+Both write their rows as CSV, one column per row field, so each line shows
+its successful and failed replications (``n_ok``, ``n_fail``).
 
 Reproducibility: replication r draws its field from stream r, its
 contamination from stream r + 2^32, and its estimates from
@@ -25,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
@@ -167,6 +169,18 @@ def _successes(spec: StudySpec, outs: list[dict]):
             yield eid, direction, spec.true_semivariogram(direction), np.stack(ok), n_fail
 
 
+def _write_csv(path, row_type, rows):
+    """One CSV line per row: the fields of ``row_type`` in order, floats as
+    ``.17g`` so that they read back to the same bits."""
+    names = [f.name for f in fields(row_type)]
+    with open(path, "w") as fh:
+        fh.write(",".join(names) + "\n")
+        for r in rows:
+            values = [getattr(r, name) for name in names]
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values))
+            fh.write("\n")
+
+
 @dataclass(frozen=True)
 class CorrfacRow:
     estimator: str
@@ -182,10 +196,7 @@ class CorrfacResult:
     rows: list[CorrfacRow]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("estimator,direction,c_opt,se\n")
-            for r in self.rows:
-                fh.write(f"{r.estimator},{r.direction},{r.c_opt:.17g},{r.se:.17g}\n")
+        _write_csv(path, CorrfacRow, self.rows)
 
 
 def run_correction_factor_study(spec: StudySpec) -> CorrfacResult:
@@ -240,13 +251,7 @@ class StudyResult:
     rows: list[StudyRow]
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("estimator,direction,lag,bias,rmse,se_bias,se_rmse,n_ok,n_fail\n")
-            for r in self.rows:
-                fh.write(
-                    f"{r.estimator},{r.direction},{r.lag},{r.bias:.17g},{r.rmse:.17g},"
-                    f"{r.se_bias:.17g},{r.se_rmse:.17g},{r.n_ok},{r.n_fail}\n"
-                )
+        _write_csv(path, StudyRow, self.rows)
 
 
 def run_bias_rmse_study(spec: StudySpec) -> StudyResult:

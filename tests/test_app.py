@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from robustvario.ascio import AscHeader, apply_quality_mask, load_asc, save_asc, standardize
-from robustvario.cli import main
+from robustvario.cli import _load_corrfac_csv, main
 from robustvario.errors import AscFormatError, NumericalError
 from robustvario.grid import Grid
 
@@ -148,18 +148,18 @@ class TestStandardize:
 
 class TestEndToEndScaleInvariance:
     def test_estimate_on_standardized_matches_original(self):
-        from robustvario.estimators import estimate
+        from robustvario.estimators import estimate_grid
         from robustvario.grid import Direction, LagSet
-        from robustvario.numerics import RngStream
 
         g = Grid(np.random.default_rng(5).standard_normal((12, 12)) * 0.013)
         std, scale = standardize(g)
-        lags = LagSet(Direction.EW, 3)
-        for eid in ("matheron", "genton", "mcd.org"):
+        lags = [LagSet(Direction.EW, 3)]
+        ids = ("matheron", "genton", "mcd.org")
+        on_std = estimate_grid(std, lags, ids, seed=9)
+        on_original = estimate_grid(g, lags, ids, seed=9)
+        for key, est in on_std.items():
             np.testing.assert_allclose(
-                estimate(std, lags, eid, rng=RngStream(9)).values * scale**2,
-                estimate(g, lags, eid, rng=RngStream(9)).values,
-                rtol=1e-8, err_msg=eid,
+                est.values * scale**2, on_original[key].values, rtol=1e-8, err_msg=key[0]
             )
 
 
@@ -179,6 +179,17 @@ class TestCli:
         assert len(lines) == 1 + 2 * 2 * 3
         value = float(lines[1].split(",")[3])
         assert np.isfinite(value)
+
+    def test_corrfac_csv_round_trip(self, tmp_path):
+        # a study-corrfac CSV, n_ok and n_fail included, feeds --corrfac
+        common = ["--nx", "8", "--ny", "8", "--hmax", "2", "--directions", "ew",
+                  "--estimators", "matheron", "--reps", "8", "--jobs", "1"]
+        cf, out = tmp_path / "cf.csv", tmp_path / "bias.csv"
+        assert main(["study-corrfac", *common, "--out", str(cf)]) == 0
+        header, row = cf.read_text().splitlines()
+        assert header == "estimator,direction,c_opt,se,n_ok,n_fail"
+        assert _load_corrfac_csv(cf) == {("matheron", "ew"): float(row.split(",")[2])}
+        assert main(["study-biasrmse", *common, "--corrfac", str(cf), "--out", str(out)]) == 0
 
     def test_contaminate_roundtrip(self, tmp_path):
         asc = tmp_path / "field.asc"

@@ -1,10 +1,97 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from robustvario.breakdown import BreakdownQuery, breakdown_point, empirical_breakdown_check
+from robustvario.breakdown import BreakdownQuery, breakdown_point
 from robustvario.errors import EstimatorUnusableError, InputError
+from robustvario.estimators import estimate_grid, org_scatter_to_variogram
+from robustvario.grid import Direction, Grid, LagSet, extract_diff_vectors, extract_org_vectors
+from robustvario.mcd import McdConfig, fast_mcd
 from robustvario.numerics import RngStream
+
+# stream offset of MCD family j (org, diff, org.mod, diff.mod) below a
+# direction's base stream, as in estimate_grid
+FAMILY_OFFSET = 2**40
+
+
+def _outlier_values(q, count, magnitude):
+    """Planted values: magnitude-scaled, pairwise distinct, with the sign
+    pattern that prevents cancellation for the difference-based targets."""
+    i = np.arange(1, count + 1, dtype=float)
+    scales = magnitude * (1.0 + i / 8.0)
+    if q.estimator == "genton":
+        signs = np.where(((i - 1) // q.h_max) % 2 == 0, 1.0, -1.0)
+    elif q.kind.family == "diff":
+        signs = np.where(i % 2 == 0, 1.0, -1.0)
+    else:
+        signs = np.ones_like(i)
+    return signs * scales
+
+
+def _variogram(q, series, stream):
+    """The closed forms' construction on one planted series: Genton through
+    estimate_grid; a raw MCD fit of the row's org or diff vectors, for
+    ``.mod`` only every (h_max + 1 + m)-th one (the zero-offset partition),
+    drawing from the family's child of ``stream`` (its child 1 for
+    ``.mod``)."""
+    g = Grid(series.reshape(1, -1))
+    lags = LagSet(Direction.EW, q.h_max)
+    if q.estimator == "genton":
+        (est,) = estimate_grid(g, [lags], ["genton"]).values()
+        return est.values
+    org = q.kind.family == "org"
+    rows = (extract_org_vectors if org else extract_diff_vectors)(g, lags).rows
+    j = (0 if org else 1) + 2 * q.kind.mod
+    stream = stream.child((j + 1) * FAMILY_OFFSET)
+    if q.kind.mod:
+        rows, stream = rows[:: q.h_max + 1 + q.m], stream.child(1)
+    sigma = fast_mcd(rows, McdConfig(), stream).sigma
+    return org_scatter_to_variogram(sigma) if org else np.diag(sigma)
+
+
+def empirical_breakdown_check(q, magnitude=1e6, rng=RngStream(0), size_offset=0):
+    """Oracle of the closed forms: plant contamination of the critical size
+    (plus ``size_offset``) at the worst position and report whether any lag
+    estimate exceeds magnitude^2 / 100.
+
+    Blocks are scanned exhaustively over all start positions, position i
+    drawing from ``rng.child(i + 1)``; isolated outliers go to the
+    deterministic worst-case placement (one per non-overlapping vector for
+    the modified estimators, spaced h_max + 1 apart for the plain ones) and
+    draw from ``rng.child(1)``.  For the modified estimators the bound is
+    exact: one outlier below the critical size must not break anything.
+    For the plain MCD estimators the isolated value is only a lower bound,
+    so the check is one-sided there.
+    """
+    count = math.ceil(breakdown_point(q) * q.n_x) + size_offset
+    clean = rng.generator().standard_normal(q.n_x)
+
+    def explodes(series, stream):
+        return bool(np.any(_variogram(q, series, stream) > magnitude**2 / 100.0))
+
+    if count <= 0:
+        return explodes(clean, rng.child(1))
+
+    outliers = _outlier_values(q, count, magnitude)
+    if q.scenario == "block":
+        for pos, start in enumerate(range(q.n_x - count + 1)):
+            series = clean.copy()
+            series[start:start + count] = outliers
+            if explodes(series, rng.child(pos + 1)):
+                return True
+        return False
+
+    if q.kind.mod:
+        stride = q.h_max + 1 + q.m
+        positions = [j * stride for j in range(count)]
+    else:
+        positions = [q.h_max + j * (q.h_max + 1) for j in range(count)]
+    assert positions[-1] < q.n_x, f"cannot place {count} worst-case outliers on n_x={q.n_x}"
+    series = clean.copy()
+    series[positions] = outliers
+    return explodes(series, rng.child(1))
 
 # the nine reference values (n_x = 50, h_max = 4, m = 1 for the modified
 # estimators), all exact rationals

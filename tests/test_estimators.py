@@ -17,7 +17,6 @@ from robustvario.estimators import (
     ESTIMATOR_IDS,
     ModConfig,
     check_request,
-    estimate,
     estimate_grid,
     non_overlapping_count,
     org_scatter_to_variogram,
@@ -44,6 +43,14 @@ def _iid_grid(nx, ny, seed=0):
     return Grid(np.random.default_rng(seed).standard_normal((ny, nx)))
 
 
+def _estimate(g, lags, eid, seed=0, mod=None):
+    """One id on one lag set through estimate_grid; raises its error."""
+    (est,) = estimate_grid(g, [lags], [eid], seed=seed, mod=mod).values()
+    if isinstance(est, RobustVarioError):
+        raise est
+    return est
+
+
 class TestEstimatorIds:
     def test_registry(self):
         assert len(ESTIMATOR_IDS) == 10
@@ -55,28 +62,28 @@ class TestEstimatorIds:
 
 class TestMatheron:
     def test_constant_grid(self):
-        est = estimate(Grid(np.full((5, 5), 2.0)), LagSet(Direction.EW, 2), "matheron")
+        est = _estimate(Grid(np.full((5, 5), 2.0)), LagSet(Direction.EW, 2), "matheron")
         np.testing.assert_array_equal(est.values, [0.0, 0.0])
 
     def test_hand_example(self):
         g = Grid(np.array([[0.0, 1.0, 0.0, 1.0]]))
-        est = estimate(g, LagSet(Direction.EW, 1), "matheron")
+        est = _estimate(g, LagSet(Direction.EW, 1), "matheron")
         assert est.values[0] == 1.0
         assert est.counts[0] == 3
 
     def test_counts_per_lag(self):
-        est = estimate(_iid_grid(15, 15), LagSet(Direction.SN, 3), "matheron")
+        est = _estimate(_iid_grid(15, 15), LagSet(Direction.SN, 3), "matheron")
         np.testing.assert_array_equal(est.counts, [15 * 14, 15 * 13, 15 * 12])
 
 
 class TestGenton:
     def test_constant_grid(self):
-        est = estimate(Grid(np.full((6, 6), 1.0)), LagSet(Direction.SWNE, 2), "genton")
+        est = _estimate(Grid(np.full((6, 6), 1.0)), LagSet(Direction.SWNE, 2), "genton")
         np.testing.assert_array_equal(est.values, [0.0, 0.0])
 
     def test_hand_example(self):
         g = Grid(np.array([[0.0, 1.0, 3.0, 6.0]]))
-        est = estimate(g, LagSet(Direction.EW, 1), "genton")
+        est = _estimate(g, LagSet(Direction.EW, 1), "genton")
         # diffs (-1,-2,-3): k = C(2,2) = 1, qn_raw = 1, scaled by c * d_3, squared
         assert est.values[0] == (GAUSSIAN_CONSISTENCY * qn_finite_sample_factor(3)) ** 2
 
@@ -88,12 +95,12 @@ class TestMcdDiff:
         values = []
         for seed in range(30):
             g = _iid_grid(25, 25, seed=seed)
-            values.append(estimate(g, LagSet(Direction.EW, 3), "mcd.diff", rng=RngStream(seed)).values)
+            values.append(_estimate(g, LagSet(Direction.EW, 3), "mcd.diff", seed=seed).values)
         assert np.all(np.abs(np.mean(values, axis=0) - 2.0) < 0.15)
 
     def test_reweighted_id(self):
         g = _iid_grid(12, 12, seed=1)
-        est = estimate(g, LagSet(Direction.EW, 2), "mcd.diff.re", rng=RngStream(2))
+        est = _estimate(g, LagSet(Direction.EW, 2), "mcd.diff.re", seed=2)
         assert est.estimator_id == "mcd.diff.re"
 
 
@@ -110,7 +117,7 @@ class TestMcdOrg:
         values = []
         for seed in range(30):
             g = _iid_grid(25, 25, seed=seed)
-            values.append(estimate(g, LagSet(Direction.SN, 3), "mcd.org", rng=RngStream(seed)).values)
+            values.append(_estimate(g, LagSet(Direction.SN, 3), "mcd.org", seed=seed).values)
         assert np.all(np.abs(np.mean(values, axis=0) - 2.0) < 0.2)
 
 
@@ -126,8 +133,8 @@ class TestInvariances:
         runs = [("matheron", 0), ("genton", 0), ("mcd.diff", 1), ("mcd.org.re", 2), ("mcd.diff.mod", 3)]
         for eid, seed in runs:
             np.testing.assert_allclose(
-                estimate(shifted, lags, eid, rng=RngStream(seed), mod=mod).values,
-                estimate(g, lags, eid, rng=RngStream(seed), mod=mod).values,
+                _estimate(shifted, lags, eid, seed=seed, mod=mod).values,
+                _estimate(g, lags, eid, seed=seed, mod=mod).values,
                 atol=1e-10, err_msg=eid,
             )
 
@@ -140,8 +147,8 @@ class TestInvariances:
         runs = [("matheron", 0), ("genton", 0), ("mcd.org", 4), ("mcd.diff.re", 5), ("mcd.org.mod", 6)]
         for eid, seed in runs:
             np.testing.assert_allclose(
-                estimate(scaled, lags, eid, rng=RngStream(seed), mod=mod).values,
-                c**2 * estimate(g, lags, eid, rng=RngStream(seed), mod=mod).values,
+                _estimate(scaled, lags, eid, seed=seed, mod=mod).values,
+                c**2 * _estimate(g, lags, eid, seed=seed, mod=mod).values,
                 rtol=1e-8, atol=1e-10, err_msg=eid,
             )
 
@@ -190,9 +197,9 @@ class TestProperties:
         values = np.random.default_rng(seed).standard_normal((ny, nx))
         lags = LagSet(direction, 3)
         for eid in ("matheron", "genton"):
-            base = estimate(Grid(values), lags, eid).values
-            shifted = estimate(Grid(values + shift), lags, eid).values
-            scaled = estimate(Grid(scale * values), lags, eid).values
+            base = _estimate(Grid(values), lags, eid).values
+            shifted = _estimate(Grid(values + shift), lags, eid).values
+            scaled = _estimate(Grid(scale * values), lags, eid).values
             np.testing.assert_allclose(shifted, base, rtol=1e-9, err_msg=eid)
             np.testing.assert_allclose(scaled, scale**2 * base, rtol=1e-9, err_msg=eid)
 
@@ -208,13 +215,15 @@ class TestModEstimator:
                     expected = len(range(0, n_x - h, h + 1 + m))
                     assert non_overlapping_count(n_x, h, m) == expected, (n_x, m, h)
 
-    def test_partition_vector_count_on_row(self):
-        # 1 x 50 grid, m = 1, h_max = 4: the zero-offset partition has 8 vectors
+    def test_partition_vector_count_on_row(self, recorded_fits):
+        # 1 x 50 grid, m = 1, h_max = 3: the zero-offset partition, number 1,
+        # holds every 5th difference vector, non_overlapping_count of them
         g = Grid(np.random.default_rng(0).standard_normal((1, 50)))
-        lags = LagSet(Direction.EW, 4)
-        mod = ModConfig(m_x=1, m_y=0, average_partitions=False, min_vectors=4)
-        est = estimate(g, lags, "mcd.diff.mod", rng=RngStream(1), mod=mod)
-        assert est.counts[0] == 8
+        lags = LagSet(Direction.EW, 3)
+        _estimate(g, lags, "mcd.diff.mod", mod=ModConfig(m_x=1, m_y=0))
+        number, rows = recorded_fits[0]
+        assert number == 1 and len(rows) == non_overlapping_count(50, 3, 1) == 10
+        np.testing.assert_array_equal(rows, extract_diff_vectors(g, lags).rows[::5])
 
     def test_unusable_raises(self):
         # 1 x 50, m = 5, h_max = 6: only 4 non-overlapping vectors remain
@@ -222,27 +231,27 @@ class TestModEstimator:
         lags = LagSet(Direction.EW, 6)
         assert non_overlapping_count(50, 6, 5) == 4
         with pytest.raises(NoValidPartitionError):
-            estimate(g, lags, "mcd.org.mod", rng=RngStream(1), mod=ModConfig(m_x=5, m_y=0))
+            _estimate(g, lags, "mcd.org.mod", seed=1, mod=ModConfig(m_x=5, m_y=0))
 
     def test_default_threshold_respects_2hmax(self):
         # partitions need more than 2*h_max vectors by default
         g = Grid(np.random.default_rng(2).standard_normal((1, 50)))
         lags = LagSet(Direction.EW, 4)
         with pytest.raises(NoValidPartitionError):
-            estimate(g, lags, "mcd.diff.mod", rng=RngStream(1), mod=ModConfig(m_x=1, m_y=0))
+            _estimate(g, lags, "mcd.diff.mod", seed=1, mod=ModConfig(m_x=1, m_y=0))
 
     def test_averaging_uses_all_partitions(self):
         g = _iid_grid(30, 6, seed=5)
         lags = LagSet(Direction.EW, 2)
         mod = ModConfig(m_x=1, m_y=1)
-        est = estimate(g, lags, "mcd.diff.mod", rng=RngStream(9), mod=mod)
+        est = _estimate(g, lags, "mcd.diff.mod", seed=9, mod=mod)
         # 2 chain offsets x 4 start offsets, each partition has > 4 vectors
         assert est.counts[0] > 8 * 4
 
     def test_reweighted_mod_id(self):
         g = _iid_grid(30, 6, seed=6)
         lags = LagSet(Direction.EW, 2)
-        est = estimate(g, lags, "mcd.org.mod.re", rng=RngStream(3), mod=ModConfig(m_x=0, m_y=0))
+        est = _estimate(g, lags, "mcd.org.mod.re", seed=3, mod=ModConfig(m_x=0, m_y=0))
         assert est.estimator_id == "mcd.org.mod.re"
 
 
@@ -295,13 +304,13 @@ def _oracle_partitions(g, lags, kind, mod):
 @pytest.fixture
 def recorded_fits(monkeypatch):
     """Replace the MCD search by a recorder of (partition number, rows) that
-    returns an identity scatter.  With base stream RngStream(0) the partition
-    number is the stream id below the family offset."""
+    returns an identity scatter.  At rep 0, estimate_grid's stream id is
+    2^32 plus a multiple of 2^40 plus the partition number."""
     calls = []
 
     def fake_fast_mcd(data, cfg, rng):
         rows = np.asarray(data, dtype=float)
-        calls.append((rng.stream_id % 2**40, rows.copy()))
+        calls.append(((rng.stream_id - 2**32) % 2**40, rows.copy()))
         return types.SimpleNamespace(sigma=np.eye(rows.shape[1]))
 
     monkeypatch.setattr(estimators_module, "fast_mcd", fake_fast_mcd)
@@ -326,27 +335,15 @@ class TestModPartitions:
     def test_selection_matches_chain_loops(self, recorded_fits, direction, m, nx, ny, masked):
         g = _grid(nx, ny, seed=nx * ny + m, masked=masked)
         lags = LagSet(direction, 2)
-        # thresholds: default 2 * h_max for org; the dimension 2 for diff
-        for kind, mod, threshold in [
-            ("org", ModConfig(m, m), 4),
-            ("diff", ModConfig(m, 0, min_vectors=1), 2),
-        ]:
+        # a partition is fitted when it keeps more than 2 * h_max = 4 vectors
+        for kind, mod in [("org", ModConfig(m, m)), ("diff", ModConfig(m, 0))]:
             recorded_fits.clear()
-            estimate(g, lags, f"mcd.{kind}.mod", mod=mod)
+            _estimate(g, lags, f"mcd.{kind}.mod", mod=mod)
             expected = [(i, rows) for i, rows in _oracle_partitions(g, lags, kind, mod)
-                        if len(rows) > threshold]
+                        if len(rows) > 4]
             assert [i for i, _ in recorded_fits] == [i for i, _ in expected]
             for (_, got), (_, want) in zip(recorded_fits, expected):
                 np.testing.assert_array_equal(got, want)
-
-    def test_first_partition_only(self, recorded_fits):
-        g = _grid(12, 9, seed=4, masked=True)
-        lags = LagSet(Direction.EW, 2)
-        mod = ModConfig(1, 1, average_partitions=False)
-        estimate(g, lags, "mcd.diff.mod", mod=mod)
-        first = next((i, rows) for i, rows in _oracle_partitions(g, lags, "diff", mod) if len(rows) > 4)
-        assert len(recorded_fits) == 1 and recorded_fits[0][0] == first[0]
-        np.testing.assert_array_equal(recorded_fits[0][1], first[1])
 
     @pytest.mark.parametrize("direction", [Direction.SWNE, Direction.SENW])
     @pytest.mark.parametrize("nx", [16, 15])
@@ -356,7 +353,7 @@ class TestModPartitions:
         yy, xx = np.mgrid[1:ny + 1, 1:nx + 1]
         g = Grid((xx + 100 * yy).astype(float))
         mod = ModConfig(1, 1)
-        estimate(g, LagSet(direction, 2), "mcd.org.mod", mod=mod)
+        _estimate(g, LagSet(direction, 2), "mcd.org.mod", mod=mod)
         assert recorded_fits
         sign = -1 if direction is Direction.SWNE else 1
         for _, rows in recorded_fits:
@@ -370,7 +367,7 @@ class TestModPartitions:
     def test_grid_too_small_for_lags(self):
         g = _iid_grid(3, 3)
         with pytest.raises(NoValidPartitionError):
-            estimate(g, LagSet(Direction.EW, 4), "mcd.org.mod", rng=RngStream(1), mod=ModConfig(0, 0))
+            _estimate(g, LagSet(Direction.EW, 4), "mcd.org.mod", seed=1, mod=ModConfig(0, 0))
 
 
 class TestEstimateDispatch:
@@ -419,7 +416,7 @@ class TestEstimateDispatch:
 
     def test_mod_needs_ranges(self):
         with pytest.raises(InputError):
-            estimate(_iid_grid(10, 10), LagSet(Direction.EW, 2), "mcd.diff.mod")
+            _estimate(_iid_grid(10, 10), LagSet(Direction.EW, 2), "mcd.diff.mod")
 
     @pytest.mark.parametrize("family", ["org", "diff", "org.mod", "diff.mod"])
     def test_raw_fits_shared_with_reweighted(self, monkeypatch, family):
@@ -453,7 +450,7 @@ class TestEstimateDispatch:
         assert list(out) == [("mcd.org.mod", "ew"), ("matheron", "ew")]
         assert isinstance(out[("mcd.org.mod", "ew")], NoValidPartitionError)
         np.testing.assert_array_equal(
-            out[("matheron", "ew")].values, estimate(g, lags, "matheron").values
+            out[("matheron", "ew")].values, _estimate(g, lags, "matheron").values
         )
 
     @pytest.mark.parametrize("family", ["diff", "org.mod"])

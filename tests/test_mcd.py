@@ -190,11 +190,6 @@ class TestFastMcd:
         with pytest.raises(InputError, match="finite"):
             reweight_mcd(x, raw)
 
-    @pytest.mark.parametrize("m", [0, -1])
-    def test_no_initial_subsets_rejected(self, m):
-        with pytest.raises(InputError, match="n_initial_subsets"):
-            McdConfig(n_initial_subsets=m)
-
     def test_dimension_guard(self):
         with pytest.raises(SampleTooSmallError):
             fast_mcd(np.zeros((2, 3)), McdConfig(), RngStream(0))
@@ -262,7 +257,7 @@ class TestEnumeration:
         fits = [
             fast_mcd(x, McdConfig(), RngStream(0)),
             fast_mcd(x, McdConfig(), RngStream(99, 7)),
-            fast_mcd(x, McdConfig(n_initial_subsets=1), RngStream(3)),
+            fast_mcd(x, McdConfig(), RngStream(3, 2**40)),
         ]
         assert len({fit_bits(f) for f in fits}) == 1
 
@@ -412,7 +407,7 @@ class TestCStepMonotonicity:
             p = int(rng.integers(2, 6))
             x = rng.standard_normal((n, p))
             x[: n // 4] *= 10.0  # heavy tail to force real concentration work
-            fast_mcd(x, McdConfig(n_initial_subsets=50), RngStream(i))
+            fast_mcd(x, McdConfig(), RngStream(i))
 
     def test_increase_raises_numerical_error(self, monkeypatch):
         # a C-step whose refit reports a larger determinant must fail loudly,
@@ -428,7 +423,59 @@ class TestCStepMonotonicity:
         monkeypatch.setattr(mcd_module, "_batch_fit", inflating)
         x = np.random.default_rng(14).standard_normal((40, 3))
         with pytest.raises(NumericalError, match="increased"):
-            fast_mcd(x, McdConfig(n_initial_subsets=20), RngStream(1))
+            fast_mcd(x, McdConfig(), RngStream(1))
+
+
+    @pytest.mark.xfail(raises=NumericalError, strict=True,
+                       reason="slogdet gives a numerically singular scatter a finite log-det")
+    @pytest.mark.filterwarnings("ignore:MCD support subset has singular covariance")
+    def test_collinear_rows_give_singular_fit(self):
+        # 20 of 30 rows on one line: the MCD's 16 rows can all lie on it, so
+        # the fit is singular; today the monotonicity check raises instead
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((30, 2))
+        x[:20] = rng.standard_normal(2) + rng.standard_normal((20, 1)) * rng.standard_normal(2)
+        assert fast_mcd(x, McdConfig(), RngStream(0)).singular
+
+
+def ranked_by_full_sort(logdets, supports, n_keep):
+    """The oracle of ``_rank_candidates``: every candidate sorted by
+    (log_det, support tuple), the first of each support kept."""
+    order = sorted(range(len(logdets)), key=lambda i: (logdets[i], tuple(supports[i])))
+    kept, seen = [], set()
+    for i in order:
+        if tuple(supports[i]) not in seen:
+            seen.add(tuple(supports[i]))
+            kept.append(i)
+    return kept[:n_keep]
+
+
+@st.composite
+def tied_candidates(draw):
+    """Few distinct log-determinants (-inf among them) and few distinct
+    supports, so that ties and duplicates are common."""
+    m = draw(st.integers(1, 60))
+    k = draw(st.integers(1, 4))
+    logdets = draw(st.lists(st.sampled_from([-np.inf, -2.5, 0.0, 1.0]), min_size=m, max_size=m))
+    support = st.lists(st.integers(0, 300), min_size=k, max_size=k, unique=True).map(sorted)
+    supports = draw(st.lists(support, min_size=m, max_size=m))
+    return np.array(logdets), np.array(supports, dtype=np.intp), draw(st.integers(1, 12))
+
+
+class TestRankCandidates:
+    def test_ties_beyond_the_best_eight(self):
+        # nine singular candidates tie at -inf; the lexicographically first
+        # support, (1, 18), is the last of them
+        supports = np.array([(9 - i, 10 + i) for i in range(9)], dtype=np.intp)
+        assert mcd_module._rank_candidates(np.full(9, -np.inf), supports, 1) == [8]
+
+    @given(tied_candidates())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_full_sort(self, candidates):
+        logdets, supports, n_keep = candidates
+        assert mcd_module._rank_candidates(logdets, supports, n_keep) == ranked_by_full_sort(
+            logdets, supports, n_keep
+        )
 
 
 def oracle_cstep(x, k, supports, mus, sigmas, logdets, check_monotone=True):

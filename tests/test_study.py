@@ -135,8 +135,17 @@ class TestCorrectionFactors:
         path = tmp_path / "cf.csv"
         res.to_csv(path)
         lines = path.read_text().splitlines()
-        assert lines[0] == "estimator,direction,c_opt,se"
-        assert lines[1].startswith("matheron,ew,")
+        assert lines[0] == "estimator,direction,c_opt,se,n_ok,n_fail"
+        (row,) = res.rows
+        fields = lines[1].split(",")
+        assert fields[:2] == ["matheron", "ew"] and fields[4:] == ["10", "0"]
+        assert [float(v) for v in fields[2:4]] == [row.c_opt, row.se]
+
+    def test_csv_shows_failures(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(study_module, "estimate_grid", partial(true_grid, fail_rep=3))
+        path = tmp_path / "cf.csv"
+        run_correction_factor_study(small_spec(replications=400)).to_csv(path)
+        assert path.read_text().splitlines()[1].endswith(",399,1")
 
 
 class TestBiasRmse:

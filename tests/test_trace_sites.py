@@ -10,7 +10,7 @@ import robustvario.cli  # noqa: F401  (the tracer wraps cli attributes)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# call sites that moved into robustvario.estimators.estimate
+# call sites that moved into robustvario.estimators.estimate_grid
 KNOWN_ABSENT = {
     *(f"robustvario.cli.{name}" for name in ("matheron", "genton", "mcd_org", "mcd_diff", "mcd_mod")),
     *(
