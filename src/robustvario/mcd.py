@@ -13,22 +13,27 @@ rows by squared Mahalanobis distance under the current fit, keeps the k
 closest and refits; the determinant never increases.  The survivors iterate
 until their support is a fixed point, their log-determinant changes by at
 most ``CSTEP_TOL`` (relative) or ``MAX_CSTEPS`` steps have run.  Small
-samples skip the search: when C(n, k) is at most ``_ENUM_MAX`` (3000, where
-enumeration and search took about the same time on the study's shapes),
-every k-subset is fitted and the exact MCD returned, as robustbase's
-``covMcd`` does; that fit draws nothing from the stream.  Every raw fit is scaled by its
+samples skip the search: when C(n, k) is at most ``_ENUM_MAX`` (3000) and
+the work C(n, k) * k * p^2 at most ``_ENUM_WORK_MAX``, where enumeration
+and search took about the same time, every k-subset is fitted and the
+exact MCD returned, as robustbase's ``covMcd`` does; that fit draws
+nothing from the stream.  Every raw fit is scaled by its
 Fisher-consistency factor.
 
-The C-step kernel inverts each candidate scatter once and gets all squared
-distances from one matmul.  A candidate whose scatter has a 1-norm
-condition number above ``_COND_MAX``, or whose k-th distance has another
-row within the rounding band ``_RANK_TOL`` * cond of it, gets its
-distances from an LU solve instead (``_sq_distances``), so the kept rows
-are the ones the solve ranks closest.  The k closest rows are picked by
-``np.partition`` with ties at the k-th distance going to the lowest row
-indices, the set a stable argsort keeps.  Candidates run in chunks of at
-most ``_CHUNK_BYTES`` of (chunk, n, p) float64 data, so memory does not
-grow with the number of candidates.
+The C-step kernel runs on BLAS.  ``_batch_fit`` forms the stacked subset
+scatters by one batched matmul, (p, k) @ (k, p) per subset; the full-sample
+fit and the reweighted refit go through it too.  ``_closest_rows`` inverts
+each candidate scatter once and gets all squared distances from one
+batched matmul, in the (m, p, n) layout of the LU solve.  A candidate whose
+scatter has a 1-norm condition number above ``_COND_MAX``, or whose k-th
+distance has another row within the rounding band ``_RANK_TOL`` * cond of
+it, gets its distances from an LU solve instead (``_sq_distances``), so
+the kept rows are the ones the solve ranks closest.  The k closest rows
+are picked by ``np.partition`` with ties at the k-th distance going to the
+lowest row indices, the set a stable argsort keeps.  Candidates run in
+chunks of at most ``_CHUNK_BYTES`` of (chunk, n, p) float64 data, so
+memory does not grow with the number of candidates; a candidate's bits do
+not depend on the chunk it runs in.
 
 Reweighting keeps rows whose squared robust distance, from the same LU
 solve, is at most the chi-square cutoff chi2_{p, REWEIGHT_DELTA} and
@@ -74,6 +79,7 @@ _CHUNK_BYTES = 8 << 20  # float64 budget of one C-step chunk's (chunk, n, p) blo
 _COND_MAX = 1e8  # 1-norm condition number above which distances use an LU solve
 _RANK_TOL = 64 * np.finfo(float).eps  # near-tie band at the k-th distance, per unit of cond
 _ENUM_MAX = 3000  # C(n, k) up to which fast_mcd enumerates every k-subset (measured crossover)
+_ENUM_WORK_MAX = 30_000_000  # and C(n, k) * k * p^2 up to which it does (measured crossover)
 
 
 @dataclass(frozen=True)
@@ -135,16 +141,6 @@ def _rows(data) -> np.ndarray:
     return rows
 
 
-def _subset_logdet(x_sub: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    mu = x_sub.mean(axis=0)
-    dev = x_sub - mu
-    sigma = dev.T @ dev / (x_sub.shape[0] - 1)
-    sign, logdet = np.linalg.slogdet(sigma)
-    if sign <= 0 or not np.isfinite(logdet):
-        logdet = -np.inf
-    return mu, sigma, float(logdet)
-
-
 def _finalize(k, n, p, mu, sigma, support, logdet) -> McdFit:
     singular = not np.isfinite(logdet)
     if singular:
@@ -164,7 +160,7 @@ def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndar
     subs = x[supports]
     mus = subs.mean(axis=1)
     dev = subs - mus[:, None, :]
-    sigmas = np.einsum("mkp,mkq->mpq", dev, dev) / (supports.shape[1] - 1)
+    sigmas = np.swapaxes(dev, 1, 2) @ dev / (supports.shape[1] - 1)
     signs, logdets = np.linalg.slogdet(sigmas)
     logdets = np.where((signs > 0) & np.isfinite(logdets), logdets, -np.inf)
     return mus, sigmas, logdets
@@ -195,8 +191,8 @@ def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) ->
     kth = np.empty((len(mus), 1))
     fast = np.flatnonzero(~exact)
     if fast.size:
-        delta = x[None, :, :] - mus[fast][:, None, :]
-        d2_fast = np.einsum("mnp,mnp->mn", delta @ inv[fast], delta)
+        delta_t = x.T[None] - mus[fast][:, :, None]
+        d2_fast = np.einsum("mpn,mpn->mn", np.swapaxes(inv[fast], 1, 2) @ delta_t, delta_t)
         kth_fast = np.partition(d2_fast, k - 1, axis=1)[:, k - 1 : k]
         near = np.abs(d2_fast - kth_fast) <= _RANK_TOL * cond[fast, None] * np.abs(kth_fast)
         exact[fast] = near.sum(axis=1) > 1
@@ -336,8 +332,9 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
 
     Raises ``SampleTooSmallError`` unless n > p.  With k = n the fit is the
     classical mean and covariance of all rows.  When C(n, k) is at most
-    ``_ENUM_MAX`` the fit is the exact MCD of every k-subset instead: it
-    draws nothing from ``rng``.
+    ``_ENUM_MAX`` and C(n, k) * k * p^2 at most ``_ENUM_WORK_MAX``, the fit
+    is the exact MCD of every k-subset instead: it draws nothing from
+    ``rng``.
     """
     x = _rows(data)
     n, p = x.shape
@@ -345,9 +342,10 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
         raise SampleTooSmallError(f"need n > p, got n={n}, p={p}")
     k = cfg.subset_size(n, p)
     if k == n:
-        mu, sigma, logdet = _subset_logdet(x)
+        (mu,), (sigma,), (logdet,) = _batch_fit(x, np.arange(n)[None])
         return _finalize(k, n, p, mu, sigma, range(n), logdet)
-    if n <= _ENUM_MAX and math.comb(n, k) <= _ENUM_MAX:  # C(n, k) >= n
+    # C(n, k) >= n, so n bounds the count before it is computed
+    if n <= _ENUM_MAX and math.comb(n, k) <= min(_ENUM_MAX, _ENUM_WORK_MAX // (k * p * p)):
         return _enumerate_mcd(x, k)
 
     supports = _draw_seeds(x, cfg, rng)
@@ -422,13 +420,13 @@ def reweight_mcd(data, raw: McdFit) -> McdFit:
         raise SingularDataError("reweighting rejected every observation")
     if n_kept < 2:
         raise SingularDataError("reweighting kept a single observation")
-    mu, sigma, logdet = _subset_logdet(x[w])
+    (mu,), (sigma,), (logdet,) = _batch_fit(x, np.flatnonzero(w)[None])
     c_star = mcd_consistency_factor(REWEIGHT_DELTA, p)
     return McdFit(
         mu=mu,
         sigma=c_star * sigma,
         support=raw.support,
-        log_det=logdet,
+        log_det=float(logdet),
         weights=w.astype(np.int8),
         singular=not np.isfinite(logdet),
     )

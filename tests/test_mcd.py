@@ -32,7 +32,12 @@ def exact_mcd(x, k=None):
     k = McdConfig().subset_size(n, p) if k is None else k
     best = None
     for comb in itertools.combinations(range(n), k):
-        mu, sigma, logdet = mcd_module._subset_logdet(x[list(comb)])
+        sub = x[list(comb)]
+        mu = sub.mean(axis=0)
+        dev = sub - mu
+        sigma = dev.T @ dev / (k - 1)
+        sign, logdet = np.linalg.slogdet(sigma)
+        logdet = logdet if sign > 0 and np.isfinite(logdet) else -np.inf
         if best is None or (logdet, comb) < best[0]:
             best = ((logdet, comb), mu, sigma)
     (logdet, comb), mu, sigma = best
@@ -305,6 +310,22 @@ class TestEnumeration:
         fast_mcd(x, McdConfig(), RngStream(0))
         assert calls == [1]
 
+    def test_bounded_by_work(self, monkeypatch):
+        # every shape with C(n, k) <= _ENUM_MAX and k <= 20 is enumerated;
+        # k = n - 1 at n = 2000, p = 5 is 1e8 of work and is searched
+        assert mcd_module._ENUM_MAX * 20 * 20**2 <= mcd_module._ENUM_WORK_MAX
+        calls = []
+        enumerate_mcd = mcd_module._enumerate_mcd
+        monkeypatch.setattr(
+            mcd_module, "_enumerate_mcd", lambda *a: calls.append(a[1]) or enumerate_mcd(*a)
+        )
+        fast_mcd(shifted_sample(15, 8, 1), McdConfig(), RngStream(0))
+        assert calls == [12]
+        cfg = McdConfig(alpha=0.9995)
+        assert cfg.subset_size(2000, 5) == 1999 and math.comb(2000, 1999) <= mcd_module._ENUM_MAX
+        fit = fast_mcd(shifted_sample(2000, 5, 1), cfg, RngStream(0))
+        assert calls == [12] and len(fit.support) == 1999
+
 
 def cholesky_weights(x, raw):
     """Reweighting weights from distances by triangular solves against the
@@ -430,12 +451,17 @@ class TestCStepMonotonicity:
                        reason="slogdet gives a numerically singular scatter a finite log-det")
     @pytest.mark.filterwarnings("ignore:MCD support subset has singular covariance")
     def test_collinear_rows_give_singular_fit(self):
-        # 20 of 30 rows on one line: the MCD's 16 rows can all lie on it, so
-        # the fit is singular; today the monotonicity check raises instead
-        rng = np.random.default_rng(0)
-        x = rng.standard_normal((30, 2))
-        x[:20] = rng.standard_normal(2) + rng.standard_normal((20, 1)) * rng.standard_normal(2)
-        assert fast_mcd(x, McdConfig(), RngStream(0)).singular
+        # 20 of 30 rows on one line: the MCD's 17 rows can all lie on it, so
+        # the fit is singular; today the monotonicity check raises instead.
+        # At p = 4 each of these samples raises with the einsum scatter and
+        # the matmul scatter alike; at p = 2 and 3, which samples raise
+        # depends on rounding.
+        p = 4
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal((30, p))
+            x[:20] = rng.standard_normal(p) + rng.standard_normal((20, 1)) * rng.standard_normal(p)
+            assert fast_mcd(x, McdConfig(), RngStream(seed)).singular
 
 
 def ranked_by_full_sort(logdets, supports, n_keep):
@@ -575,3 +601,87 @@ class TestCStepOracle:
             expected = np.sort(order[:, :k], axis=1)
             kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
             np.testing.assert_array_equal(mcd_module._k_smallest(d2, k, kth), expected)
+
+
+def subset_moments(x, support):
+    """The per-subset oracle of ``_batch_fit``: the plain mean, ``np.cov``
+    and its log-determinant."""
+    sub = x[list(support)]
+    sigma = np.atleast_2d(np.cov(sub, rowvar=False))
+    sign, logdet = np.linalg.slogdet(sigma)
+    return sub.mean(axis=0), sigma, logdet if sign > 0 else -np.inf
+
+
+@st.composite
+def subset_stacks(draw):
+    """A sample (offset 0 or 1e6) and a stack of sorted k-subsets of its rows."""
+    p = draw(st.integers(1, 6))
+    k = draw(st.integers(p + 1, 40))
+    n = draw(st.integers(k, 60))
+    m = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal((n, p)) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    x += draw(st.sampled_from([0.0, 1e6]))
+    supports = np.sort([rng.choice(n, k, replace=False) for _ in range(m)], axis=1)
+    return x, supports
+
+
+def candidate_stack(x, seed):
+    """The (p+1)-seeds of a FastMCD run and the k-subset fits of their first
+    C-step: stacks with both the fast distances and the LU fallback."""
+    n, p = x.shape
+    k = McdConfig().subset_size(n, p)
+    seeds = mcd_module._draw_seeds(x, McdConfig(), RngStream(seed))
+    state = mcd_module._batch_cstep(
+        x, k, seeds, *mcd_module._batch_fit(x, seeds), check_monotone=False
+    )
+    return k, seeds, state[0]
+
+
+class TestBatchKernel:
+    """``_batch_fit`` and ``_closest_rows``, the C-step kernel."""
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6])
+    def test_batch_fit_matches_oracle(self, offset):
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((300, 5)) + offset
+        supports = np.sort([rng.choice(300, 153, replace=False) for _ in range(20)], axis=1)
+        self.assert_matches_oracle(x, supports)
+
+    @given(subset_stacks())
+    @settings(max_examples=100, deadline=None)
+    def test_batch_fit_matches_oracle_on_drawn_shapes(self, stack):
+        self.assert_matches_oracle(*stack)
+
+    @staticmethod
+    def assert_matches_oracle(x, supports):
+        mus, sigmas, logdets = mcd_module._batch_fit(x, supports)
+        dev = x[supports] - mus[:, None, :]
+        summed = np.einsum("mkp,mkq->mpq", dev, dev) / (supports.shape[1] - 1)
+        assert np.abs(sigmas - summed).max() <= 1e-12 * np.abs(summed).max()
+        for mu, sigma, logdet, support in zip(mus, sigmas, logdets, supports):
+            mu_o, sigma_o, logdet_o = subset_moments(x, support)
+            assert np.abs(mu - mu_o).max() <= 1e-12 * np.abs(x[support]).max()
+            assert np.abs(sigma - sigma_o).max() <= 1e-12 * np.abs(sigma_o).max()
+            sign, own = np.linalg.slogdet(sigma)
+            assert logdet == (own if sign > 0 else -np.inf)
+            if np.isfinite(logdet_o) and np.linalg.cond(sigma_o) < 1e6:
+                assert logdet == pytest.approx(logdet_o, rel=1e-9, abs=1e-9)
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(42).standard_normal((200, 4)),
+        block_sample(1e6, 43),
+    ], ids=["gaussian", "block-1e6"])
+    def test_same_bits_in_any_stack(self, x):
+        # a candidate's fit and kept rows do not depend on the candidates
+        # computed with it, so chunking the C-step keeps every bit
+        k, seeds, supports = candidate_stack(x, 44)
+        for subsets in (seeds, supports):
+            mus, sigmas, logdets = mcd_module._batch_fit(x, subsets)
+            closest = mcd_module._closest_rows(x, k, mus, sigmas)
+            for size in (1, 3):
+                chunks = [slice(lo, lo + size) for lo in range(0, len(subsets), size)]
+                fits = [mcd_module._batch_fit(x, subsets[c]) for c in chunks]
+                assert_same_bits((mus, sigmas, logdets), [np.concatenate(f) for f in zip(*fits)])
+                rows = [mcd_module._closest_rows(x, k, mus[c], sigmas[c]) for c in chunks]
+                assert_same_bits([closest], [np.concatenate(rows)])
