@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Generate the synthetic vegetation-index fixture: a 60x60 ASC raster with
 two planted cloud blocks plus the matching quality raster (0 = clear,
-2 = cloud).  Deterministic; rerunning reproduces the committed files.
+2 = cloud).  Deterministic for a given simulator.  The committed files in
+tests/data/ were made by an earlier simulator (a dense Cholesky factor) and
+are kept as data: a rerun writes a different field.
 """
 
 import math

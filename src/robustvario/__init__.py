@@ -40,7 +40,7 @@ from .ascio import AscHeader, apply_quality_mask, load_asc, save_asc, standardiz
 from .mcd import McdConfig, McdFit, fast_mcd, mcd_consistency_factor, reweight_mcd
 from .numerics import RngStream, chisq_cdf, chisq_quantile
 from .scale import qn, qn_raw
-from .simfield import FieldSpec, field_cholesky, simulate_field
+from .simfield import FieldSpec, simulate_field
 from .study import (
     CorrfacResult,
     StudyResult,

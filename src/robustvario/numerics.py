@@ -4,8 +4,7 @@ random-number streams.
 The chi-square CDF/quantile pair backs the MCD consistency factors and the
 reweighting cutoff; both are thin wrappers of scipy's regularized
 incomplete gamma function and its inverse, with domain checks.  Squared
-Mahalanobis distances live with the MCD code (:mod:`robustvario.mcd`), and
-the field simulator's Cholesky factor in :mod:`robustvario.simfield`.
+Mahalanobis distances live with the MCD code (:mod:`robustvario.mcd`).
 """
 
 from __future__ import annotations

@@ -19,11 +19,15 @@ contamination from stream r + 2^32, and its estimates from
 rule keeps an (estimator, direction) row independent of which other ids or
 directions are requested.  The ``estimate`` command uses the same call with
 rep = 0.  Results are reduced in fixed replication order, so reruns and
-parallel runs are bit-identical.
+parallel runs are bit-identical.  The fields come from the FFT of
+:func:`robustvario.simfield.simulate_field`, which does not call BLAS, so
+they do not depend on the BLAS thread count; CI checks that the study and
+``estimate`` outputs do not either.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -38,7 +42,7 @@ from .estimators import ModConfig, check_request, estimate_grid
 from .grid import Direction, LagSet
 from .mcd import McdConfig
 from .numerics import RngStream
-from .simfield import FieldSpec, field_cholesky, simulate_field
+from .simfield import FieldSpec, simulate_field
 from .variomodel import aniso_variogram
 
 __all__ = [
@@ -105,6 +109,10 @@ class StudySpec:
                        if (eid, d.value) not in self.correction_factors]
             if missing:
                 raise InputError(f"no correction factor for (estimator, direction) {missing}")
+            unusable = {key: c for key, c in self.correction_factors.items()
+                        if not 0.0 < c < math.inf}
+            if unusable:
+                raise InputError(f"correction factors must be finite and positive, got {unusable}")
 
     def lag_set(self, direction: Direction) -> LagSet:
         return LagSet(direction, self.lag_depths[direction])
@@ -113,10 +121,10 @@ class StudySpec:
         return 0.5 * aniso_variogram(self.field.model, self.lag_set(direction).lag_vectors)
 
 
-def _replicate(spec: StudySpec, rep: int, factor: np.ndarray) -> dict:
+def _replicate(spec: StudySpec, rep: int) -> dict:
     """The 2*gammahat values of every requested (estimator, direction) for
     one replication; a failed estimate is recorded as None."""
-    grid = simulate_field(spec.field, RngStream(spec.base_seed, rep), factor)
+    grid = simulate_field(spec.field, RngStream(spec.base_seed, rep))
     if spec.contamination is not None:
         grid, _ = contaminate(
             grid, spec.contamination, RngStream(spec.base_seed, rep + _OFF_CONTAM)
@@ -131,25 +139,17 @@ def _replicate(spec: StudySpec, rep: int, factor: np.ndarray) -> dict:
     }
 
 
-def _run_chunk(args) -> list[dict]:
-    spec, reps = args
-    factor = field_cholesky(spec.field)
-    return [_replicate(spec, rep, factor) for rep in reps]
-
-
 def _collect(spec: StudySpec) -> list[dict]:
     """Run all replications (in parallel when configured) and return their
     per-replication dicts in replication order."""
     n_jobs = spec.n_jobs or os.cpu_count() or 1
-    reps = list(range(spec.replications))
+    run = functools.partial(_replicate, spec)
+    reps = range(spec.replications)
     if n_jobs == 1 or spec.replications < 8:
-        return _run_chunk((spec, reps))
-    # one chunk per worker, so each worker factors the field covariance once
-    n_chunks = min(len(reps), n_jobs)
-    chunks = [(spec, [int(r) for r in b]) for b in np.array_split(np.asarray(reps), n_chunks)]
+        return [run(rep) for rep in reps]
     method = "fork" if "fork" in get_all_start_methods() else None
     with ProcessPoolExecutor(max_workers=n_jobs, mp_context=get_context(method)) as pool:
-        return [out for chunk in pool.map(_run_chunk, chunks) for out in chunk]
+        return list(pool.map(run, reps, chunksize=max(1, spec.replications // (4 * n_jobs))))
 
 
 def _successes(spec: StudySpec, outs: list[dict]):

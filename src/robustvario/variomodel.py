@@ -13,8 +13,8 @@ rotation R(theta) and rescaling T = diag(1, sqrt(1/b)); theta = 0, b = 1 is
 the isotropic model.
 
 :func:`aniso_variogram` is the one kernel: the study's true semivariogram
-and the simulator's covariance C(h) = beta/2 - gamma(h) (weak stationarity)
-both evaluate it.
+and the covariance C(h) = beta/2 - gamma(h) (weak stationarity) that
+:mod:`robustvario.simfield` embeds on its torus both evaluate it.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InputError
 
-__all__ = ["AnisoModel", "aniso_variogram", "covariance_matrix", "parse_model"]
+__all__ = ["AnisoModel", "aniso_variogram", "parse_model"]
 
 _FAMILIES = ("spherical", "exponential", "gaussian")
 
@@ -66,13 +66,6 @@ def aniso_variogram(m: AnisoModel, h):
     if m.family == "exponential":
         return m.sill * (1.0 - np.exp(-3.0 * d / m.range_))
     return m.sill * (1.0 - np.exp(-3.0 * (d / m.range_) ** 2))
-
-
-def covariance_matrix(m: AnisoModel, coords) -> np.ndarray:
-    """Dense covariance matrix C(s_i - s_j) = beta/2 - gamma over the given
-    (x, y) locations; the process variance is beta/2."""
-    coords = np.asarray(coords, dtype=float)
-    return 0.5 * (m.sill - aniso_variogram(m, coords[:, None, :] - coords[None, :, :]))
 
 
 def parse_model(text: str) -> AnisoModel:

@@ -269,6 +269,7 @@ class TestCli:
         "quality-size", "contam-unknown-key", "model-non-finite",
         "directions-repeated", "estimators-repeated", "corrfac-directions-repeated",
         "biasrmse-estimators-repeated", "backscale-without-standardize",
+        "corrfac-negative", "corrfac-nan",
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, case):
         asc = write(tmp_path / "grid.asc", GOOD_ASC)
@@ -282,6 +283,8 @@ class TestCli:
         corrfac = write(tmp_path / "cf.csv", header + "matheron,ew,x,0\n")
         short_row = write(tmp_path / "short.csv", header + "matheron,ew\n")
         ew_only = write(tmp_path / "ew.csv", header + "matheron,ew,1.1,0\n")
+        negative = write(tmp_path / "negative.csv", header + "matheron,ew,-2,0\n")
+        nan = write(tmp_path / "nan.csv", header + "matheron,ew,nan,0\n")
         quality = tmp_path / "quality.asc"
         save_asc(quality, Grid(np.zeros((3, 4))))
         argv = {
@@ -313,6 +316,8 @@ class TestCli:
             "corrfac-directions-repeated": study_corrfac + ["--directions", "ew,ew"],
             "biasrmse-estimators-repeated": study + ["--estimators", "matheron,matheron"],
             "backscale-without-standardize": estimate + ["--backscale"],
+            "corrfac-negative": study + ["--corrfac", negative],
+            "corrfac-nan": study + ["--corrfac", nan],
         }[case]
         assert main(argv) == 2
 

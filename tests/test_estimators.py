@@ -33,7 +33,8 @@ from robustvario.grid import (
 from robustvario.mcd import McdConfig, fast_mcd, reweight_mcd
 from robustvario.numerics import RngStream
 from robustvario.scale import GAUSSIAN_CONSISTENCY, qn, qn_finite_sample_factor
-from robustvario.variomodel import AnisoModel, aniso_variogram, covariance_matrix
+from robustvario.variomodel import AnisoModel, aniso_variogram
+from test_simfield import covariance_matrix
 
 PAPER_MODEL = AnisoModel("spherical", 5.0, 2.0, theta=3.0 * math.pi / 8.0, b=2.0)
 NON_MOD_IDS = tuple(eid for eid in ESTIMATOR_IDS if ".mod" not in eid)

@@ -79,6 +79,11 @@ class TestSpecValidation:
         with pytest.raises(InputError, match="n_jobs"):
             small_spec(n_jobs=n_jobs)
 
+    @pytest.mark.parametrize("c_opt", [0.0, -2.0, math.nan, math.inf])
+    def test_unusable_correction_factor(self, c_opt):
+        with pytest.raises(InputError, match="finite and positive"):
+            small_spec(correction_factors={("matheron", "ew"): c_opt})
+
     def test_default_lag_depths(self):
         depths = default_lag_depths()
         assert depths[Direction.EW] == 7 and depths[Direction.SWNE] == 5

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from robustvario.errors import InputError
-from robustvario.variomodel import AnisoModel, aniso_variogram, covariance_matrix, parse_model
+from robustvario.variomodel import AnisoModel, aniso_variogram, parse_model
+from test_simfield import covariance_matrix
 
 SPH = AnisoModel("spherical", 5.0, 2.0)
 PAPER_MODEL = AnisoModel("spherical", 5.0, 2.0, theta=3.0 * math.pi / 8.0, b=2.0)
