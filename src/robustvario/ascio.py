@@ -1,5 +1,5 @@
-"""Plain-text raster ingestion (ESRI ASCII grid), quality masking, and
-robust standardization.
+"""Plain-text input and output: ESRI ASCII grids, quality masking, robust
+standardization, and the CSV tables that every command writes.
 
 The ASC layout is six header lines (ncols, nrows, xllcorner, yllcorner,
 cellsize, NODATA_value) followed by nrows data rows, northernmost first;
@@ -9,6 +9,7 @@ nodata cells to the mask.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,7 +17,7 @@ import numpy as np
 from .errors import AscFormatError, InputError, NumericalError
 from .grid import Grid
 
-__all__ = ["AscHeader", "load_asc", "save_asc", "apply_quality_mask", "standardize"]
+__all__ = ["AscHeader", "load_asc", "save_asc", "apply_quality_mask", "standardize", "write_csv"]
 
 MAD_CONSISTENCY = 1.4826  # standard-normal consistency of the MAD
 
@@ -95,6 +96,20 @@ def save_asc(path, g: Grid, header: AscHeader | None = None):
         fh.write(f"NODATA_value {h.nodata_value:.17g}\n")
         # northernmost file row first
         np.savetxt(fh, np.where(g.mask, h.nodata_value, g.values)[::-1], fmt="%.17g")
+
+
+def write_csv(path, names, rows) -> None:
+    """Write a CSV table with the header ``names`` and one line per row of
+    values, floats as ``.17g`` (they read back to the same bits) and other
+    values by ``str``; to stdout when ``path`` is None."""
+    lines = (",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+             for row in (names, *rows))
+    text = "".join(line + "\n" for line in lines)
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as fh:
+            fh.write(text)
 
 
 def apply_quality_mask(g: Grid, quality: Grid, clear_codes) -> Grid:

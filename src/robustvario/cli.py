@@ -1,9 +1,10 @@
-"""Command-line interface.
+"""Command-line interface: each subcommand maps its flags to package calls.
 
 Subcommands: simulate (emit an ASC realization), estimate (ASC grid with
 optional quality mask to per-direction variogram CSV), contaminate (plant
 outliers into an ASC), study-corrfac / study-biasrmse (Monte-Carlo
-studies), and breakdown (closed-form breakdown tables).
+studies), and breakdown (closed-form breakdown tables).  Every table goes
+through :func:`robustvario.ascio.write_csv`.
 
 Exit codes: 0 on success, 2 on input/parse errors, 3 on numerical failure.
 """
@@ -11,9 +12,10 @@ Exit codes: 0 on success, 2 on input/parse errors, 3 on numerical failure.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 
-from .ascio import apply_quality_mask, load_asc, save_asc, standardize
+from .ascio import apply_quality_mask, load_asc, save_asc, standardize, write_csv
 from .breakdown import BreakdownQuery, breakdown_point
 from .contamination import ContaminationSpec, contaminate
 from .errors import InputError, NumericalError, RobustVarioError
@@ -22,14 +24,15 @@ from .grid import Direction, LagSet
 from .mcd import McdConfig
 from .numerics import RngStream
 from .simfield import FieldSpec, simulate_field
-from .study import StudySpec, default_lag_depths, run_bias_rmse_study, run_correction_factor_study
+from .study import StudySpec, default_lag_depths, load_corrfac_csv
+from .study import run_bias_rmse_study, run_correction_factor_study
 from .variomodel import parse_model
 
 def _parse_directions(text: str) -> tuple[Direction, ...]:
     return tuple(Direction.parse(name) for name in text.split(","))
 
 
-_CONTAM_KEYS = ("kind", "eps", "epsilon", "mu0", "sigma0", "mode")
+_CONTAM_KEYS = ("kind", "eps", "mu0", "sigma0", "mode")
 
 
 def _parse_contam(text: str) -> ContaminationSpec:
@@ -41,11 +44,13 @@ def _parse_contam(text: str) -> ContaminationSpec:
         key = key.strip().lower()
         if key not in _CONTAM_KEYS:
             raise InputError(f"unknown --contam key {key!r}; known keys: {', '.join(_CONTAM_KEYS)}")
+        if key in fields:
+            raise InputError(f"repeated --contam key {key!r}")
         fields[key] = value.strip()
     try:
         return ContaminationSpec(
             kind=fields.get("kind", "block"),
-            epsilon=float(fields.get("eps", fields.get("epsilon", "0"))),
+            epsilon=float(fields.get("eps", "0")),
             mu0=float(fields.get("mu0", "0")),
             sigma0=float(fields.get("sigma0", "1")),
             mode=fields.get("mode", "substitutive"),
@@ -61,35 +66,16 @@ def _parse_int_list(text: str) -> list[int]:
         raise InputError(f"expected a comma list of integers, got {text!r}") from None
 
 
-def _load_corrfac_csv(path) -> dict[tuple[str, str], float]:
-    factors = {}
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:3] != ["estimator", "direction", "c_opt"]:
-            raise InputError(f"{path}: not a correction-factor CSV")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) < 3:
-                raise InputError(f"{path}: line {lineno}: expected estimator,direction,c_opt")
-            try:
-                factors[(parts[0], parts[1])] = float(parts[2])
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: bad c_opt {parts[2]!r}") from None
-    return factors
+def _fit_configs(args) -> tuple[McdConfig, ModConfig | None]:
+    """The MCD and ``.mod`` settings of ``estimate`` and both studies."""
+    mod = ModConfig(m_x=args.mx, m_y=args.my) if args.mx is not None else None
+    return McdConfig(alpha=args.alpha), mod
 
 
-def _write_text(text: str, path) -> None:
-    """Write ``text`` to the file ``path``, or to stdout when no path is given."""
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+def _wrote(path) -> int:
+    if path is not None:
         print(f"wrote {path}")
-    else:
-        sys.stdout.write(text)
-
-
-def _lag_depths(args) -> dict[Direction, int]:
-    return default_lag_depths(args.hmax, args.hmax_diag)
+    return 0
 
 
 def _cmd_simulate(args) -> int:
@@ -110,82 +96,64 @@ def _cmd_contaminate(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    if args.backscale and not args.standardize:
-        raise InputError("--backscale needs --standardize")
     grid, _ = load_asc(args.grid)
     if args.quality:
         clear = set(_parse_int_list(args.clear_codes))
         grid = apply_quality_mask(grid, load_asc(args.quality)[0], clear)
-    scale = None
     if args.standardize:
-        grid, scale = standardize(grid)
-    depths = _lag_depths(args)
-    estimates = estimate_grid(
-        grid,
-        [LagSet(direction, depths[direction]) for direction in _parse_directions(args.directions)],
-        args.estimators.split(","),
-        seed=args.seed,
-        mcdcfg=McdConfig(alpha=args.alpha),
-        mod=ModConfig(m_x=args.mx, m_y=args.my) if args.mx is not None else None,
-    )
+        grid, _ = standardize(grid)
+    depths = default_lag_depths(args.hmax, args.hmax_diag)
+    lag_sets = [LagSet(d, depths[d]) for d in _parse_directions(args.directions)]
+    mcd, mod = _fit_configs(args)
+    estimates = estimate_grid(grid, lag_sets, args.estimators.split(","),
+                              seed=args.seed, mcdcfg=mcd, mod=mod)
     rows = []
     for (eid, direction), est in estimates.items():
         if isinstance(est, RobustVarioError):
             raise est
-        for lag_idx, value in enumerate(est.values):
-            out_value = value * scale**2 if args.backscale else value
-            rows.append(f"{eid},{direction},{lag_idx + 1},{out_value:.17g},{est.counts[lag_idx]}")
-    _write_text("estimator,direction,lag,variogram,count\n" + "\n".join(rows) + "\n", args.out)
-    return 0
+        rows += [(eid, direction, lag, value, count)
+                 for lag, (value, count) in enumerate(zip(est.values, est.counts), start=1)]
+    write_csv(args.out, "estimator,direction,lag,variogram,count".split(","), rows)
+    return _wrote(args.out)
 
 
 def _study_spec(args, contamination=None, correction_factors=None) -> StudySpec:
+    mcd, mod = _fit_configs(args)
     return StudySpec(
         field=FieldSpec(parse_model(args.model), args.nx, args.ny),
         estimators=args.estimators.split(","),
-        lag_depths=_lag_depths(args),
+        lag_depths=default_lag_depths(args.hmax, args.hmax_diag),
         directions=_parse_directions(args.directions),
-        contamination=contamination,
-        replications=args.reps,
-        base_seed=args.seed,
-        corrfac_divisor=args.divisor,
-        correction_factors=correction_factors,
-        mcd=McdConfig(alpha=args.alpha),
-        mod=ModConfig(m_x=args.mx, m_y=args.my) if args.mx is not None else None,
-        n_jobs=args.jobs,
+        contamination=contamination, correction_factors=correction_factors,
+        replications=args.reps, base_seed=args.seed, corrfac_divisor=args.divisor,
+        mcd=mcd, mod=mod, n_jobs=args.jobs,
     )
 
 
 def _cmd_study_corrfac(args) -> int:
-    result = run_correction_factor_study(_study_spec(args))
-    result.to_csv(args.out)
-    print(f"wrote {args.out}")
-    return 0
+    run_correction_factor_study(_study_spec(args)).to_csv(args.out)
+    return _wrote(args.out)
 
 
 def _cmd_study_biasrmse(args) -> int:
     contamination = _parse_contam(args.contam) if args.contam else None
-    factors = _load_corrfac_csv(args.corrfac) if args.corrfac else None
-    result = run_bias_rmse_study(_study_spec(args, contamination, factors))
-    result.to_csv(args.out)
-    print(f"wrote {args.out}")
-    return 0
+    factors = load_corrfac_csv(args.corrfac) if args.corrfac else None
+    run_bias_rmse_study(_study_spec(args, contamination, factors)).to_csv(args.out)
+    return _wrote(args.out)
 
 
 def _cmd_breakdown(args) -> int:
-    lines = ["scenario,estimator,n_x,h_max,m,numerator,denominator,value"]
-    for estimator in args.estimator.split(","):
-        for n_x in _parse_int_list(args.nx):
-            for h_max in _parse_int_list(args.hmax):
-                for m in _parse_int_list(args.m):
-                    q = BreakdownQuery(args.scenario, estimator.strip(), n_x, h_max, m)
-                    eps = breakdown_point(q)
-                    lines.append(
-                        f"{q.scenario},{q.estimator},{n_x},{h_max},{m},"
-                        f"{eps.numerator},{eps.denominator},{float(eps):.17g}"
-                    )
-    _write_text("\n".join(lines) + "\n", args.out)
-    return 0
+    rows = []
+    for estimator, n_x, h_max, m in itertools.product(
+        args.estimator.split(","), *map(_parse_int_list, (args.nx, args.hmax, args.m))
+    ):
+        q = BreakdownQuery(args.scenario, estimator.strip(), n_x, h_max, m)
+        eps = breakdown_point(q)
+        rows.append((q.scenario, q.estimator, n_x, h_max, m,
+                     eps.numerator, eps.denominator, float(eps)))
+    names = "scenario,estimator,n_x,h_max,m,numerator,denominator,value"
+    write_csv(args.out, names.split(","), rows)
+    return _wrote(args.out)
 
 
 def _add_estimation_args(p: argparse.ArgumentParser, default_hmax: int, default_diag: int):
@@ -199,12 +167,16 @@ def _add_estimation_args(p: argparse.ArgumentParser, default_hmax: int, default_
     p.add_argument("--my", type=int, default=0, help="y dependence range for .mod estimators")
 
 
-def _add_study_args(p: argparse.ArgumentParser):
+def _add_field_args(p: argparse.ArgumentParser):
     p.add_argument("--model", default="spherical:5:2:1.1780972450961724:2",
                    help="family:R:beta[:theta:b] (default: paper-style anisotropic spherical)")
-    _add_estimation_args(p, default_hmax=7, default_diag=5)
     p.add_argument("--nx", type=int, default=15)
     p.add_argument("--ny", type=int, default=15)
+
+
+def _add_study_args(p: argparse.ArgumentParser):
+    _add_field_args(p)
+    _add_estimation_args(p, default_hmax=7, default_diag=5)
     p.add_argument("--reps", type=int, default=1000)
     p.add_argument("--divisor", choices=("h_max", "h_max_minus_1"), default="h_max")
     p.add_argument("--jobs", type=int, default=None)
@@ -219,9 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="simulate a Gaussian random field to an ASC file")
-    p.add_argument("--model", default="spherical:5:2:1.1780972450961724:2")
-    p.add_argument("--nx", type=int, default=15)
-    p.add_argument("--ny", type=int, default=15)
+    _add_field_args(p)
     p.add_argument("--mean", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stream", type=int, default=0)
@@ -242,9 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quality", default=None, help="quality-band ASC raster")
     p.add_argument("--clear-codes", default="0", help="comma list of clear quality codes")
     p.add_argument("--standardize", action="store_true",
-                   help="divide by the consistency-scaled MAD before estimating")
-    p.add_argument("--backscale", action="store_true",
-                   help="report standardized estimates back on the original scale")
+                   help="divide by the consistency-scaled MAD before estimating; "
+                        "estimates are reported on that standardized scale")
     _add_estimation_args(p, default_hmax=4, default_diag=3)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_estimate)

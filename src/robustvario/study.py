@@ -10,8 +10,10 @@ yielding a multiplicative finite-sample bias correction per estimator and
 direction.  The bias/rMSE study simulates (optionally contaminated) fields,
 applies optional correction factors, and reports per-lag bias and root mean
 squared error on the semivariogram scale with Monte-Carlo standard errors.
-Both write their rows as CSV, one column per row field, so each line shows
-its successful and failed replications (``n_ok``, ``n_fail``).
+Both write their rows as CSV through :func:`robustvario.ascio.write_csv`,
+one column per row field, so each line shows its successful and failed
+replications (``n_ok``, ``n_fail``); :func:`load_corrfac_csv` reads a
+correction-factor CSV back for the bias/rMSE study.
 
 Reproducibility: replication r draws its field from stream r, its
 contamination from stream r + 2^32, and its estimates from
@@ -31,11 +33,12 @@ import functools
 import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import astuple, dataclass, field, fields
 from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 
+from .ascio import write_csv
 from .contamination import ContaminationSpec, contaminate
 from .errors import InputError, NumericalError, RobustVarioError, TooManyFailuresError
 from .estimators import ModConfig, check_request, estimate_grid
@@ -54,6 +57,7 @@ __all__ = [
     "run_correction_factor_study",
     "run_bias_rmse_study",
     "default_lag_depths",
+    "load_corrfac_csv",
 ]
 
 _OFF_CONTAM = 2**32
@@ -169,18 +173,6 @@ def _successes(spec: StudySpec, outs: list[dict]):
             yield eid, direction, spec.true_semivariogram(direction), np.stack(ok), n_fail
 
 
-def _write_csv(path, row_type, rows):
-    """One CSV line per row: the fields of ``row_type`` in order, floats as
-    ``.17g`` so that they read back to the same bits."""
-    names = [f.name for f in fields(row_type)]
-    with open(path, "w") as fh:
-        fh.write(",".join(names) + "\n")
-        for r in rows:
-            values = [getattr(r, name) for name in names]
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in values))
-            fh.write("\n")
-
-
 @dataclass(frozen=True)
 class CorrfacRow:
     estimator: str
@@ -196,7 +188,29 @@ class CorrfacResult:
     rows: list[CorrfacRow]
 
     def to_csv(self, path):
-        _write_csv(path, CorrfacRow, self.rows)
+        write_csv(path, [f.name for f in fields(CorrfacRow)], map(astuple, self.rows))
+
+
+def load_corrfac_csv(path) -> dict[tuple[str, str], float]:
+    """{(estimator, direction): c_opt} from a correction-factor CSV such as
+    :meth:`CorrfacResult.to_csv` writes; only the first three columns are read."""
+    factors = {}
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        if header[:3] != ["estimator", "direction", "c_opt"]:
+            raise InputError(f"{path}: not a correction-factor CSV")
+        for lineno, line in enumerate(fh, start=2):
+            parts = line.strip().split(",")
+            if len(parts) < 3:
+                raise InputError(f"{path}: line {lineno}: expected estimator,direction,c_opt")
+            key = (parts[0], parts[1])
+            if key in factors:
+                raise InputError(f"{path}: line {lineno}: repeated row for {key}")
+            try:
+                factors[key] = float(parts[2])
+            except ValueError:
+                raise InputError(f"{path}: line {lineno}: bad c_opt {parts[2]!r}") from None
+    return factors
 
 
 def run_correction_factor_study(spec: StudySpec) -> CorrfacResult:
@@ -251,7 +265,7 @@ class StudyResult:
     rows: list[StudyRow]
 
     def to_csv(self, path):
-        _write_csv(path, StudyRow, self.rows)
+        write_csv(path, [f.name for f in fields(StudyRow)], map(astuple, self.rows))
 
 
 def run_bias_rmse_study(spec: StudySpec) -> StudyResult:

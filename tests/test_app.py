@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from robustvario.ascio import AscHeader, apply_quality_mask, load_asc, save_asc, standardize
-from robustvario.cli import _load_corrfac_csv, main
-from robustvario.errors import AscFormatError, NumericalError
+from robustvario.cli import _parse_contam, main
+from robustvario.errors import AscFormatError, InputError, NumericalError
 from robustvario.grid import Grid
+from robustvario.study import load_corrfac_csv
 
 
 def write(path, text):
@@ -188,8 +189,42 @@ class TestCli:
         assert main(["study-corrfac", *common, "--out", str(cf)]) == 0
         header, row = cf.read_text().splitlines()
         assert header == "estimator,direction,c_opt,se,n_ok,n_fail"
-        assert _load_corrfac_csv(cf) == {("matheron", "ew"): float(row.split(",")[2])}
+        assert load_corrfac_csv(cf) == {("matheron", "ew"): float(row.split(",")[2])}
         assert main(["study-biasrmse", *common, "--corrfac", str(cf), "--out", str(out)]) == 0
+
+    def test_corrfac_csv_repeated_row(self, tmp_path):
+        # a second row for one (estimator, direction) must not override the first
+        cf = write(tmp_path / "cf.csv", "estimator,direction,c_opt,se\n"
+                   "matheron,ew,1.5,0\nmatheron,sn,1.2,0\nmatheron,ew,0.7,0\n")
+        with pytest.raises(InputError, match=r"line 4: repeated row for \('matheron', 'ew'\)"):
+            load_corrfac_csv(cf)
+
+    @pytest.mark.parametrize("text, message", [
+        ("kind=block,eps=0.1,eps=0.2", "repeated --contam key 'eps'"),
+        ("EPS=0.1,kind=block,eps=0.2", "repeated --contam key 'eps'"),
+        ("kind=block,epsilon=0.2", "unknown --contam key 'epsilon'"),
+    ])
+    def test_contam_spec_rejected(self, text, message):
+        with pytest.raises(InputError, match=message):
+            _parse_contam(text)
+
+    @pytest.mark.parametrize("command", ["estimate", "breakdown"])
+    def test_stdout_matches_out_file(self, tmp_path, capsys, command):
+        asc = tmp_path / "field.asc"
+        save_asc(asc, Grid(np.random.default_rng(2).standard_normal((12, 12))))
+        argv = {
+            "estimate": ["estimate", str(asc), "--directions", "ew,sn", "--hmax", "2",
+                         "--estimators", "matheron,genton,mcd.org.re"],
+            "breakdown": ["breakdown", "--scenario", "block", "--estimator", "genton,mcd.diff.mod",
+                          "--nx", "50,101", "--hmax", "4", "--m", "0,1"],
+        }[command]
+        assert main(argv) == 0
+        printed = capsys.readouterr().out
+        assert printed.count("\n") > 1
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_bytes() == printed.encode()
 
     def test_contaminate_roundtrip(self, tmp_path):
         asc = tmp_path / "field.asc"
@@ -268,8 +303,8 @@ class TestCli:
         "simulate-seed-negative", "estimate-seed-negative", "corrfac-seed-negative",
         "quality-size", "contam-unknown-key", "model-non-finite",
         "directions-repeated", "estimators-repeated", "corrfac-directions-repeated",
-        "biasrmse-estimators-repeated", "backscale-without-standardize",
-        "corrfac-negative", "corrfac-nan",
+        "biasrmse-estimators-repeated", "corrfac-negative", "corrfac-nan",
+        "contam-repeated-key", "contam-epsilon", "corrfac-repeated-row",
     ])
     def test_bad_flag_value_exit_2(self, tmp_path, case):
         asc = write(tmp_path / "grid.asc", GOOD_ASC)
@@ -285,6 +320,8 @@ class TestCli:
         ew_only = write(tmp_path / "ew.csv", header + "matheron,ew,1.1,0\n")
         negative = write(tmp_path / "negative.csv", header + "matheron,ew,-2,0\n")
         nan = write(tmp_path / "nan.csv", header + "matheron,ew,nan,0\n")
+        repeated = write(tmp_path / "repeated.csv", header + "matheron,ew,1.5,0\nmatheron,ew,0.7,0\n")
+        contaminate = ["contaminate", asc, "--out", str(tmp_path / "c.asc"), "--contam"]
         quality = tmp_path / "quality.asc"
         save_asc(quality, Grid(np.zeros((3, 4))))
         argv = {
@@ -315,9 +352,11 @@ class TestCli:
             "estimators-repeated": estimate + ["--estimators", "matheron,mcd.org,matheron"],
             "corrfac-directions-repeated": study_corrfac + ["--directions", "ew,ew"],
             "biasrmse-estimators-repeated": study + ["--estimators", "matheron,matheron"],
-            "backscale-without-standardize": estimate + ["--backscale"],
             "corrfac-negative": study + ["--corrfac", negative],
             "corrfac-nan": study + ["--corrfac", nan],
+            "contam-repeated-key": contaminate + ["kind=block,eps=0.1,eps=0.2"],
+            "contam-epsilon": contaminate + ["kind=block,epsilon=0.2"],
+            "corrfac-repeated-row": study + ["--corrfac", repeated],
         }[case]
         assert main(argv) == 2
 
@@ -325,6 +364,13 @@ class TestCli:
         asc = write(tmp_path / "grid.asc", GOOD_ASC)
         with pytest.raises(SystemExit) as exc:
             main(["estimate", asc, "--model", "foo:1:2"])
+        assert exc.value.code == 2
+
+    def test_backscale_is_not_a_flag(self, tmp_path):
+        # estimates are scale-equivariant: standardize, or leave the scale as it is
+        asc = write(tmp_path / "grid.asc", GOOD_ASC)
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", asc, "--standardize", "--backscale"])
         assert exc.value.code == 2
 
     def test_numerical_failure_exit_3(self, tmp_path):
