@@ -65,6 +65,7 @@ ESTIMATOR_IDS = (
     "mcd.diff.mod.re",
 )
 
+_OFF_CONTAM = 2**32  # a study's contamination streams, rep + _OFF_CONTAM
 _OFF_MCD = 2**40
 _FAMILY_STREAM = {"org": 0, "diff": 1, "org.mod": 2, "diff.mod": 3}
 
@@ -178,7 +179,7 @@ def estimate_grid(
     out = {}
     for lags in lag_sets:
         d = list(Direction).index(lags.direction)
-        rng = RngStream(seed, rep + 2**32 + d * len(_FAMILY_STREAM) * _OFF_MCD)
+        rng = RngStream(seed, rep + _OFF_CONTAM + d * len(_FAMILY_STREAM) * _OFF_MCD)
         fits: dict = {}
         for kind in kinds:
             try:

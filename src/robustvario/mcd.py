@@ -3,22 +3,26 @@
 The raw MCD of p-dimensional rows x_1..x_n with subset size k is the mean
 and (consistency-scaled) sample covariance of the k rows whose covariance
 determinant is minimal.  ``fast_mcd`` finds it by the randomized
-concentration search of Rousseeuw & Van Driessen (1999): many (p+1)-row
-seeds, two C-steps each, then full C-step iteration of the ``N_BEST_KEPT``
-best candidates.  The seeds are ``McdConfig.n_initial_subsets`` (a fixed
-500) random (p+1)-subsets, a singular one redrawn up to a budget of 100
-draws per seed; seeds that stay singular are dropped, and
-``SingularDataError`` is raised when none is left.  A C-step re-ranks all
-rows by squared Mahalanobis distance under the current fit, keeps the k
-closest and refits; the determinant never increases.  The survivors iterate
-until their support is a fixed point, their log-determinant changes by at
-most ``CSTEP_TOL`` (relative) or ``MAX_CSTEPS`` steps have run.  Small
-samples skip the search: when C(n, k) is at most ``_ENUM_MAX`` (3000) and
-the work C(n, k) * k * p^2 at most ``_ENUM_WORK_MAX``, where enumeration
-and search took about the same time, every k-subset is fitted and the
-exact MCD returned, as robustbase's ``covMcd`` does; that fit draws
-nothing from the stream.  Every raw fit is scaled by its
-Fisher-consistency factor.
+concentration search of Rousseeuw & Van Driessen (1999), in stages, whose
+C-steps (stages 2 and 4) all run in the one loop ``_concentrate``:
+
+1. ``McdConfig.n_initial_subsets`` (a fixed 500) random (p+1)-seeds, a
+   singular one redrawn up to a budget of 100 draws per seed; seeds that
+   stay singular are dropped (``SingularDataError`` if none is left);
+2. two C-steps of each seed;
+3. the ``N_BEST_KEPT`` best distinct candidates kept;
+4. their C-steps to a support fixed point, a log-determinant change of at
+   most ``CSTEP_TOL`` (relative), singularity or ``MAX_CSTEPS`` steps;
+5. the best of them returned.
+
+A C-step re-ranks all rows by squared Mahalanobis distance under the
+current fit, keeps the k closest and refits; the determinant never
+increases.  Small samples skip the search: when C(n, k) is at most
+``_ENUM_MAX`` (3000) and the work C(n, k) * k * p^2 at most
+``_ENUM_WORK_MAX``, where enumeration and search took about the same time,
+every k-subset is fitted and the exact MCD returned, as robustbase's
+``covMcd`` does; that fit draws nothing from the stream.  Every raw fit is
+scaled by its Fisher-consistency factor.
 
 The C-step kernel runs on BLAS.  ``_batch_fit`` forms the stacked subset
 scatters by one batched matmul, (p, k) @ (k, p) per subset; the full-sample
@@ -27,7 +31,7 @@ each candidate scatter once and gets all squared distances from one
 batched matmul, in the (m, p, n) layout of the LU solve.  A candidate whose
 scatter has a 1-norm condition number above ``_COND_MAX``, or whose k-th
 distance has another row within the rounding band ``_RANK_TOL`` * cond of
-it, gets its distances from an LU solve instead (``_sq_distances``), so
+it, has them overwritten by an LU solve's (``_sq_distances``), so
 the kept rows are the ones the solve ranks closest.  The k closest rows
 are picked by ``np.partition`` with ties at the k-th distance going to the
 lowest row indices, the set a stable argsort keeps.  Candidates run in
@@ -80,6 +84,7 @@ _COND_MAX = 1e8  # 1-norm condition number above which distances use an LU solve
 _RANK_TOL = 64 * np.finfo(float).eps  # near-tie band at the k-th distance, per unit of cond
 _ENUM_MAX = 3000  # C(n, k) up to which fast_mcd enumerates every k-subset (measured crossover)
 _ENUM_WORK_MAX = 30_000_000  # and C(n, k) * k * p^2 up to which it does (measured crossover)
+_Candidates = tuple[np.ndarray, ...]  # (supports, mus, sigmas, logdets) of a candidate stack
 
 
 @dataclass(frozen=True)
@@ -179,24 +184,18 @@ def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) ->
 
     Each scatter is inverted once and the distances come from one matmul.
     Where that ranking is not certain to match an LU solve's, the candidate's
-    distances come from ``np.linalg.solve`` instead: when the 1-norm
+    distances are overwritten by ``np.linalg.solve``'s: when the 1-norm
     condition number exceeds ``_COND_MAX``, or when another row lies within
     ``_RANK_TOL`` * cond (relative) of the k-th distance, as the p+1 rows of
     a seed always do, their distances being equal in exact arithmetic.
     """
     inv = np.linalg.inv(sigmas)
     cond = np.abs(sigmas).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
-    exact = ~(cond <= _COND_MAX)
-    d2 = np.empty((len(mus), len(x)))
-    kth = np.empty((len(mus), 1))
-    fast = np.flatnonzero(~exact)
-    if fast.size:
-        delta_t = x.T[None] - mus[fast][:, :, None]
-        d2_fast = np.einsum("mpn,mpn->mn", np.swapaxes(inv[fast], 1, 2) @ delta_t, delta_t)
-        kth_fast = np.partition(d2_fast, k - 1, axis=1)[:, k - 1 : k]
-        near = np.abs(d2_fast - kth_fast) <= _RANK_TOL * cond[fast, None] * np.abs(kth_fast)
-        exact[fast] = near.sum(axis=1) > 1
-        d2[fast], kth[fast] = d2_fast, kth_fast
+    delta_t = x.T[None] - mus[:, :, None]
+    d2 = np.einsum("mpn,mpn->mn", np.swapaxes(inv, 1, 2) @ delta_t, delta_t)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    near = np.abs(d2 - kth) <= _RANK_TOL * cond[:, None] * np.abs(kth)
+    exact = ~(cond <= _COND_MAX) | (near.sum(axis=1) > 1)
     if exact.any():
         d2[exact] = _sq_distances(x, mus[exact], sigmas[exact])
         kth[exact] = np.partition(d2[exact], k - 1, axis=1)[:, k - 1 : k]
@@ -223,48 +222,59 @@ def _k_smallest(d2: np.ndarray, k: int, kth: np.ndarray) -> np.ndarray:
     return np.nonzero(keep)[1].reshape(-1, k)
 
 
-def _batch_cstep(
-    x: np.ndarray,
-    k: int,
-    supports: np.ndarray,
-    mus: np.ndarray,
-    sigmas: np.ndarray,
-    logdets: np.ndarray,
-    check_monotone: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One C-step for every nonsingular candidate; singular ones pass through
-    with their support and fit unchanged (they are terminal).  Returns
-    (supports, mus, sigmas, logdets) of the refitted candidates.
+def _batch_cstep(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) -> _Candidates:
+    """One C-step for every candidate fit: its k closest rows
+    (``_closest_rows``, ties to the lower row index, the support an LU solve
+    and a stable argsort give) and their fit.  Returns (supports, mus,
+    sigmas, logdets).
 
     Candidates run in chunks whose (chunk, n, p) float64 block fits
     ``_CHUNK_BYTES``, so memory stays bounded for any number of candidates.
-    The new support is the k closest rows (``_closest_rows``), ties broken
-    by the lower row index: the support an LU solve and a stable argsort
-    give.
-
-    Monotonicity (the determinant never increases) holds once the incoming
-    fit is itself a k-subset fit; the first step after a (p+1)-seed is
-    exempt.
     """
-    m = len(logdets)
-    alive = np.isfinite(logdets)
-    idx = np.flatnonzero(alive)
-    supports2 = np.empty((m, k), dtype=np.intp)
-    if idx.size < m:
-        # seeds are nonsingular, so a terminal candidate has had a C-step
-        # and its support is k wide too
-        supports2[~alive] = supports[~alive]
-    mus2, sigmas2, logdets2 = mus.copy(), sigmas.copy(), np.full(m, -np.inf)
+    m = len(mus)
+    supports = np.empty((m, k), dtype=np.intp)
+    mus2, sigmas2, logdets = np.empty_like(mus), np.empty_like(sigmas), np.empty(m)
     chunk = max(1, _CHUNK_BYTES // (8 * x.size))
-    for lo in range(0, idx.size, chunk):
-        sel = idx[lo : lo + chunk]
-        supports2[sel] = _closest_rows(x, k, mus[sel], sigmas[sel])
-        mus2[sel], sigmas2[sel], logdets2[sel] = _batch_fit(x, supports2[sel])
-    if check_monotone and not np.all(
-        logdets2[alive] <= logdets[alive] + _LOGDET_SLACK * np.maximum(1.0, np.abs(logdets[alive]))
-    ):
-        raise NumericalError("C-step increased the covariance determinant")
-    return supports2, mus2, sigmas2, logdets2
+    for lo in range(0, m, chunk):
+        sel = slice(lo, lo + chunk)
+        supports[sel] = _closest_rows(x, k, mus[sel], sigmas[sel])
+        mus2[sel], sigmas2[sel], logdets[sel] = _batch_fit(x, supports[sel])
+    return supports, mus2, sigmas2, logdets
+
+
+def _concentrate(
+    x: np.ndarray, k: int, supports: np.ndarray, mus: np.ndarray, sigmas: np.ndarray,
+    logdets: np.ndarray, steps: int,
+) -> _Candidates:
+    """Up to ``steps`` C-steps of every candidate; returns its final
+    (supports, mus, sigmas, logdets), the fits updated in place.
+
+    A candidate stops when its support is a fixed point, its log-determinant
+    changes by at most ``CSTEP_TOL`` (relative) or it turns singular; one
+    singular on entry is not stepped and keeps its fit.  A step from a
+    k-subset fit must not increase the determinant (``NumericalError``).
+    The first step from (p+1)-seeds, whose supports are not k wide, is
+    exempt and always runs: a seed's determinant is not comparable.
+    """
+    active = np.isfinite(logdets)
+    for _ in range(steps):
+        idx = np.flatnonzero(active)
+        if not idx.size:
+            break
+        sup2, mu2, sigma2, ld2 = _batch_cstep(x, k, mus[idx], sigmas[idx])
+        ld = logdets[idx]
+        stopped = ~np.isfinite(ld2)
+        if supports.shape[1] == k:
+            scale = np.maximum(1.0, np.abs(ld))
+            if not np.all(ld2 <= ld + _LOGDET_SLACK * scale):
+                raise NumericalError("C-step increased the covariance determinant")
+            fixed = np.all(sup2 == supports[idx], axis=1)
+            stopped |= fixed | (np.abs(ld - ld2) <= CSTEP_TOL * scale)
+        else:  # every seed is nonsingular, so every one was stepped
+            supports = np.empty((len(ld), k), dtype=np.intp)
+        supports[idx], mus[idx], sigmas[idx], logdets[idx] = sup2, mu2, sigma2, ld2
+        active[idx[stopped]] = False
+    return supports, mus, sigmas, logdets
 
 
 def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -275,8 +285,9 @@ def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> 
     return np.sort(picked, axis=1)
 
 
-def _draw_seeds(x: np.ndarray, cfg: McdConfig, rng: RngStream) -> np.ndarray:
-    """Seed subsets of size p+1 with a nonsingular fit.
+def _draw_seeds(x: np.ndarray, cfg: McdConfig, rng: RngStream) -> _Candidates:
+    """Seed subsets of size p+1 with a nonsingular fit, and their fits:
+    (seeds, mus, sigmas, logdets).
 
     ``cfg.n_initial_subsets`` random (p+1)-subsets are drawn and singular
     ones redrawn within a budget of 100 draws per seed.  Seeds still
@@ -287,22 +298,20 @@ def _draw_seeds(x: np.ndarray, cfg: McdConfig, rng: RngStream) -> np.ndarray:
     gen = rng.generator()
     m = cfg.n_initial_subsets
     seeds = _sample_subsets(n, p + 1, m, gen)
-    _, _, logdets = _batch_fit(x, seeds)
-    attempts = m
-    budget = 100 * m
+    mus, sigmas, logdets = _batch_fit(x, seeds)
+    attempts, budget = m, 100 * m
     bad = np.flatnonzero(~np.isfinite(logdets))
     while bad.size and attempts < budget:
         n_redraw = min(bad.size, budget - attempts)
         redraw = bad[:n_redraw]
         seeds[redraw] = _sample_subsets(n, p + 1, n_redraw, gen)
         attempts += n_redraw
-        _, _, sub_logdets = _batch_fit(x, seeds[redraw])
-        logdets[redraw] = sub_logdets
+        mus[redraw], sigmas[redraw], logdets[redraw] = _batch_fit(x, seeds[redraw])
         bad = np.flatnonzero(~np.isfinite(logdets))
     ok = np.isfinite(logdets)
     if not ok.any():
         raise SingularDataError("all initial (p+1)-subsets are singular")
-    return seeds[ok]
+    return seeds[ok], mus[ok], sigmas[ok], logdets[ok]
 
 
 def _enumerate_mcd(x: np.ndarray, k: int) -> McdFit:
@@ -334,7 +343,9 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     classical mean and covariance of all rows.  When C(n, k) is at most
     ``_ENUM_MAX`` and C(n, k) * k * p^2 at most ``_ENUM_WORK_MAX``, the fit
     is the exact MCD of every k-subset instead: it draws nothing from
-    ``rng``.
+    ``rng``.  Otherwise the search runs its stages: seeds drawn from
+    ``rng``, two C-steps of each, the ``N_BEST_KEPT`` best kept, C-steps of
+    those to convergence, and the best of them returned.
     """
     x = _rows(data)
     n, p = x.shape
@@ -348,36 +359,13 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     if n <= _ENUM_MAX and math.comb(n, k) <= min(_ENUM_MAX, _ENUM_WORK_MAX // (k * p * p)):
         return _enumerate_mcd(x, k)
 
-    supports = _draw_seeds(x, cfg, rng)
-    mus, sigmas, logdets = _batch_fit(x, supports)
-    for step in range(2):
-        supports, mus, sigmas, logdets = _batch_cstep(
-            x, k, supports, mus, sigmas, logdets, check_monotone=(step > 0)
-        )
-
+    supports, mus, sigmas, logdets = _concentrate(x, k, *_draw_seeds(x, cfg, rng), steps=2)
     kept = _rank_candidates(logdets, supports, N_BEST_KEPT)
-    mus, sigmas, logdets, supports = mus[kept], sigmas[kept], logdets[kept], supports[kept]
-
-    # iterate the survivors to convergence (support fixed point, determinant
-    # change below tolerance, singularity, or the step cap)
-    active = np.isfinite(logdets)
-    for _ in range(MAX_CSTEPS):
-        if not active.any():
-            break
-        idx = np.flatnonzero(active)
-        sup2, mu2, sigma2, ld2 = _batch_cstep(
-            x, k, supports[idx], mus[idx], sigmas[idx], logdets[idx]
-        )
-        unchanged = np.all(sup2 == supports[idx], axis=1)
-        converged = unchanged | (
-            np.abs(logdets[idx] - ld2) <= CSTEP_TOL * np.maximum(1.0, np.abs(logdets[idx]))
-        ) | ~np.isfinite(ld2)
-        mus[idx], sigmas[idx], logdets[idx], supports[idx] = mu2, sigma2, ld2, sup2
-        active[idx[converged]] = False
-
-    order = _rank_candidates(logdets, supports, 1)
-    i = order[0]
-    return _finalize(k, n, p, mus[i], sigmas[i], tuple(supports[i]), logdets[i])
+    supports, mus, sigmas, logdets = _concentrate(
+        x, k, supports[kept], mus[kept], sigmas[kept], logdets[kept], steps=MAX_CSTEPS
+    )
+    i = _rank_candidates(logdets, supports, 1)[0]
+    return _finalize(k, n, p, mus[i], sigmas[i], supports[i], logdets[i])
 
 
 def _rank_candidates(logdets: np.ndarray, supports: np.ndarray, n_keep: int) -> list[int]:

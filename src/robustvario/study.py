@@ -41,7 +41,7 @@ import numpy as np
 from .ascio import write_csv
 from .contamination import ContaminationSpec, contaminate
 from .errors import InputError, NumericalError, RobustVarioError, TooManyFailuresError
-from .estimators import ModConfig, check_request, estimate_grid
+from .estimators import _OFF_CONTAM, ModConfig, check_request, estimate_grid
 from .grid import Direction, LagSet
 from .mcd import McdConfig
 from .numerics import RngStream
@@ -60,7 +60,6 @@ __all__ = [
     "load_corrfac_csv",
 ]
 
-_OFF_CONTAM = 2**32
 _MAX_FAILURE_SHARE = 0.01
 
 DEFAULT_DIRECTIONS = (Direction.EW, Direction.SN, Direction.SWNE, Direction.SENW)

@@ -504,27 +504,13 @@ class TestRankCandidates:
         )
 
 
-def oracle_cstep(x, k, supports, mus, sigmas, logdets, check_monotone=True):
+def oracle_cstep(x, k, mus, sigmas):
     """The C-step before chunking: one LU solve with n right-hand sides per
     candidate, a full stable argsort, every candidate in one batch."""
-    m, p = mus.shape
-    alive = np.isfinite(logdets)
-    safe = sigmas.copy()
-    safe[~alive] = np.eye(p)
-    delta = x[None, :, :] - mus[:, None, :]
-    sol = np.linalg.solve(safe, np.swapaxes(delta, 1, 2))
-    d2 = np.einsum("mpn,mpn->mn", np.swapaxes(delta, 1, 2), sol)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    supports2 = np.sort(order, axis=1)
-    mus2, sigmas2, logdets2 = mcd_module._batch_fit(x, supports2)
-    slack = mcd_module._LOGDET_SLACK * np.maximum(1.0, np.abs(logdets[alive]))
-    if check_monotone and not np.all(logdets2[alive] <= logdets[alive] + slack):
-        raise NumericalError("C-step increased the covariance determinant")
-    keep = ~alive
-    if keep.any():
-        supports2[keep] = supports[keep]
-        mus2[keep], sigmas2[keep], logdets2[keep] = mus[keep], sigmas[keep], -np.inf
-    return supports2, mus2, sigmas2, logdets2
+    delta_t = np.swapaxes(x[None, :, :] - mus[:, None, :], 1, 2)
+    d2 = np.einsum("mpn,mpn->mn", delta_t, np.linalg.solve(sigmas, delta_t))
+    supports = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+    return (supports, *mcd_module._batch_fit(x, supports))
 
 
 def assert_same_bits(a, b):
@@ -543,20 +529,18 @@ class TestCStepOracle:
     over the first two C-steps of a FastMCD run."""
 
     @staticmethod
-    def two_steps(x, seed, kill=()):
+    def two_steps(x, seed):
         n, p = x.shape
         k = McdConfig().subset_size(n, p)
-        seeds = mcd_module._draw_seeds(x, McdConfig(), RngStream(seed))
-        state = (seeds, *mcd_module._batch_fit(x, seeds))
+        _, mus, sigmas, logdets = mcd_module._draw_seeds(x, McdConfig(), RngStream(seed))
         conds = []
-        for step in range(2):
-            conds.append(one_norm_cond(state[2][np.isfinite(state[3])]))
-            new = mcd_module._batch_cstep(x, k, *state, check_monotone=step > 0)
-            old = oracle_cstep(x, k, *state, check_monotone=step > 0)
-            assert_same_bits(new, old)
-            state = new
-            if kill:  # terminal candidates pass through unchanged
-                state[3][list(kill)] = -np.inf
+        for _ in range(2):
+            alive = np.isfinite(logdets)  # as _concentrate steps them
+            mus, sigmas = mus[alive], sigmas[alive]
+            conds.append(one_norm_cond(sigmas))
+            new = mcd_module._batch_cstep(x, k, mus, sigmas)
+            assert_same_bits(new, oracle_cstep(x, k, mus, sigmas))
+            _, mus, sigmas, logdets = new
         return np.concatenate(conds)
 
     def test_clean_gaussian(self):
@@ -582,7 +566,7 @@ class TestCStepOracle:
         x = np.random.default_rng(24).standard_normal((120, 3))
         x[:15] += 50.0
         monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 7 * x.nbytes)
-        self.two_steps(x, 4, kill=(0, 8, 9, 499))
+        self.two_steps(x, 4)
 
     @given(
         d2=st.integers(1, 40).flatmap(
@@ -601,6 +585,39 @@ class TestCStepOracle:
             expected = np.sort(order[:, :k], axis=1)
             kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
             np.testing.assert_array_equal(mcd_module._k_smallest(d2, k, kth), expected)
+
+
+class TestConcentrate:
+    """``_concentrate``, the one C-step loop, and the seeds it starts from."""
+
+    def test_singular_on_entry_keeps_its_fit(self, monkeypatch):
+        x = np.random.default_rng(24).standard_normal((120, 3))
+        x[:15] += 50.0
+        k = McdConfig().subset_size(*x.shape)
+        seeds = mcd_module._draw_seeds(x, McdConfig(), RngStream(4))
+        entry = mcd_module._concentrate(x, k, *seeds, steps=2)
+        kill = np.zeros(len(entry[0]), dtype=bool)
+        kill[[0, 8, 9, len(kill) - 1]] = True
+        entry[3][kill] = -np.inf
+        monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 7 * x.nbytes)
+        out = mcd_module._concentrate(x, k, *[a.copy() for a in entry], steps=3)
+        assert_same_bits([a[kill] for a in out], [a[kill] for a in entry])
+        # the others step as they would without the singular ones
+        alive = mcd_module._concentrate(x, k, *[a[~kill] for a in entry], steps=3)
+        assert_same_bits([a[~kill] for a in out], alive)
+        assert not np.array_equal(alive[0], entry[0][~kill])
+
+    def test_seeds_carry_their_fits(self, monkeypatch):
+        # rows on a 3x3x3 lattice: many seeds are singular and redrawn
+        x = np.random.default_rng(23).integers(0, 3, (150, 3)).astype(float)
+        draws = []
+        sample = mcd_module._sample_subsets
+        monkeypatch.setattr(
+            mcd_module, "_sample_subsets", lambda *a: draws.append(a[2]) or sample(*a)
+        )
+        seeds, *fits = mcd_module._draw_seeds(x, McdConfig(), RngStream(3))
+        assert len(draws) > 1
+        assert_same_bits(fits, mcd_module._batch_fit(x, seeds))
 
 
 def subset_moments(x, support):
@@ -631,11 +648,8 @@ def candidate_stack(x, seed):
     C-step: stacks with both the fast distances and the LU fallback."""
     n, p = x.shape
     k = McdConfig().subset_size(n, p)
-    seeds = mcd_module._draw_seeds(x, McdConfig(), RngStream(seed))
-    state = mcd_module._batch_cstep(
-        x, k, seeds, *mcd_module._batch_fit(x, seeds), check_monotone=False
-    )
-    return k, seeds, state[0]
+    seeds, mus, sigmas, _ = mcd_module._draw_seeds(x, McdConfig(), RngStream(seed))
+    return k, seeds, mcd_module._batch_cstep(x, k, mus, sigmas)[0]
 
 
 class TestBatchKernel:
