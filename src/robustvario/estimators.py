@@ -171,8 +171,10 @@ def estimate_grid(
     family j (org, diff, org.mod, diff.mod) draw from stream
     rep + 2^32 + (4*d + j + 1)*2^40 of ``seed``, clear of the study's field
     (rep) and contamination (rep + 2^32) streams; a ``.mod`` partition i
-    draws from that stream's child i.  So an estimate depends on neither
-    the other ids nor the other directions requested.
+    draws from that stream's child i.  A search of more than 600 rows
+    draws from its stream first the permutation that forms its groups, then
+    each group's seeds in group order (``mcd.fast_mcd``).  So an estimate
+    depends on neither the other ids nor the other directions requested.
     """
     ids = check_request(estimator_ids, [lags.direction for lags in lag_sets], mod)
     kinds = [parse_estimator_id(eid) for eid in ids]

@@ -4,7 +4,7 @@ The raw MCD of p-dimensional rows x_1..x_n with subset size k is the mean
 and (consistency-scaled) sample covariance of the k rows whose covariance
 determinant is minimal.  ``fast_mcd`` finds it by the randomized
 concentration search of Rousseeuw & Van Driessen (1999), in stages, whose
-C-steps (stages 2 and 4) all run in the one loop ``_concentrate``:
+C-steps all run in the one loop ``_concentrate``:
 
 1. ``McdConfig.n_initial_subsets`` (a fixed 500) random (p+1)-seeds, a
    singular one redrawn up to a budget of 100 draws per seed; seeds that
@@ -14,6 +14,23 @@ C-steps (stages 2 and 4) all run in the one loop ``_concentrate``:
 4. their C-steps to a support fixed point, a log-determinant change of at
    most ``CSTEP_TOL`` (relative), singularity or ``MAX_CSTEPS`` steps;
 5. the best of them returned.
+
+Above ``_NESTED_MIN`` (600) rows, stages 1-3 run on nested subsets, as in
+section 3.3 of the source and robustbase's ``covMcd``.  One random
+permutation of the rows forms g = min(5, n // 300) groups: up to 1500 rows
+they split all n rows, their sizes within one of each other; above, they
+are 5 groups of 300.  Each group of n_g rows runs stages 1-3 on its own
+rows with 500 // g seeds and subset size k_g = ceil(n_g * k / n); a group
+without a nonsingular seed gives nothing, and ``SingularDataError`` needs
+every group to.  The groups' rows, in their original order, form the
+merged sample of n_m rows (every row up to 1500), where the groups'
+candidates take two C-steps at k_m = ceil(n_m * k / n) and the
+``N_BEST_KEPT`` best go on to stage 4 on all rows.  A candidate that turns
+singular in a group or the merge, an exact fit of k_g or k_m rows, sends
+the fit to the search on all rows, for a singular fit cannot be stepped on
+a wider sample.  The nested search draws from the fit's stream first the
+permutation, then each group's seeds in group order; the search on all
+rows draws its seeds from the start of the same stream.
 
 A C-step re-ranks all rows by squared Mahalanobis distance under the
 current fit, keeps the k closest and refits; the determinant never
@@ -84,6 +101,9 @@ _COND_MAX = 1e8  # 1-norm condition number above which distances use an LU solve
 _RANK_TOL = 64 * np.finfo(float).eps  # near-tie band at the k-th distance, per unit of cond
 _ENUM_MAX = 3000  # C(n, k) up to which fast_mcd enumerates every k-subset (measured crossover)
 _ENUM_WORK_MAX = 30_000_000  # and C(n, k) * k * p^2 up to which it does (measured crossover)
+_NESTED_MIN = 600  # n above which the search runs on nested subsets (the source's 600)
+_GROUP_ROWS = 300  # rows per group of the nested search, at most
+_N_GROUPS = 5  # groups of the nested search, at most
 _Candidates = tuple[np.ndarray, ...]  # (supports, mus, sigmas, logdets) of a candidate stack
 
 
@@ -251,10 +271,12 @@ def _concentrate(
 
     A candidate stops when its support is a fixed point, its log-determinant
     changes by at most ``CSTEP_TOL`` (relative) or it turns singular; one
-    singular on entry is not stepped and keeps its fit.  A step from a
-    k-subset fit must not increase the determinant (``NumericalError``).
-    The first step from (p+1)-seeds, whose supports are not k wide, is
-    exempt and always runs: a seed's determinant is not comparable.
+    singular on entry is not stepped and keeps its fit.  ``supports`` are
+    rows of x.  A step from a fit of k of them must not increase the
+    determinant (``NumericalError``).  The first step from other fits is
+    exempt and always runs, for their determinants are not comparable:
+    (p+1)-seeds, whose supports are not k wide, and fits of another sample,
+    given as ``supports=None``; such fits must all be nonsingular.
     """
     active = np.isfinite(logdets)
     for _ in range(steps):
@@ -264,13 +286,13 @@ def _concentrate(
         sup2, mu2, sigma2, ld2 = _batch_cstep(x, k, mus[idx], sigmas[idx])
         ld = logdets[idx]
         stopped = ~np.isfinite(ld2)
-        if supports.shape[1] == k:
+        if supports is not None and supports.shape[1] == k:
             scale = np.maximum(1.0, np.abs(ld))
             if not np.all(ld2 <= ld + _LOGDET_SLACK * scale):
                 raise NumericalError("C-step increased the covariance determinant")
             fixed = np.all(sup2 == supports[idx], axis=1)
             stopped |= fixed | (np.abs(ld - ld2) <= CSTEP_TOL * scale)
-        else:  # every seed is nonsingular, so every one was stepped
+        else:  # every entering fit is nonsingular, so every one was stepped
             supports = np.empty((len(ld), k), dtype=np.intp)
         supports[idx], mus[idx], sigmas[idx], logdets[idx] = sup2, mu2, sigma2, ld2
         active[idx[stopped]] = False
@@ -285,18 +307,15 @@ def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> 
     return np.sort(picked, axis=1)
 
 
-def _draw_seeds(x: np.ndarray, cfg: McdConfig, rng: RngStream) -> _Candidates:
-    """Seed subsets of size p+1 with a nonsingular fit, and their fits:
-    (seeds, mus, sigmas, logdets).
+def _draw_seeds(x: np.ndarray, m: int, gen: np.random.Generator) -> _Candidates:
+    """Seed subsets of size p+1 of the rows of x with a nonsingular fit, and
+    their fits: (seeds, mus, sigmas, logdets).
 
-    ``cfg.n_initial_subsets`` random (p+1)-subsets are drawn and singular
-    ones redrawn within a budget of 100 draws per seed.  Seeds still
-    singular are dropped; raises ``SingularDataError`` when every seed is
-    singular.
+    ``m`` random (p+1)-subsets are drawn from ``gen`` and singular ones
+    redrawn within a budget of 100 draws per seed.  Seeds still singular
+    are dropped, so the stack is empty when every seed is singular.
     """
     n, p = x.shape
-    gen = rng.generator()
-    m = cfg.n_initial_subsets
     seeds = _sample_subsets(n, p + 1, m, gen)
     mus, sigmas, logdets = _batch_fit(x, seeds)
     attempts, budget = m, 100 * m
@@ -309,9 +328,56 @@ def _draw_seeds(x: np.ndarray, cfg: McdConfig, rng: RngStream) -> _Candidates:
         mus[redraw], sigmas[redraw], logdets[redraw] = _batch_fit(x, seeds[redraw])
         bad = np.flatnonzero(~np.isfinite(logdets))
     ok = np.isfinite(logdets)
-    if not ok.any():
-        raise SingularDataError("all initial (p+1)-subsets are singular")
     return seeds[ok], mus[ok], sigmas[ok], logdets[ok]
+
+
+def _best_after_two_steps(
+    x: np.ndarray, k: int, supports: np.ndarray | None, mus: np.ndarray, sigmas: np.ndarray,
+    logdets: np.ndarray,
+) -> _Candidates:
+    """Two C-steps of every candidate on x and the ``N_BEST_KEPT`` best."""
+    found = _concentrate(x, k, supports, mus, sigmas, logdets, steps=2)
+    kept = _rank_candidates(found[3], found[0], N_BEST_KEPT)
+    return tuple(a[kept] for a in found)
+
+
+def _group_rows(n: int, gen: np.random.Generator) -> list[np.ndarray]:
+    """Sorted row indices of the nested search's groups, from one
+    permutation: min(5, n // 300) groups that split all n rows, their sizes
+    within one, up to n = 1500; 5 groups of 300 rows above."""
+    perm = gen.permutation(n)[: _N_GROUPS * _GROUP_ROWS]
+    return [np.sort(g) for g in np.array_split(perm, min(_N_GROUPS, n // _GROUP_ROWS))]
+
+
+def _nested_search(x: np.ndarray, k: int, m: int, gen: np.random.Generator) -> _Candidates | None:
+    """The group and merge stages: the ``N_BEST_KEPT`` best candidates of
+    the merged sample, supports in rows of x, or None when a candidate
+    turned singular.  Raises ``SingularDataError`` when no group has a
+    nonsingular seed."""
+    n = len(x)
+    groups = _group_rows(n, gen)
+
+    def k_of(rows):  # ceil(len(rows) * k / n), in integers
+        return -(-len(rows) * k // n)
+
+    pooled = []
+    for rows in groups:
+        block = x[rows]
+        seeds = _draw_seeds(block, m // len(groups), gen)
+        if len(seeds[0]):
+            pooled.append(_best_after_two_steps(block, k_of(rows), *seeds)[1:])
+    if not pooled:
+        raise SingularDataError("all initial (p+1)-subsets are singular")
+    mus, sigmas, logdets = (np.concatenate(a) for a in zip(*pooled))
+    if not np.isfinite(logdets).all():
+        return None
+    merged = np.sort(np.concatenate(groups))
+    supports, mus, sigmas, logdets = _best_after_two_steps(
+        x[merged], k_of(merged), None, mus, sigmas, logdets
+    )
+    if not np.isfinite(logdets).all():
+        return None
+    return merged[supports], mus, sigmas, logdets
 
 
 def _enumerate_mcd(x: np.ndarray, k: int) -> McdFit:
@@ -345,7 +411,13 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     is the exact MCD of every k-subset instead: it draws nothing from
     ``rng``.  Otherwise the search runs its stages: seeds drawn from
     ``rng``, two C-steps of each, the ``N_BEST_KEPT`` best kept, C-steps of
-    those to convergence, and the best of them returned.
+    those to convergence, and the best of them returned.  Above
+    ``_NESTED_MIN`` (600) rows the seeds and their first two C-steps run in
+    up to 5 groups of at most 300 random rows, and the groups' best take two
+    C-steps on the groups' rows merged before the ``N_BEST_KEPT`` best go to
+    all rows; ``rng`` gives first the groups' permutation, then each
+    group's seeds.  A candidate that turns singular there sends the fit to
+    the search on all rows.
     """
     x = _rows(data)
     n, p = x.shape
@@ -359,11 +431,14 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     if n <= _ENUM_MAX and math.comb(n, k) <= min(_ENUM_MAX, _ENUM_WORK_MAX // (k * p * p)):
         return _enumerate_mcd(x, k)
 
-    supports, mus, sigmas, logdets = _concentrate(x, k, *_draw_seeds(x, cfg, rng), steps=2)
-    kept = _rank_candidates(logdets, supports, N_BEST_KEPT)
-    supports, mus, sigmas, logdets = _concentrate(
-        x, k, supports[kept], mus[kept], sigmas[kept], logdets[kept], steps=MAX_CSTEPS
-    )
+    m = cfg.n_initial_subsets
+    found = _nested_search(x, k, m, rng.generator()) if n > _NESTED_MIN else None
+    if found is None:
+        seeds = _draw_seeds(x, m, rng.generator())
+        if not len(seeds[0]):
+            raise SingularDataError("all initial (p+1)-subsets are singular")
+        found = _best_after_two_steps(x, k, *seeds)
+    supports, mus, sigmas, logdets = _concentrate(x, k, *found, steps=MAX_CSTEPS)
     i = _rank_candidates(logdets, supports, 1)[0]
     return _finalize(k, n, p, mus[i], sigmas[i], supports[i], logdets[i])
 

@@ -1,5 +1,8 @@
+import copy
+import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -513,6 +516,11 @@ def oracle_cstep(x, k, mus, sigmas):
     return (supports, *mcd_module._batch_fit(x, supports))
 
 
+def draw_seeds(x, seed):
+    """The seeds of a search on all rows of x from ``RngStream(seed)``."""
+    return mcd_module._draw_seeds(x, McdConfig.n_initial_subsets, RngStream(seed).generator())
+
+
 def assert_same_bits(a, b):
     for u, v in zip(a, b):
         assert u.dtype == v.dtype and u.shape == v.shape
@@ -532,7 +540,7 @@ class TestCStepOracle:
     def two_steps(x, seed):
         n, p = x.shape
         k = McdConfig().subset_size(n, p)
-        _, mus, sigmas, logdets = mcd_module._draw_seeds(x, McdConfig(), RngStream(seed))
+        _, mus, sigmas, logdets = draw_seeds(x, seed)
         conds = []
         for _ in range(2):
             alive = np.isfinite(logdets)  # as _concentrate steps them
@@ -594,7 +602,7 @@ class TestConcentrate:
         x = np.random.default_rng(24).standard_normal((120, 3))
         x[:15] += 50.0
         k = McdConfig().subset_size(*x.shape)
-        seeds = mcd_module._draw_seeds(x, McdConfig(), RngStream(4))
+        seeds = draw_seeds(x, 4)
         entry = mcd_module._concentrate(x, k, *seeds, steps=2)
         kill = np.zeros(len(entry[0]), dtype=bool)
         kill[[0, 8, 9, len(kill) - 1]] = True
@@ -615,9 +623,188 @@ class TestConcentrate:
         monkeypatch.setattr(
             mcd_module, "_sample_subsets", lambda *a: draws.append(a[2]) or sample(*a)
         )
-        seeds, *fits = mcd_module._draw_seeds(x, McdConfig(), RngStream(3))
+        seeds, *fits = draw_seeds(x, 3)
         assert len(draws) > 1
         assert_same_bits(fits, mcd_module._batch_fit(x, seeds))
+
+
+def outlier_sample(n, p, seed):
+    """Gaussian rows with 10% of them, the returned set, shifted by 10."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, p))
+    shifted = rng.choice(n, n // 10, replace=False)
+    x[shifted] += 10.0
+    return x, set(shifted.tolist())
+
+
+def full_search(x, seed, monkeypatch):
+    """The search on all rows, the oracle of the nested search."""
+    with monkeypatch.context() as m:
+        m.setattr(mcd_module, "_NESTED_MIN", len(x))
+        return fast_mcd(x, McdConfig(), RngStream(seed))
+
+
+def spy(monkeypatch, name):
+    """Record the arguments and a copy of the result of every call of an
+    mcd function; the caller may update the result in place."""
+    calls = []
+    real = getattr(mcd_module, name)
+
+    def recorded(*args):
+        result = real(*args)
+        calls.append((args, copy.deepcopy(result)))
+        return result
+
+    monkeypatch.setattr(mcd_module, name, recorded)
+    return calls
+
+
+class TestNested:
+    """Above ``_NESTED_MIN`` rows the seeds run in groups and a merged
+    sample before the best go to all rows."""
+
+    def test_threshold(self, monkeypatch):
+        calls = spy(monkeypatch, "_group_rows")
+        x, _ = outlier_sample(601, 3, 600)
+        fast_mcd(x[:600], McdConfig(), RngStream(6))
+        assert calls == []
+        fast_mcd(x, McdConfig(), RngStream(6))
+        assert len(calls) == 1
+
+    def test_threshold_keeps_bits(self, monkeypatch):
+        # 600 rows take the search on all rows: its support and log-determinant
+        # are pinned to the values that search gave on this sample
+        rng = np.random.default_rng(600)
+        x = rng.standard_normal((600, 3))
+        x[:60] += 10.0
+        fit = fast_mcd(x, McdConfig(), RngStream(6))
+        assert fit_bits(fit) == fit_bits(full_search(x, 6, monkeypatch))
+        assert len(fit.support) == 302 and min(fit.support) >= 60
+        support = np.array(fit.support, dtype="<i8").tobytes()
+        assert hashlib.sha256(support).hexdigest()[:16] == "1e3a5967dd4ffba5"
+        assert fit.log_det == pytest.approx(-2.5283568299469397, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [601, 1499])
+    def test_groups_split_all_rows(self, n):
+        groups = mcd_module._group_rows(n, np.random.default_rng(n))
+        sizes = [len(g) for g in groups]
+        assert len(groups) == n // 300 and max(sizes) - min(sizes) <= 1
+        np.testing.assert_array_equal(np.sort(np.concatenate(groups)), np.arange(n))
+        assert all((np.diff(g) > 0).all() for g in groups)
+
+    @pytest.mark.parametrize("n", [1501, 30_000])
+    def test_five_groups_of_300(self, n):
+        groups = mcd_module._group_rows(n, np.random.default_rng(n))
+        assert [len(g) for g in groups] == [300] * 5
+        rows = np.concatenate(groups)
+        assert len(np.unique(rows)) == 1500 and rows.max() < n
+        assert all((np.diff(g) > 0).all() for g in groups)
+
+    @pytest.mark.parametrize("n", [1499, 1501])
+    def test_stream_rule(self, n, monkeypatch):
+        # the fit's stream gives the permutation, then each group's seeds
+        x, _ = outlier_sample(n, 2, 7)
+        groups = spy(monkeypatch, "_group_rows")
+        seeds = spy(monkeypatch, "_draw_seeds")
+        fast_mcd(x, McdConfig(), RngStream(8, 3))
+        gen = RngStream(8, 3).generator()
+        (_, rows), = groups
+        assert_same_bits(rows, mcd_module._group_rows(n, gen))
+        assert len(seeds) == len(rows)
+        for g, ((block, m, _), drawn) in zip(rows, seeds):
+            assert_same_bits([block], [x[g]])
+            assert m == McdConfig.n_initial_subsets // len(rows)
+            assert_same_bits(drawn, mcd_module._draw_seeds(x[g], m, gen))
+
+    @pytest.mark.parametrize("n,k_groups,k_merged", [
+        (1499, [188] * 4, 751),  # 751 * 375 / 1499 = 187.9 and 751 * 374 / 1499 = 187.4
+        (1501, [151] * 5, 752),  # 752 * 300 / 1501 = 150.3; 752 * 1500 / 1501 = 751.5
+    ])
+    def test_subset_sizes(self, n, k_groups, k_merged, monkeypatch):
+        # k_g = ceil(n_g * k / n); the merge's k_m equals k at 1501 rows too
+        stages = spy(monkeypatch, "_best_after_two_steps")
+        x, _ = outlier_sample(n, 2, 10)
+        fit = fast_mcd(x, McdConfig(), RngStream(1))
+        assert [args[1] for args, _ in stages] == k_groups + [k_merged]
+        assert len(fit.support) == McdConfig().subset_size(n, 2)
+
+    def test_deterministic(self):
+        x, _ = outlier_sample(1600, 4, 9)
+        fits = [fast_mcd(x, McdConfig(), RngStream(s, 1)) for s in (5, 5, 6)]
+        assert fit_bits(fits[0]) == fit_bits(fits[1])
+        assert fits[0].mu.tobytes() != fits[2].mu.tobytes()
+
+    def test_close_to_full_search(self, monkeypatch):
+        # no shifted row in the support, and a log-determinant within 0.01 of
+        # the search on all rows (the largest gap measured was 0.0031)
+        shapes = [(n, p) for n in (601, 1499, 1501, 3000) for p in (2, 3, 4, 5)]
+        shapes += [(601, 5), (1499, 2), (1501, 3), (3000, 4)]
+        for i, (n, p) in enumerate(shapes):
+            x, shifted = outlier_sample(n, p, 100 + i)
+            fit = fast_mcd(x, McdConfig(), RngStream(i))
+            assert not shifted & set(fit.support), (n, p)
+            assert abs(fit.log_det - full_search(x, i, monkeypatch).log_det) <= 0.01, (n, p)
+
+    @pytest.mark.parametrize("n,stage,step,raises", [
+        (1000, "merge", 1, False),  # from the groups' fits, of other samples
+        (1000, "merge", 2, True),
+        (1000, "full", 1, True),  # the merged sample is every row, and k_m = k
+        (1000, "full", 2, True),
+        (1600, "merge", 1, False),
+        (1600, "merge", 2, True),
+        (1600, "full", 1, False),  # from fits of k_m < k of 1500 rows
+        (1600, "full", 2, True),
+    ])
+    def test_determinant_check(self, n, stage, step, raises, monkeypatch):
+        # one C-step of one stage reports a larger log-determinant; up to
+        # 1500 rows the merge and full-data stages both step all n rows
+        x, _ = outlier_sample(n, 3, 11)
+        rows = n if stage == "full" else min(n, 1500)
+        target = step + (2 if stage == "full" and n <= 1500 else 0)
+        seen = []
+        cstep = mcd_module._batch_cstep
+
+        def inflating(xs, k, mus, sigmas):
+            out = cstep(xs, k, mus, sigmas)
+            if len(xs) == rows:
+                seen.append(k)
+                if len(seen) == target:
+                    out = (*out[:3], out[3] + 1.0)
+            return out
+
+        monkeypatch.setattr(mcd_module, "_batch_cstep", inflating)
+        if raises:
+            with pytest.raises(NumericalError, match="increased"):
+                fast_mcd(x, McdConfig(), RngStream(2))
+        else:
+            fast_mcd(x, McdConfig(), RngStream(2))
+        assert len(seen) >= target
+
+    def test_singular_candidate_takes_full_search(self, monkeypatch):
+        # 400 of 700 rows coincide: group fits turn singular, and the fit is
+        # the search on all rows, which finds the exact fit
+        x = np.vstack([np.ones((400, 2)), np.random.default_rng(12).standard_normal((300, 2))])
+        nested = spy(monkeypatch, "_nested_search")
+        with pytest.warns(RuntimeWarning, match="singular"):
+            fit = fast_mcd(x, McdConfig(), RngStream(3))
+        assert nested[0][1] is None and fit.singular
+        with pytest.warns(RuntimeWarning, match="singular"):
+            assert fit_bits(fit) == fit_bits(full_search(x, 3, monkeypatch))
+
+    def test_no_group_seed_raises(self):
+        with pytest.raises(SingularDataError, match="singular"):
+            fast_mcd(np.ones((700, 2)), McdConfig(), RngStream(0))
+
+    def test_memory_bounded(self):
+        # the search on all rows peaks at about 229 MB here, the nested one at 20 MB
+        x, _ = outlier_sample(30_000, 5, 13)
+        tracemalloc.start()
+        try:
+            fast_mcd(x, McdConfig(), RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
 
 def subset_moments(x, support):
@@ -648,7 +835,7 @@ def candidate_stack(x, seed):
     C-step: stacks with both the fast distances and the LU fallback."""
     n, p = x.shape
     k = McdConfig().subset_size(n, p)
-    seeds, mus, sigmas, _ = mcd_module._draw_seeds(x, McdConfig(), RngStream(seed))
+    seeds, mus, sigmas, _ = draw_seeds(x, seed)
     return k, seeds, mcd_module._batch_cstep(x, k, mus, sigmas)[0]
 
 
