@@ -50,11 +50,15 @@ scatter has a 1-norm condition number above ``_COND_MAX``, or whose k-th
 distance has another row within the rounding band ``_RANK_TOL`` * cond of
 it, has them overwritten by an LU solve's (``_sq_distances``), so
 the kept rows are the ones the solve ranks closest.  The k closest rows
-are picked by ``np.partition`` with ties at the k-th distance going to the
-lowest row indices, the set a stable argsort keeps.  Candidates run in
-chunks of at most ``_CHUNK_BYTES`` of (chunk, n, p) float64 data, so
-memory does not grow with the number of candidates; a candidate's bits do
-not depend on the chunk it runs in.
+are the set a stable argsort keeps, ties at the k-th distance going to the
+lowest row indices: one ``np.argpartition`` picks them when no other row
+lies in the rounding band of the k-th distance, ``_k_smallest`` otherwise.
+For p >= 2 a subset's mean sums its rows in support order, the bits of
+numpy's ``mean``; at p = 1, where ``mean`` sums pairwise, the two may
+differ in the last bits.  Candidates run in chunks of at most
+``_CHUNK_BYTES`` of (chunk, n, p) float64 data, so memory does not grow
+with the number of candidates; a candidate's bits do not depend on the
+chunk it runs in.
 
 Reweighting keeps rows whose squared robust distance, from the same LU
 solve, is at most the chi-square cutoff chi2_{p, REWEIGHT_DELTA} and
@@ -181,11 +185,18 @@ def _finalize(k, n, p, mu, sigma, support, logdet) -> McdFit:
 
 
 def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean/covariance/logdet of many row subsets at once; supports is (m, k)."""
+    """Mean/covariance/logdet of many row subsets at once; supports is (m, k).
+
+    For p >= 2 each mean sums its k rows one after another in support order
+    and divides by k, the bits of ``mean(axis=1)``.  At p = 1 ``einsum``
+    sums in another order and ``mean`` pairwise, so the means may differ in
+    the last bits.
+    """
     subs = x[supports]
-    mus = subs.mean(axis=1)
-    dev = subs - mus[:, None, :]
-    sigmas = np.swapaxes(dev, 1, 2) @ dev / (supports.shape[1] - 1)
+    k = supports.shape[1]
+    mus = np.einsum("mkp->mp", subs) / k
+    subs -= mus[:, None, :]
+    sigmas = np.swapaxes(subs, 1, 2) @ subs / (k - 1)
     signs, logdets = np.linalg.slogdet(sigmas)
     logdets = np.where((signs > 0) & np.isfinite(logdets), logdets, -np.inf)
     return mus, sigmas, logdets
@@ -208,18 +219,28 @@ def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) ->
     condition number exceeds ``_COND_MAX``, or when another row lies within
     ``_RANK_TOL`` * cond (relative) of the k-th distance, as the p+1 rows of
     a seed always do, their distances being equal in exact arithmetic.
+
+    The rows come from one ``np.argpartition``: with the k-th row alone in
+    that band, its first k are the rows a stable argsort keeps.  A candidate
+    sent to the solve, or whose band holds no row (a NaN k-th distance),
+    goes through ``np.partition`` and ``_k_smallest``, which break ties by
+    row index.
     """
     inv = np.linalg.inv(sigmas)
     cond = np.abs(sigmas).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
-    delta_t = x.T[None] - mus[:, :, None]
+    delta_t = np.ascontiguousarray(x.T) - mus[:, :, None]
     d2 = np.einsum("mpn,mpn->mn", np.swapaxes(inv, 1, 2) @ delta_t, delta_t)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    near = np.abs(d2 - kth) <= _RANK_TOL * cond[:, None] * np.abs(kth)
-    exact = ~(cond <= _COND_MAX) | (near.sum(axis=1) > 1)
-    if exact.any():
-        d2[exact] = _sq_distances(x, mus[exact], sigmas[exact])
-        kth[exact] = np.partition(d2[exact], k - 1, axis=1)[:, k - 1 : k]
-    return _k_smallest(d2, k, kth)
+    order = np.argpartition(d2, k - 1, axis=1)
+    kth = np.take_along_axis(d2, order[:, k - 1 : k], axis=1)
+    n_near = np.count_nonzero(np.abs(d2 - kth) <= _RANK_TOL * cond[:, None] * np.abs(kth), axis=1)
+    exact = ~(cond <= _COND_MAX) | (n_near > 1)
+    rows = np.sort(order[:, :k], axis=1)
+    slow = exact | (n_near != 1)
+    if slow.any():
+        d2 = d2[slow]
+        d2[exact[slow]] = _sq_distances(x, mus[exact], sigmas[exact])
+        rows[slow] = _k_smallest(d2, k, np.partition(d2, k - 1, axis=1)[:, k - 1 : k])
+    return rows
 
 
 def _k_smallest(d2: np.ndarray, k: int, kth: np.ndarray) -> np.ndarray:

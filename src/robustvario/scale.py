@@ -10,8 +10,10 @@ The k-th difference is selected from the sorted sample without building
 the pairs, by per-row candidate bands and weighted-median pivots after
 Croux & Rousseeuw (1992) and Johnson & Mizoguchi (1978), in O(N log^2 N)
 time and O(N) memory: each of the O(log N) pivot rounds sorts the band
-middles and counts by bisection.  The result is the same float that
-enumerating and partitioning every |x_i - x_j| gives (see :func:`qn_raw`).
+middles and counts each row's differences below the pivot by one
+``searchsorted``, checked by the exact comparison and bisected where the
+check fails.  The result is the same float that enumerating and
+partitioning every |x_i - x_j| gives (see :func:`qn_raw`).
 """
 
 from __future__ import annotations
@@ -29,12 +31,13 @@ _SMALL_N_FACTORS = {2: 0.399, 3: 0.994, 4: 0.512, 5: 0.844, 6: 0.611, 7: 0.857, 
 # Selection gathers and partitions the surviving candidates once at most
 # max(_GATHER_PER_ROW * n, _GATHER_MIN) remain.  Any values give the same
 # bits; they trade pivot rounds for gather memory.  Going from 4 to 16 per
-# row takes the tracemalloc peak at n = 100k from 15.7 to 37.7 MB and saves
-# a quarter of the time at most (n = 200: 1.08 -> 0.71 ms; n = 10k: 28 ->
-# 24 ms; 2-core Xeon, numpy 2.4.6; gather_per_row_sweep in BENCH_7.json).
-# The fixed floor of 2^14 candidates (256 kB of differences) spares small
-# samples their pivot rounds: every sample with n <= 181 is gathered at
-# once, and a call at n = 200 drops from about 1.0 to 0.5 ms.
+# row takes the tracemalloc peak at n = 100k from 15.9 to 38.1 MB and saves
+# 15-40% of the time (n = 200: 0.22 -> 0.13 ms; n = 10k: 14.7 -> 10.8 ms;
+# n = 100k: 211 -> 177 ms; Gaussian samples, process time, 2-vCPU shared
+# host, numpy 2.4.6).  The fixed floor of 2^14 candidates (256 kB of
+# differences) spares small samples their pivot rounds: every sample with
+# n <= 181 is gathered at once, and a call at n = 200 drops from about 0.77
+# to 0.19 ms.
 _GATHER_PER_ROW = 4
 _GATHER_MIN = 2**14
 
@@ -74,7 +77,7 @@ def _kth_difference(s: np.ndarray, k: int) -> float:
     ``below`` counts the pairs ranked before every band.  Each round picks
     the band-width-weighted median of the band middles as pivot t, which
     drops at least a quarter of the candidates, and counts per row the
-    differences <= t and < t by bisection.  When t is the k-th value it is
+    differences <= t and < t (``_row_cut``).  When t is the k-th value it is
     returned; otherwise the bands keep only the side that holds the k-th.
     Once few candidates remain they are gathered and partitioned.
     """
@@ -112,7 +115,26 @@ def _kth_difference(s: np.ndarray, k: int) -> float:
 
 def _row_cut(s, base, lo, hi, t, keep) -> np.ndarray:
     """Per row, the first column j in [lo, hi) with not keep(s[j] - base, t),
-    or hi; ``keep`` is <= or <, and holds on a prefix of each row."""
+    or hi; ``keep`` is <= or <, and holds on a prefix of each row.
+
+    One ``searchsorted`` of base + t guesses every cut, clipped to [lo, hi].
+    A guess is the cut when ``keep`` holds at the column before it (or it is
+    lo) and fails at its own (or it is hi), since ``keep`` holds on a prefix.
+    Rounding of base + t against s[j] - base can misplace a guess, so the
+    rows whose guess fails that check are bisected (``_bisect_cut``).
+    """
+    side = "right" if keep(0.0, 0.0) else "left"  # <= keeps s[j] = base + t, < does not
+    cut = np.clip(np.searchsorted(s, base + t, side=side), lo, hi)
+    ok = (cut == lo) | keep(s[cut - 1] - base, t)
+    ok &= (cut == hi) | ~keep(s[np.minimum(cut, s.size - 1)] - base, t)
+    miss = np.flatnonzero(~ok)
+    if miss.size:
+        cut[miss] = _bisect_cut(s, base[miss], lo[miss], hi[miss], t, keep)
+    return cut
+
+
+def _bisect_cut(s, base, lo, hi, t, keep) -> np.ndarray:
+    """``_row_cut`` by bisection of every row."""
     last = s.size - 1
     for _ in range(int((hi - lo).max(initial=0)).bit_length()):
         mid = (lo + hi) // 2

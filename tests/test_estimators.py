@@ -1,5 +1,6 @@
 import math
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustvario import estimators as estimators_module
+from robustvario.ascio import apply_quality_mask, load_asc
+from robustvario.contamination import ContaminationSpec, contaminate
 from robustvario.errors import (
     InputError,
     NoValidPartitionError,
@@ -33,6 +36,7 @@ from robustvario.grid import (
 from robustvario.mcd import McdConfig, fast_mcd, reweight_mcd
 from robustvario.numerics import RngStream
 from robustvario.scale import GAUSSIAN_CONSISTENCY, qn, qn_finite_sample_factor
+from robustvario.study import default_lag_depths
 from robustvario.variomodel import AnisoModel, aniso_variogram
 from test_simfield import covariance_matrix
 
@@ -478,3 +482,27 @@ class TestEstimateDispatch:
     def test_check_request_normalizes_ids(self):
         ids = check_request([" MCD.Org", "matheron"], [Direction.EW], None)
         assert ids == ("mcd.org", "matheron")
+
+
+class TestApplicationClaim:
+    """The paper's application: on the masked satellite fixture, a 10%
+    outlier block moves the MCD estimates least, Genton's more and
+    Matheron's most, in every direction."""
+
+    def test_block_moves_mcd_least_and_matheron_most(self):
+        data = Path(__file__).parent / "data"
+        g = apply_quality_mask(
+            load_asc(data / "ndvi_synthetic.asc")[0], load_asc(data / "ndvi_quality.asc")[0], {0}
+        )
+        lag_sets = [LagSet(d, h) for d, h in default_lag_depths(4, 3).items()]
+        ids = ["matheron", "genton", "mcd.org.re", "mcd.diff.re"]
+        clean = estimate_grid(g, lag_sets, ids, seed=1)
+        spec = ContaminationSpec("block", 0.1, mu0=1.0, sigma0=0.05)
+        dirty = estimate_grid(contaminate(g, spec, RngStream(1, 0))[0], lag_sets, ids, seed=1)
+        for lags in lag_sets:
+            d = lags.direction.value
+            move = {eid: np.abs(dirty[eid, d].values / clean[eid, d].values - 1) for eid in ids}
+            # measured: MCD at most 6.6%, Genton 36-44%, Matheron at least 267%
+            for eid in ("mcd.org.re", "mcd.diff.re"):
+                assert move[eid].max() < move["genton"].min(), (eid, d)
+            assert move["genton"].max() < move["matheron"].min(), d

@@ -507,13 +507,43 @@ class TestRankCandidates:
         )
 
 
+def oracle_fit(x, supports):
+    """``_batch_fit`` by its plain formulas: ``mean``, the deviations, one
+    batched matmul and ``slogdet``."""
+    subs = x[supports]
+    mus = subs.mean(axis=1)
+    dev = subs - mus[:, None, :]
+    sigmas = np.swapaxes(dev, 1, 2) @ dev / (supports.shape[1] - 1)
+    signs, logdets = np.linalg.slogdet(sigmas)
+    return mus, sigmas, np.where((signs > 0) & np.isfinite(logdets), logdets, -np.inf)
+
+
+def oracle_closest(x, k, mus, sigmas):
+    """``_closest_rows`` with ``np.partition`` and ``_k_smallest`` on every
+    candidate: the distances from the inverse, overwritten by the LU
+    solve's where the condition number or a near tie at the k-th distance
+    asks for it."""
+    inv = np.linalg.inv(sigmas)
+    cond = one_norm_cond(sigmas)
+    delta_t = x.T[None] - mus[:, :, None]
+    d2 = np.einsum("mpn,mpn->mn", np.swapaxes(inv, 1, 2) @ delta_t, delta_t)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    near = np.abs(d2 - kth) <= mcd_module._RANK_TOL * cond[:, None] * np.abs(kth)
+    exact = ~(cond <= mcd_module._COND_MAX) | (near.sum(axis=1) > 1)
+    if exact.any():
+        d2[exact] = mcd_module._sq_distances(x, mus[exact], sigmas[exact])
+        kth[exact] = np.partition(d2[exact], k - 1, axis=1)[:, k - 1 : k]
+    return mcd_module._k_smallest(d2, k, kth)
+
+
 def oracle_cstep(x, k, mus, sigmas):
     """The C-step before chunking: one LU solve with n right-hand sides per
-    candidate, a full stable argsort, every candidate in one batch."""
+    candidate, a full stable argsort, every candidate in one batch, and
+    ``oracle_fit``."""
     delta_t = np.swapaxes(x[None, :, :] - mus[:, None, :], 1, 2)
     d2 = np.einsum("mpn,mpn->mn", delta_t, np.linalg.solve(sigmas, delta_t))
     supports = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
-    return (supports, *mcd_module._batch_fit(x, supports))
+    return (supports, *oracle_fit(x, supports))
 
 
 def draw_seeds(x, seed):
@@ -593,6 +623,89 @@ class TestCStepOracle:
             expected = np.sort(order[:, :k], axis=1)
             kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
             np.testing.assert_array_equal(mcd_module._k_smallest(d2, k, kth), expected)
+
+
+@st.composite
+def kernel_stacks(draw, p=st.integers(2, 8)):
+    """A sample, a subset size k and a stack of sorted candidate supports:
+    (p+1)-seeds or k-subsets.  The rows are Gaussian, on a 3-level lattice
+    (duplicate rows and distinct rows at equal distances) or Gaussian with
+    a tenth of them moved by 1e6 (mixed fits exceed ``_COND_MAX`` and take
+    the LU solve); k is the maximal-breakdown size or n - 1."""
+    p = draw(p)
+    n = draw(st.integers(p + 2, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "lattice", "block"]))
+    if kind == "lattice":
+        x = rng.integers(0, 3, (n, p)).astype(float)
+    else:
+        x = rng.standard_normal((n, p))
+        if kind == "block":
+            x[: n // 10 + 1] += 1e6
+    k = draw(st.sampled_from([(n + p + 1) // 2, n - 1]))
+    size = draw(st.sampled_from([p + 1, k]))
+    supports = np.sort(rng.random((draw(st.integers(1, 30)), n)).argsort(axis=1)[:, :size], axis=1)
+    return x, k, supports
+
+
+class TestKernelBits:
+    """``_batch_fit`` and ``_closest_rows`` give the bytes of their plain
+    formulas, ``oracle_fit`` and ``oracle_closest``."""
+
+    @staticmethod
+    def closest_of_nonsingular(x, k, fits):
+        # only nonsingular fits are stepped, as in _concentrate
+        mus, sigmas, logdets = fits
+        alive = np.isfinite(logdets)
+        return mcd_module._closest_rows(x, k, mus[alive], sigmas[alive]), oracle_closest(
+            x, k, mus[alive], sigmas[alive]
+        )
+
+    @given(kernel_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_same_bytes_as_plain_formulas(self, stack):
+        x, k, supports = stack
+        fits = mcd_module._batch_fit(x, supports)
+        assert_same_bits(fits, oracle_fit(x, supports))
+        closest, expected = self.closest_of_nonsingular(x, k, fits)
+        assert_same_bits([closest], [expected])
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(45).integers(0, 3, (150, 3)).astype(float),
+        block_sample(1e6, 46),
+    ], ids=["lattice", "block-1e6"])
+    def test_same_bytes_on_search_stacks(self, x, monkeypatch):
+        # a search's seeds and first-step supports: the lattice ties many
+        # k-th distances, and the block's mixed fits exceed _COND_MAX; both
+        # send candidates to the LU solve
+        k, seeds, supports = candidate_stack(x, 47)
+        for subsets in (seeds, supports):
+            fits = mcd_module._batch_fit(x, subsets)
+            assert_same_bits(fits, oracle_fit(x, subsets))
+            with monkeypatch.context() as m:
+                solved = spy(m, "_sq_distances")
+                closest, expected = self.closest_of_nonsingular(x, k, fits)
+            assert_same_bits([closest], [expected])
+            # one solve of the same candidates each, in _closest_rows and the oracle
+            n_solved = [len(args[1]) for args, _ in solved]
+            assert len(n_solved) == 2 and n_solved[0] == n_solved[1] > 0
+
+    @given(kernel_stacks(p=st.just(1)))
+    @settings(max_examples=200, deadline=None)
+    def test_one_column_means_within_summation_error(self, stack):
+        # at p = 1 ``mean`` sums pairwise and ``_batch_fit`` in another
+        # order, so means may differ by the rounding of either sum, at most
+        # (k' - 1) * eps * max|x| for k' summed rows; the selection is the
+        # oracle's bit for bit
+        x, k, supports = stack
+        fits = mcd_module._batch_fit(x, supports)
+        mus, sigmas, _ = oracle_fit(x, supports)
+        scale = np.abs(x[supports]).max(axis=(1, 2))[:, None]
+        bound = (supports.shape[1] - 1) * np.finfo(float).eps * scale
+        assert (np.abs(fits[0] - mus) <= bound).all()
+        np.testing.assert_allclose(fits[1], sigmas, rtol=1e-9, atol=0)
+        closest, expected = self.closest_of_nonsingular(x, k, fits)
+        assert_same_bits([closest], [expected])
 
 
 class TestConcentrate:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,6 +147,48 @@ class TestQnSelectionOracle:
                 far = 1.0 + 1e-9 * rng.integers(0, 50, n) + rng.choice([0.0, 1e6], n)
                 for x in (tenths, far):
                     assert bits(qn_raw(x)) == bits(qn_enumerated(x))
+
+
+# values whose differences tie, round to the neighbouring float or are
+# subnormal or huge (a difference beyond the float range would overflow)
+_HARD_VALUES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 0.1, -0.8, 0.8 + 2**-52, 1e-17,
+    1e6, 1e6 + 1e-9, 1e300, -1e300,
+]
+
+
+class TestRowCut:
+    """``_row_cut`` guesses each row's cut by one ``searchsorted`` and
+    bisects (``_bisect_cut``) only the rows whose guess fails the exact
+    check; the selection stays the enumeration's float."""
+
+    @given(
+        xs=st.lists(
+            st.one_of(st.sampled_from(_HARD_VALUES), st.floats(min_value=-1e300, max_value=1e300)),
+            min_size=2,
+            max_size=150,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_pivot_rounds_match_enumeration(self, xs):
+        # with the gather thresholds down, every selection runs pivot rounds
+        # until one candidate is left
+        with mock.patch.object(scale, "_GATHER_MIN", 1), mock.patch.object(scale, "_GATHER_PER_ROW", 0):
+            assert bits(qn_raw(xs)) == bits(qn_enumerated(xs))
+
+    def test_bisection_fallback(self, monkeypatch):
+        # rows at about -0.8 meet pivots of about 0.8: base + t lands near 0,
+        # where floats are far finer than the rounding of s[j] - base, so
+        # searchsorted misplaces cuts among the values near 0
+        monkeypatch.setattr(scale, "_GATHER_MIN", 1)
+        monkeypatch.setattr(scale, "_GATHER_PER_ROW", 0)
+        bisected = []
+        bisect = scale._bisect_cut
+        monkeypatch.setattr(scale, "_bisect_cut", lambda *a: bisected.append(1) or bisect(*a))
+        rng = np.random.default_rng(0)
+        x = np.concatenate([-0.8 + np.spacing(0.8) * rng.integers(0, 8, 40), 1e-17 * rng.integers(-5, 6, 40)])
+        assert bits(qn_raw(x)) == bits(qn_enumerated(x))
+        assert bisected
 
 
 class TestQnMemory:
