@@ -15,22 +15,22 @@ C-steps all run in the one loop ``_concentrate``:
    most ``CSTEP_TOL`` (relative), singularity or ``MAX_CSTEPS`` steps;
 5. the best of them returned.
 
-Above ``_NESTED_MIN`` (600) rows, stages 1-3 run on nested subsets, as in
-section 3.3 of the source and robustbase's ``covMcd``.  One random
-permutation of the rows forms g = min(5, n // 300) groups: up to 1500 rows
-they split all n rows, their sizes within one of each other; above, they
-are 5 groups of 300.  Each group of n_g rows runs stages 1-3 on its own
-rows with 500 // g seeds and subset size k_g = ceil(n_g * k / n); a group
-without a nonsingular seed gives nothing, and ``SingularDataError`` needs
-every group to.  The groups' rows, in their original order, form the
-merged sample of n_m rows (every row up to 1500), where the groups'
-candidates take two C-steps at k_m = ceil(n_m * k / n) and the
-``N_BEST_KEPT`` best go on to stage 4 on all rows.  A candidate that turns
-singular in a group or the merge, an exact fit of k_g or k_m rows, sends
-the fit to the search on all rows, for a singular fit cannot be stepped on
-a wider sample.  The nested search draws from the fit's stream first the
-permutation, then each group's seeds in group order; the search on all
-rows draws its seeds from the start of the same stream.
+Stages 1-3 run in g groups of rows, ``_search``, as in section 3.3 of the
+source and robustbase's ``covMcd``.  Up to ``_NESTED_MIN`` (600) rows g = 1
+and the one group is every row.  Above, one random permutation of the rows
+forms g = min(5, n // 300) groups: up to 1500 rows they split all n rows,
+their sizes within one of each other; above, they are 5 groups of 300.
+Each group of n_g rows runs stages 1-3 on its own rows with 500 // g seeds
+and subset size k_g = ceil(n_g * k / n); a group without a nonsingular seed
+gives nothing, and ``SingularDataError`` needs every group to.  With g > 1
+the groups' rows, in their original order, form the merged sample of n_m
+rows (every row up to 1500), where the groups' candidates take two C-steps
+at k_m = ceil(n_m * k / n) and the ``N_BEST_KEPT`` best go on to stage 4 on
+all rows.  A candidate that turns singular in a group or the merge, an
+exact fit of k_g or k_m rows, sends the fit to the search in one group of
+all rows, for a singular fit cannot be stepped on a wider sample.  The
+fit's stream gives the permutation first, if any, then each group's seeds
+in group order; that fallback draws its seeds from the start of the stream.
 
 A C-step re-ranks all rows by squared Mahalanobis distance under the
 current fit, keeps the k closest and refits; the determinant never
@@ -52,10 +52,10 @@ it, has them overwritten by an LU solve's (``_sq_distances``), so
 the kept rows are the ones the solve ranks closest.  The k closest rows
 are the set a stable argsort keeps, ties at the k-th distance going to the
 lowest row indices: one ``np.argpartition`` picks them when no other row
-lies in the rounding band of the k-th distance, ``_k_smallest`` otherwise.
-For p >= 2 a subset's mean sums its rows in support order, the bits of
-numpy's ``mean``; at p = 1, where ``mean`` sums pairwise, the two may
-differ in the last bits.  Candidates run in chunks of at most
+lies in the rounding band of the k-th distance, the stable argsort itself
+otherwise.  For p >= 2 a subset's mean sums its rows in support order, the
+bits of numpy's ``mean``; at p = 1, where ``mean`` sums pairwise, the two
+may differ in the last bits.  Candidates run in chunks of at most
 ``_CHUNK_BYTES`` of (chunk, n, p) float64 data, so memory does not grow
 with the number of candidates; a candidate's bits do not depend on the
 chunk it runs in.
@@ -223,8 +223,8 @@ def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) ->
     The rows come from one ``np.argpartition``: with the k-th row alone in
     that band, its first k are the rows a stable argsort keeps.  A candidate
     sent to the solve, or whose band holds no row (a NaN k-th distance),
-    goes through ``np.partition`` and ``_k_smallest``, which break ties by
-    row index.
+    takes the first k of that stable argsort, which breaks ties by row index
+    and ranks NaNs last.
     """
     inv = np.linalg.inv(sigmas)
     cond = np.abs(sigmas).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
@@ -239,28 +239,8 @@ def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) ->
     if slow.any():
         d2 = d2[slow]
         d2[exact[slow]] = _sq_distances(x, mus[exact], sigmas[exact])
-        rows[slow] = _k_smallest(d2, k, np.partition(d2, k - 1, axis=1)[:, k - 1 : k])
+        rows[slow] = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
     return rows
-
-
-def _k_smallest(d2: np.ndarray, k: int, kth: np.ndarray) -> np.ndarray:
-    """Sorted column indices of the k smallest entries of each row of d2,
-    given each row's k-th smallest value (``np.partition``'s) as the (m, 1)
-    column ``kth``.
-
-    Ties at the k-th value go to the lowest indices and NaNs rank last, so
-    the result is the set a stable argsort keeps.
-    """
-    below = d2 < kth
-    tie = d2 == kth
-    nan_kth = np.isnan(kth)
-    if nan_kth.any():
-        nan = np.isnan(d2)
-        below |= nan_kth & ~nan
-        tie |= nan_kth & nan
-    need = k - below.sum(axis=1, keepdims=True)
-    keep = below | (tie & (np.cumsum(tie, axis=1) <= need))
-    return np.nonzero(keep)[1].reshape(-1, k)
 
 
 def _batch_cstep(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) -> _Candidates:
@@ -370,13 +350,15 @@ def _group_rows(n: int, gen: np.random.Generator) -> list[np.ndarray]:
     return [np.sort(g) for g in np.array_split(perm, min(_N_GROUPS, n // _GROUP_ROWS))]
 
 
-def _nested_search(x: np.ndarray, k: int, m: int, gen: np.random.Generator) -> _Candidates | None:
-    """The group and merge stages: the ``N_BEST_KEPT`` best candidates of
-    the merged sample, supports in rows of x, or None when a candidate
-    turned singular.  Raises ``SingularDataError`` when no group has a
-    nonsingular seed."""
+def _search(
+    x: np.ndarray, k: int, m: int, groups: list[np.ndarray], gen: np.random.Generator
+) -> _Candidates | None:
+    """Stages 1-3 in the given groups of rows of x: the ``N_BEST_KEPT`` best
+    candidates, supports in rows of x.  One group of all rows is the search
+    on all rows and returns its candidates, singular ones too; more groups
+    add the merge stage and give None when a candidate turned singular.
+    Raises ``SingularDataError`` when no group has a nonsingular seed."""
     n = len(x)
-    groups = _group_rows(n, gen)
 
     def k_of(rows):  # ceil(len(rows) * k / n), in integers
         return -(-len(rows) * k // n)
@@ -386,10 +368,12 @@ def _nested_search(x: np.ndarray, k: int, m: int, gen: np.random.Generator) -> _
         block = x[rows]
         seeds = _draw_seeds(block, m // len(groups), gen)
         if len(seeds[0]):
-            pooled.append(_best_after_two_steps(block, k_of(rows), *seeds)[1:])
+            pooled.append(_best_after_two_steps(block, k_of(rows), *seeds))
     if not pooled:
         raise SingularDataError("all initial (p+1)-subsets are singular")
-    mus, sigmas, logdets = (np.concatenate(a) for a in zip(*pooled))
+    if len(groups) == 1:
+        return pooled[0]
+    mus, sigmas, logdets = (np.concatenate(a) for a in list(zip(*pooled))[1:])
     if not np.isfinite(logdets).all():
         return None
     merged = np.sort(np.concatenate(groups))
@@ -432,13 +416,14 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     is the exact MCD of every k-subset instead: it draws nothing from
     ``rng``.  Otherwise the search runs its stages: seeds drawn from
     ``rng``, two C-steps of each, the ``N_BEST_KEPT`` best kept, C-steps of
-    those to convergence, and the best of them returned.  Above
-    ``_NESTED_MIN`` (600) rows the seeds and their first two C-steps run in
-    up to 5 groups of at most 300 random rows, and the groups' best take two
-    C-steps on the groups' rows merged before the ``N_BEST_KEPT`` best go to
-    all rows; ``rng`` gives first the groups' permutation, then each
-    group's seeds.  A candidate that turns singular there sends the fit to
-    the search on all rows.
+    those to convergence, and the best of them returned.  The seeds and
+    their first two C-steps run in g groups of rows (``_search``): one group
+    of all rows up to ``_NESTED_MIN`` (600) rows; above, up to 5 groups of at
+    most 300 random rows, whose best take two C-steps on the groups' rows
+    merged before the ``N_BEST_KEPT`` best go to all rows.  ``rng`` gives
+    first the groups' permutation, if any, then each group's seeds.  A
+    candidate that turns singular in a group or the merge sends the fit to
+    one group of all rows, with seeds from the start of ``rng``.
     """
     x = _rows(data)
     n, p = x.shape
@@ -452,13 +437,10 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     if n <= _ENUM_MAX and math.comb(n, k) <= min(_ENUM_MAX, _ENUM_WORK_MAX // (k * p * p)):
         return _enumerate_mcd(x, k)
 
-    m = cfg.n_initial_subsets
-    found = _nested_search(x, k, m, rng.generator()) if n > _NESTED_MIN else None
+    m, gen = cfg.n_initial_subsets, rng.generator()
+    found = _search(x, k, m, _group_rows(n, gen) if n > _NESTED_MIN else [np.arange(n)], gen)
     if found is None:
-        seeds = _draw_seeds(x, m, rng.generator())
-        if not len(seeds[0]):
-            raise SingularDataError("all initial (p+1)-subsets are singular")
-        found = _best_after_two_steps(x, k, *seeds)
+        found = _search(x, k, m, [np.arange(n)], rng.generator())
     supports, mus, sigmas, logdets = _concentrate(x, k, *found, steps=MAX_CSTEPS)
     i = _rank_candidates(logdets, supports, 1)[0]
     return _finalize(k, n, p, mus[i], sigmas[i], supports[i], logdets[i])

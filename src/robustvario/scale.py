@@ -57,6 +57,9 @@ def qn_raw(sample) -> float:
     exact: IEEE subtraction is sign-symmetric, so the sorted differences
     x_(j) - x_(i), j > i, are the same floats as the |x_i - x_j|, and the
     selection compares exactly those computed differences with its pivots.
+    A difference beyond the largest float rounds to +inf and ranks last, so
+    a sample whose range overflows still has its Qn, which is inf only when
+    the k-th difference itself overflows.
     """
     x = np.asarray(sample, dtype=float).ravel()
     n = x.size
@@ -66,7 +69,8 @@ def qn_raw(sample) -> float:
         raise InputError("Qn sample must be finite")
     h = n // 2 + 1
     k = h * (h - 1) // 2
-    return _kth_difference(np.sort(x), k)
+    with np.errstate(over="ignore"):
+        return _kth_difference(np.sort(x), k)
 
 
 def _kth_difference(s: np.ndarray, k: int) -> float:

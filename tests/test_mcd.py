@@ -519,10 +519,9 @@ def oracle_fit(x, supports):
 
 
 def oracle_closest(x, k, mus, sigmas):
-    """``_closest_rows`` with ``np.partition`` and ``_k_smallest`` on every
-    candidate: the distances from the inverse, overwritten by the LU
-    solve's where the condition number or a near tie at the k-th distance
-    asks for it."""
+    """``_closest_rows`` with a stable argsort on every candidate: the
+    distances from the inverse, overwritten by the LU solve's where the
+    condition number or a near tie at the k-th distance asks for it."""
     inv = np.linalg.inv(sigmas)
     cond = one_norm_cond(sigmas)
     delta_t = x.T[None] - mus[:, :, None]
@@ -532,8 +531,7 @@ def oracle_closest(x, k, mus, sigmas):
     exact = ~(cond <= mcd_module._COND_MAX) | (near.sum(axis=1) > 1)
     if exact.any():
         d2[exact] = mcd_module._sq_distances(x, mus[exact], sigmas[exact])
-        kth[exact] = np.partition(d2[exact], k - 1, axis=1)[:, k - 1 : k]
-    return mcd_module._k_smallest(d2, k, kth)
+    return np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
 
 
 def oracle_cstep(x, k, mus, sigmas):
@@ -605,24 +603,6 @@ class TestCStepOracle:
         x[:15] += 50.0
         monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 7 * x.nbytes)
         self.two_steps(x, 4)
-
-    @given(
-        d2=st.integers(1, 40).flatmap(
-            lambda n: st.lists(
-                st.lists(st.sampled_from([0.0, 1.0, 2.0, 3.0, np.nan]), min_size=n, max_size=n),
-                min_size=1,
-                max_size=4,
-            )
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_selection_matches_stable_argsort(self, d2):
-        d2 = np.array(d2)
-        order = np.argsort(d2, axis=1, kind="stable")
-        for k in range(1, d2.shape[1] + 1):
-            expected = np.sort(order[:, :k], axis=1)
-            kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-            np.testing.assert_array_equal(mcd_module._k_smallest(d2, k, kth), expected)
 
 
 @st.composite
@@ -757,6 +737,14 @@ def full_search(x, seed, monkeypatch):
         return fast_mcd(x, McdConfig(), RngStream(seed))
 
 
+def assert_pinned(fit, digest, size, log_det):
+    """The fit's support hash (sha256[:16] of its little-endian int64
+    bytes), support size and log-determinant are the pinned ones."""
+    support = np.array(fit.support, dtype="<i8").tobytes()
+    assert (hashlib.sha256(support).hexdigest()[:16], len(fit.support)) == (digest, size)
+    assert fit.log_det == pytest.approx(log_det, rel=1e-12)
+
+
 def spy(monkeypatch, name):
     """Record the arguments and a copy of the result of every call of an
     mcd function; the caller may update the result in place."""
@@ -792,10 +780,8 @@ class TestNested:
         x[:60] += 10.0
         fit = fast_mcd(x, McdConfig(), RngStream(6))
         assert fit_bits(fit) == fit_bits(full_search(x, 6, monkeypatch))
-        assert len(fit.support) == 302 and min(fit.support) >= 60
-        support = np.array(fit.support, dtype="<i8").tobytes()
-        assert hashlib.sha256(support).hexdigest()[:16] == "1e3a5967dd4ffba5"
-        assert fit.log_det == pytest.approx(-2.5283568299469397, rel=1e-12)
+        assert min(fit.support) >= 60
+        assert_pinned(fit, "1e3a5967dd4ffba5", 302, -2.5283568299469397)
 
     @pytest.mark.parametrize("n", [601, 1499])
     def test_groups_split_all_rows(self, n):
@@ -895,14 +881,33 @@ class TestNested:
 
     def test_singular_candidate_takes_full_search(self, monkeypatch):
         # 400 of 700 rows coincide: group fits turn singular, and the fit is
-        # the search on all rows, which finds the exact fit
+        # the search in one group of all rows, which finds the exact fit
         x = np.vstack([np.ones((400, 2)), np.random.default_rng(12).standard_normal((300, 2))])
-        nested = spy(monkeypatch, "_nested_search")
+        searches = spy(monkeypatch, "_search")
+        seeds = spy(monkeypatch, "_draw_seeds")
         with pytest.warns(RuntimeWarning, match="singular"):
             fit = fast_mcd(x, McdConfig(), RngStream(3))
-        assert nested[0][1] is None and fit.singular
+        assert [len(args[3]) for args, _ in searches] == [2, 1]
+        assert searches[0][1] is None and fit.singular
+        assert_same_bits(searches[1][0][3], [np.arange(700)])
+        # its seeds come from the start of the stream
+        assert_same_bits(seeds[-1][1], draw_seeds(x, 3))
         with pytest.warns(RuntimeWarning, match="singular"):
             assert fit_bits(fit) == fit_bits(full_search(x, 3, monkeypatch))
+        assert_pinned(fit, "bce11bc10cb6ac44", 351, -math.inf)
+
+    @pytest.mark.parametrize("n,p,nested,full", [
+        (1501, 3, ("38d2110afa35d55f", 752, -2.545272685298139),
+         ("38d2110afa35d55f", 752, -2.545272685298139)),
+        (3000, 4, ("443ca8f85aa08fe4", 1502, -2.615091800007867),
+         ("99dde98ad03e96f1", 1502, -2.615139104538154)),
+    ])
+    def test_pinned_bits(self, n, p, nested, full, monkeypatch):
+        # the nested search and the search on all rows keep their pinned
+        # supports and log-determinants
+        x, _ = outlier_sample(n, p, 6)
+        assert_pinned(fast_mcd(x, McdConfig(), RngStream(6)), *nested)
+        assert_pinned(full_search(x, 6, monkeypatch), *full)
 
     def test_no_group_seed_raises(self):
         with pytest.raises(SingularDataError, match="singular"):

@@ -28,12 +28,14 @@ def bits(value) -> bytes:
 
 
 def qn_enumerated(sample) -> float:
-    """Vectorised O(N^2) oracle: every |x_i - x_j|, partitioned at k."""
+    """Vectorised O(N^2) oracle: every |x_i - x_j|, partitioned at k; a
+    difference beyond the largest float is +inf."""
     x = np.asarray(sample, dtype=float)
     iu, ju = np.triu_indices(x.size, 1)
     h = x.size // 2 + 1
     k = h * (h - 1) // 2
-    return float(np.partition(np.abs(x[iu] - x[ju]), k - 1)[k - 1])
+    with np.errstate(over="ignore"):
+        return float(np.partition(np.abs(x[iu] - x[ju]), k - 1)[k - 1])
 
 
 class TestQnRaw:
@@ -153,7 +155,7 @@ class TestQnSelectionOracle:
 # subnormal or huge (a difference beyond the float range would overflow)
 _HARD_VALUES = [
     0.0, -0.0, 5e-324, -5e-324, 1e-310, 1.0, -1.0, 0.1, -0.8, 0.8 + 2**-52, 1e-17,
-    1e6, 1e6 + 1e-9, 1e300, -1e300,
+    1e6, 1e6 + 1e-9, 1e300, -1e300, 1.7e308, -1.7e308, np.finfo(float).max,
 ]
 
 
@@ -164,7 +166,7 @@ class TestRowCut:
 
     @given(
         xs=st.lists(
-            st.one_of(st.sampled_from(_HARD_VALUES), st.floats(min_value=-1e300, max_value=1e300)),
+            st.one_of(st.sampled_from(_HARD_VALUES), st.floats(allow_nan=False, allow_infinity=False)),
             min_size=2,
             max_size=150,
         )
@@ -189,6 +191,12 @@ class TestRowCut:
         x = np.concatenate([-0.8 + np.spacing(0.8) * rng.integers(0, 8, 40), 1e-17 * rng.integers(-5, 6, 40)])
         assert bits(qn_raw(x)) == bits(qn_enumerated(x))
         assert bisected
+
+    def test_range_beyond_largest_float(self):
+        # differences that overflow rank as +inf, without a warning; Qn is
+        # inf only when the k-th difference itself overflows
+        assert qn_raw([1.7e308, -1.7e308, 0.0, 1.0, 2.0, 3.0, 4.0, 5.0, 6.5]) == 2.0
+        assert qn_raw([1.7e308, -1.7e308]) == math.inf
 
 
 class TestQnMemory:
