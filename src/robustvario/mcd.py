@@ -41,21 +41,25 @@ every k-subset is fitted and the exact MCD returned, as robustbase's
 ``covMcd`` does; that fit draws nothing from the stream.  Every raw fit is
 scaled by its Fisher-consistency factor.
 
-The C-step kernel runs on BLAS.  ``_batch_fit`` forms the stacked subset
-scatters by one batched matmul, (p, k) @ (k, p) per subset; the full-sample
-fit and the reweighted refit go through it too.  ``_closest_rows`` inverts
-each candidate scatter once and gets all squared distances from one
-batched matmul, in the (m, p, n) layout of the LU solve.  A candidate whose
-scatter has a 1-norm condition number above ``_COND_MAX``, or whose k-th
-distance has another row within the rounding band ``_RANK_TOL`` * cond of
-it, has them overwritten by an LU solve's (``_sq_distances``), so
-the kept rows are the ones the solve ranks closest.  The k closest rows
-are the set a stable argsort keeps, ties at the k-th distance going to the
-lowest row indices: one ``np.argpartition`` picks them when no other row
-lies in the rounding band of the k-th distance, the stable argsort itself
-otherwise.  For p >= 2 a subset's mean sums its rows in support order, the
-bits of numpy's ``mean``; at p = 1, where ``mean`` sums pairwise, the two
-may differ in the last bits.  Candidates run in chunks of at most
+The C-step kernel runs on BLAS.  ``_batch_fit`` gathers the subsets' rows
+by one ``np.take`` and forms the stacked subset scatters by one batched
+matmul, (p, k) @ (k, p) per subset; the full-sample fit and the reweighted
+refit go through it too.  ``_closest_rows`` keeps, by definition, the first
+k rows of a stable argsort (ties to the lowest row indices) of the squared
+distances from each scatter's inverse, overwritten by an LU solve's
+(``_sq_distances``) where the 1-norm condition number exceeds
+``_COND_MAX`` or another row lies within the rounding band ``_RANK_TOL`` *
+cond of the k-th distance.  It gets them from one product per candidate of
+P = p(p+1)/2 + p + 1 coefficients, from the candidate's inverse and centre,
+with the (P, n) quadratic features of the rows about the sample mean, which
+``_concentrate`` builds once per sample, without an (m, p, n) array.  A
+rounding bound per candidate, derived in ``_closest_rows``, proves the
+product's k closest rows the definition's; a candidate it cannot certify
+(0.1-0.3% of them in the benchmark's workloads: seed ties, near ties, ill
+conditioning) takes the definition itself, ``_closest_by_definition``.
+For p >= 2 a subset's mean sums its rows in support order, the bits of
+numpy's ``mean``; at p = 1, where ``mean`` sums pairwise, the two may
+differ in the last bits.  Candidates run in chunks of at most
 ``_CHUNK_BYTES`` of (chunk, n, p) float64 data, so memory does not grow
 with the number of candidates; a candidate's bits do not depend on the
 chunk it runs in.
@@ -192,7 +196,7 @@ def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndar
     sums in another order and ``mean`` pairwise, so the means may differ in
     the last bits.
     """
-    subs = x[supports]
+    subs = np.take(x, supports, axis=0)
     k = supports.shape[1]
     mus = np.einsum("mkp->mp", subs) / k
     subs -= mus[:, None, :]
@@ -209,45 +213,106 @@ def _sq_distances(x: np.ndarray, mus: np.ndarray, sigmas: np.ndarray) -> np.ndar
     return np.einsum("mpn,mpn->mn", delta_t, np.linalg.solve(sigmas, delta_t))
 
 
-def _closest_rows(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
+def _quadratic_features(x: np.ndarray) -> tuple:
+    """(c, F, reach, (a, b)) of a sample for ``_closest_rows``: its mean c,
+    the (P, n) quadratic features of y = x - c, rows y_a * y_a and 2 * y_a *
+    y_b (a < b), then y_a, then 1, for P = p(p+1)/2 + p + 1 and the rows of
+    y in the columns, max |y|, and the index pairs a <= b of the first
+    rows."""
+    c = x.mean(axis=0)
+    y = x - c
+    a, b = np.triu_indices(x.shape[1])
+    quadratic = (y[:, a] * y[:, b] * np.where(a == b, 1.0, 2.0)).T
+    return c, np.vstack([quadratic, y.T, np.ones(len(x))]), float(np.abs(y).max()), (a, b)
+
+
+def _closest_rows(
+    x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray, features=None
+) -> np.ndarray:
     """Sorted indices of the k rows of x closest to each fit in squared
-    Mahalanobis distance; (m, k).
+    Mahalanobis distance; (m, k).  ``features`` are x's
+    ``_quadratic_features``, built here when not given.
 
-    Each scatter is inverted once and the distances come from one matmul.
-    Where that ranking is not certain to match an LU solve's, the candidate's
-    distances are overwritten by ``np.linalg.solve``'s: when the 1-norm
-    condition number exceeds ``_COND_MAX``, or when another row lies within
-    ``_RANK_TOL`` * cond (relative) of the k-th distance, as the p+1 rows of
-    a seed always do, their distances being equal in exact arithmetic.
+    The rows are by definition the first k of a stable argsort (ties to the
+    lower row index, NaNs last) of the distances from each scatter's inverse
+    A, d_i = (x_i - mu)' A (x_i - mu) summed over p terms twice, overwritten
+    by an LU solve's (``_sq_distances``) when the 1-norm condition number
+    exceeds ``_COND_MAX`` or another row lies within ``_RANK_TOL`` * cond
+    (relative) of the k-th distance, as the p+1 rows of a seed always do,
+    their distances being equal in exact arithmetic.
 
-    The rows come from one ``np.argpartition``: with the k-th row alone in
-    that band, its first k are the rows a stable argsort keeps.  A candidate
-    sent to the solve, or whose band holds no row (a NaN k-th distance),
-    takes the first k of that stable argsort, which breaks ties by row index
-    and ranks NaNs last.
+    Each candidate first takes the distances d' of one product of its P
+    coefficients, the upper triangle of S = (A + A')/2, -2 S e and e' S e
+    for e = mu - c, with the features: (x - mu)' A (x - mu) expanded about
+    the sample mean.  With u = eps / 2, gamma_j = j u / (1 - j u), V = max|y|
+    + max|e| >= max|x - mu| and |A| the sum of |A_ab|, every term of either
+    sum is at most |A| V^2 in all:
+
+    - forming S, S e and e' S e costs at most gamma_{2p+1} of each
+      coefficient's terms and the features gamma_1, the length-P sum
+      gamma_P, so d' is within gamma_{P+2p+2} |A| V^2 of the form at
+      y - e;
+    - y - e differs from x - mu by at most u V per component, which moves
+      the form by at most gamma_3 |A| V^2;
+    - the inverse path rounds x - mu and sums p terms twice, within
+      gamma_{2p+4} |A| V^2 of the exact form at x - mu.
+
+    So |d' - d| <= gamma_{P+4p+9} |A| V^2 < E = (P + 4p + 9) eps |A| V^2,
+    the factor 2 of eps over u covering 1 / (1 - j u) and the rounding of E
+    and of the comparisons below.  A candidate keeps the k smallest d' when
+    cond <= ``_COND_MAX`` and no other row lies within ``_RANK_TOL`` * cond
+    * (|kth| + E) + 2E of its k-th d': then every kept row's d is below the
+    k-th row's and every other row's above, and no row's d lies within
+    ``_RANK_TOL`` * cond of the k-th, so these are the rows of the
+    definition.  E holds when no term under- or overflows, which |A| and V
+    above 1e-100 and |A| V^2 below 1e300 ensure.  Every other candidate
+    takes the definition itself.
     """
+    c, f, reach, (a, b) = _quadratic_features(x) if features is None else features
+    p = mus.shape[1]
     inv = np.linalg.inv(sigmas)
-    cond = np.abs(sigmas).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
-    delta_t = np.ascontiguousarray(x.T) - mus[:, :, None]
-    d2 = np.einsum("mpn,mpn->mn", np.swapaxes(inv, 1, 2) @ delta_t, delta_t)
+    abs_inv = np.abs(inv)
+    cond = np.abs(sigmas).sum(axis=1).max(axis=1) * abs_inv.sum(axis=1).max(axis=1)
+    e = mus - c
+    s = (inv + np.swapaxes(inv, 1, 2)) / 2
+    se = (s @ e[:, :, None])[:, :, 0]
+    coef = np.concatenate([s[:, a, b], -2 * se, np.einsum("mp,mp->m", se, e)[:, None]], axis=1)
+    # one (1, P) @ (P, n) product per candidate, below OpenBLAS's threading threshold
+    d2 = (coef[:, None, :] @ f)[:, 0]
+    size, v = abs_inv.sum(axis=(1, 2)), reach + np.abs(e).max(axis=1)
+    err = (len(f) + 4 * p + 9) * np.finfo(float).eps * size * v * v
     order = np.argpartition(d2, k - 1, axis=1)
     kth = np.take_along_axis(d2, order[:, k - 1 : k], axis=1)
-    n_near = np.count_nonzero(np.abs(d2 - kth) <= _RANK_TOL * cond[:, None] * np.abs(kth), axis=1)
-    exact = ~(cond <= _COND_MAX) | (n_near > 1)
+    band = _RANK_TOL * cond[:, None] * (np.abs(kth) + err[:, None]) + 2 * err[:, None]
+    n_near = np.count_nonzero(np.abs(d2 - kth) <= band, axis=1)
+    sure = (cond <= _COND_MAX) & (np.minimum(size, v) > 1e-100) & (size * v * v < 1e300)
+    sure &= n_near == 1
     rows = np.sort(order[:, :k], axis=1)
-    slow = exact | (n_near != 1)
-    if slow.any():
-        d2 = d2[slow]
-        d2[exact[slow]] = _sq_distances(x, mus[exact], sigmas[exact])
-        rows[slow] = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+    if not sure.all():
+        rest = ~sure
+        rows[rest] = _closest_by_definition(x, k, mus[rest], sigmas[rest], inv[rest], cond[rest])
     return rows
 
 
-def _batch_cstep(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) -> _Candidates:
+def _closest_by_definition(x, k, mus, sigmas, inv, cond) -> np.ndarray:
+    """``_closest_rows`` by its definition, given each scatter's inverse and
+    1-norm condition number."""
+    delta_t = np.ascontiguousarray(x.T) - mus[:, :, None]
+    d2 = np.einsum("mpn,mpn->mn", np.swapaxes(inv, 1, 2) @ delta_t, delta_t)
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
+    n_near = np.count_nonzero(np.abs(d2 - kth) <= _RANK_TOL * cond[:, None] * np.abs(kth), axis=1)
+    exact = ~(cond <= _COND_MAX) | (n_near > 1)
+    if exact.any():
+        d2[exact] = _sq_distances(x, mus[exact], sigmas[exact])
+    return np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+
+
+def _batch_cstep(
+    x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray, features=None
+) -> _Candidates:
     """One C-step for every candidate fit: its k closest rows
-    (``_closest_rows``, ties to the lower row index, the support an LU solve
-    and a stable argsort give) and their fit.  Returns (supports, mus,
-    sigmas, logdets).
+    (``_closest_rows``, given x's ``features`` or building them) and their
+    fit.  Returns (supports, mus, sigmas, logdets).
 
     Candidates run in chunks whose (chunk, n, p) float64 block fits
     ``_CHUNK_BYTES``, so memory stays bounded for any number of candidates.
@@ -258,7 +323,7 @@ def _batch_cstep(x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray) -> 
     chunk = max(1, _CHUNK_BYTES // (8 * x.size))
     for lo in range(0, m, chunk):
         sel = slice(lo, lo + chunk)
-        supports[sel] = _closest_rows(x, k, mus[sel], sigmas[sel])
+        supports[sel] = _closest_rows(x, k, mus[sel], sigmas[sel], features)
         mus2[sel], sigmas2[sel], logdets[sel] = _batch_fit(x, supports[sel])
     return supports, mus2, sigmas2, logdets
 
@@ -279,12 +344,12 @@ def _concentrate(
     (p+1)-seeds, whose supports are not k wide, and fits of another sample,
     given as ``supports=None``; such fits must all be nonsingular.
     """
-    active = np.isfinite(logdets)
+    active, features = np.isfinite(logdets), _quadratic_features(x)
     for _ in range(steps):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        sup2, mu2, sigma2, ld2 = _batch_cstep(x, k, mus[idx], sigmas[idx])
+        sup2, mu2, sigma2, ld2 = _batch_cstep(x, k, mus[idx], sigmas[idx], features)
         ld = logdets[idx]
         stopped = ~np.isfinite(ld2)
         if supports is not None and supports.shape[1] == k:

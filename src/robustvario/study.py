@@ -145,7 +145,9 @@ def _replicate(spec: StudySpec, rep: int) -> dict:
 def _collect(spec: StudySpec) -> list[dict]:
     """Run all replications (in parallel when configured) and return their
     per-replication dicts in replication order."""
-    n_jobs = spec.n_jobs or os.cpu_count() or 1
+    # by default one worker per CPU this process may run on
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n_jobs = spec.n_jobs or cpus or 1
     run = functools.partial(_replicate, spec)
     reps = range(spec.replications)
     if n_jobs == 1 or spec.replications < 8:

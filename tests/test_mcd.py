@@ -609,19 +609,23 @@ class TestCStepOracle:
 def kernel_stacks(draw, p=st.integers(2, 8)):
     """A sample, a subset size k and a stack of sorted candidate supports:
     (p+1)-seeds or k-subsets.  The rows are Gaussian, on a 3-level lattice
-    (duplicate rows and distinct rows at equal distances) or Gaussian with
-    a tenth of them moved by 1e6 (mixed fits exceed ``_COND_MAX`` and take
-    the LU solve); k is the maximal-breakdown size or n - 1."""
+    (duplicate rows and distinct rows at equal distances), Gaussian with a
+    tenth of them moved by 1e6 (mixed fits exceed ``_COND_MAX`` and take
+    the LU solve) or by 1e3 (the product's features cancel, so its rounding
+    bound decides), or near ties: Gaussian or offset rows, each repeated one
+    ulp up; k is the maximal-breakdown size or n - 1."""
     p = draw(p)
     n = draw(st.integers(p + 2, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["gaussian", "lattice", "block"]))
+    kind = draw(st.sampled_from(["gaussian", "lattice", "block", "offset", "near-tie"]))
     if kind == "lattice":
         x = rng.integers(0, 3, (n, p)).astype(float)
     else:
         x = rng.standard_normal((n, p))
-        if kind == "block":
-            x[: n // 10 + 1] += 1e6
+        base = draw(st.sampled_from(["gaussian", "offset"])) if kind == "near-tie" else kind
+        x[: n // 10 + 1] += {"block": 1e6, "offset": 1e3}.get(base, 0.0)
+        if kind == "near-tie":
+            x = np.vstack([x[: n - n // 2], np.nextafter(x[: n // 2], np.inf)])
     k = draw(st.sampled_from([(n + p + 1) // 2, n - 1]))
     size = draw(st.sampled_from([p + 1, k]))
     supports = np.sort(rng.random((draw(st.integers(1, 30)), n)).argsort(axis=1)[:, :size], axis=1)
@@ -686,6 +690,56 @@ class TestKernelBits:
         np.testing.assert_allclose(fits[1], sigmas, rtol=1e-9, atol=0)
         closest, expected = self.closest_of_nonsingular(x, k, fits)
         assert_same_bits([closest], [expected])
+
+
+def near_tie_sample(seed):
+    """75 Gaussian rows, a tenth of them moved by 1e3, each repeated one ulp
+    up: the product's features cancel to about 1e-12, far beyond the
+    inverse's near-tie band, so only its rounding bound separates twins."""
+    x = np.random.default_rng(seed).standard_normal((75, 3))
+    x[:8] += 1e3
+    return np.vstack([x, np.nextafter(x, np.inf)])
+
+
+class TestCertifiedCut:
+    """``_closest_rows`` keeps the product's k closest rows only where its
+    rounding bound proves them the definition's; other candidates reach
+    ``_closest_by_definition``."""
+
+    @staticmethod
+    def shares(x, seed, monkeypatch):
+        # candidates stepped and candidates sent to the definition in one fit
+        stepped = spy(monkeypatch, "_closest_rows")
+        fallback = spy(monkeypatch, "_closest_by_definition")
+        fast_mcd(x, McdConfig(), RngStream(seed))
+        return tuple(sum(len(args[2]) for args, _ in calls) for calls in (stepped, fallback))
+
+    def test_clean_gaussian_search_is_certified(self, monkeypatch):
+        x = np.random.default_rng(51).standard_normal((300, 4))
+        stepped, fallback = self.shares(x, 1, monkeypatch)
+        assert stepped > 1000 and fallback <= 0.01 * stepped
+
+    @pytest.mark.parametrize("x", [
+        np.random.default_rng(52).integers(0, 3, (150, 3)).astype(float),
+        block_sample(1e6, 53),
+    ], ids=["lattice", "block-1e6"])
+    def test_ties_and_blocks_reach_the_definition(self, x, monkeypatch):
+        assert self.shares(x, 2, monkeypatch)[1] > 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_ties_at_an_offset(self, seed, monkeypatch):
+        # a bound a millionth as wide, or one without its 2E term, keeps
+        # twins in the product's order here and misses the oracle's bytes
+        x = near_tie_sample(seed)
+        k, seeds, supports = candidate_stack(x, seed)
+        for subsets in (seeds, supports):
+            mus, sigmas, logdets = mcd_module._batch_fit(x, subsets)
+            alive = np.isfinite(logdets)
+            with monkeypatch.context() as m:
+                fallback = spy(m, "_closest_by_definition")
+                closest = mcd_module._closest_rows(x, k, mus[alive], sigmas[alive])
+            assert_same_bits([closest], [oracle_closest(x, k, mus[alive], sigmas[alive])])
+            assert fallback
 
 
 class TestConcentrate:
@@ -863,8 +917,8 @@ class TestNested:
         seen = []
         cstep = mcd_module._batch_cstep
 
-        def inflating(xs, k, mus, sigmas):
-            out = cstep(xs, k, mus, sigmas)
+        def inflating(xs, k, mus, sigmas, *features):
+            out = cstep(xs, k, mus, sigmas, *features)
             if len(xs) == rows:
                 seen.append(k)
                 if len(seen) == target:

@@ -100,6 +100,18 @@ class TestReproducibility:
         parallel = run_bias_rmse_study(small_spec(replications=24, n_jobs=2))
         assert serial.rows == parallel.rows
 
+    def test_default_pool_follows_cpu_affinity(self, monkeypatch):
+        # an unset n_jobs with one usable CPU runs serially, whatever
+        # os.cpu_count() says
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(study_module.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(study_module.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(study_module, "ProcessPoolExecutor", no_pool)
+        serial = run_bias_rmse_study(small_spec(replications=8, n_jobs=1))
+        assert run_bias_rmse_study(small_spec(replications=8, n_jobs=None)).rows == serial.rows
+
     def test_contaminated_reproducible(self):
         spec = small_spec(contamination=ContaminationSpec("block", 0.1, mu0=3.0))
         assert run_bias_rmse_study(spec).rows == run_bias_rmse_study(spec).rows
