@@ -38,8 +38,9 @@ increases.  Small samples skip the search: when C(n, k) is at most
 ``_ENUM_MAX`` (3000) and the work C(n, k) * k * p^2 at most
 ``_ENUM_WORK_MAX``, where enumeration and search took about the same time,
 every k-subset is fitted and the exact MCD returned, as robustbase's
-``covMcd`` does; that fit draws nothing from the stream.  Every raw fit is
-scaled by its Fisher-consistency factor.
+``covMcd`` does; that fit draws nothing from the stream, and the table of
+k-subsets is kept per (n, k).  Every raw fit is scaled by its
+Fisher-consistency factor, which is cached per (alpha, p).
 
 The C-step kernel runs on BLAS.  ``_batch_fit`` gathers the subsets' rows
 by one ``np.take`` and forms the stacked subset scatters by one batched
@@ -65,15 +66,16 @@ with the number of candidates; a candidate's bits do not depend on the
 chunk it runs in.
 
 Reweighting keeps rows whose squared robust distance, from the same LU
-solve, is at most the chi-square cutoff chi2_{p, REWEIGHT_DELTA} and
-refits with its own consistency factor; a singular raw fit, or a raw
-scatter without a positive finite determinant, raises
+solve, is at most the chi-square cutoff chi2_{p, REWEIGHT_DELTA}, cached
+per p, and refits with its own consistency factor; a singular raw fit, or
+a raw scatter without a positive finite determinant, raises
 ``NotPositiveDefiniteError``.  :class:`McdConfig` holds only what callers
 choose: the subset fraction.  Sample rows must be finite.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import warnings
@@ -152,9 +154,11 @@ class McdFit:
     singular: bool = False
 
 
+@functools.lru_cache(maxsize=1024)
 def mcd_consistency_factor(alpha: float, p: int) -> float:
     """Fisher-consistency factor alpha / F_{chi2_{p+2}}(chi2_{p, alpha}) for
-    Gaussian data; 1 at alpha = 1 and increasing as alpha shrinks."""
+    Gaussian data; 1 at alpha = 1 and increasing as alpha shrinks.  Cached
+    per (alpha, p): a fit of n rows takes alpha = k / n."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must lie in (0, 1], got {alpha}")
     if p < 1:
@@ -162,6 +166,12 @@ def mcd_consistency_factor(alpha: float, p: int) -> float:
     if alpha == 1.0:
         return 1.0
     return alpha / chisq_cdf(chisq_quantile(alpha, p), p + 2)
+
+
+@functools.lru_cache(maxsize=64)
+def _reweight_cutoff(p: int) -> float:
+    """chi2_{p, REWEIGHT_DELTA}, the reweighting cutoff; cached per p."""
+    return chisq_quantile(REWEIGHT_DELTA, p)
 
 
 def _rows(data) -> np.ndarray:
@@ -218,12 +228,20 @@ def _quadratic_features(x: np.ndarray) -> tuple:
     the (P, n) quadratic features of y = x - c, rows y_a * y_a and 2 * y_a *
     y_b (a < b), then y_a, then 1, for P = p(p+1)/2 + p + 1 and the rows of
     y in the columns, max |y|, and the index pairs a <= b of the first
-    rows."""
+    rows.  The features are written in place into the one (P, n) array."""
+    n, p = x.shape
     c = x.mean(axis=0)
-    y = x - c
-    a, b = np.triu_indices(x.shape[1])
-    quadratic = (y[:, a] * y[:, b] * np.where(a == b, 1.0, 2.0)).T
-    return c, np.vstack([quadratic, y.T, np.ones(len(x))]), float(np.abs(y).max()), (a, b)
+    a, b = np.triu_indices(p)
+    f = np.empty((len(a) + p + 1, n))
+    y = np.subtract(x.T, c[:, None], out=f[len(a) : -1])
+    row = 0
+    for i in range(p):  # the rows y_i * y_j, j >= i, are consecutive
+        block = f[row : row + p - i]
+        np.multiply(y[i], y[i:], out=block)
+        block[1:] *= 2.0  # exact
+        row += p - i
+    f[-1] = 1.0
+    return c, f, float(max(y.max(), -y.min())), (a, b)
 
 
 def _closest_rows(
@@ -450,18 +468,38 @@ def _search(
     return merged[supports], mus, sigmas, logdets
 
 
+def _subset_rows(subsets, k: int) -> np.ndarray:
+    """The given k-subsets as the rows of an intp array."""
+    return np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp).reshape(-1, k)
+
+
+@functools.lru_cache(maxsize=8)
+def _k_subsets(n: int, k: int) -> np.ndarray:
+    """Every k-subset of range(n) in lexicographic order, (C(n, k), k),
+    read-only; cached per (n, k)."""
+    table = _subset_rows(itertools.combinations(range(n), k), k)
+    table.flags.writeable = False
+    return table
+
+
 def _enumerate_mcd(x: np.ndarray, k: int) -> McdFit:
     """Exact MCD: every k-subset is fitted, in lexicographic chunks whose
     (chunk, k, p) float64 block fits ``_CHUNK_BYTES``, and the best by
-    (log_det, support) wins.  Raises ``SingularDataError`` when every
-    k-subset is singular, which holds exactly when every (p+1)-subset is."""
+    (log_det, support) wins.  A table of the k-subsets that fits
+    ``_CHUNK_BYTES``, as the studies' are, is built once per (n, k)
+    (``_k_subsets``); a larger one, from an alpha near 1 on many rows, is
+    built chunk by chunk.  Raises ``SingularDataError`` when every k-subset
+    is singular, which holds exactly when every (p+1)-subset is."""
     n, p = x.shape
-    chunk = max(1, _CHUNK_BYTES // (8 * k * p))
-    subsets = itertools.combinations(range(n), k)
+    chunk, count = max(1, _CHUNK_BYTES // (8 * k * p)), math.comb(n, k)
+    if 8 * k * count <= _CHUNK_BYTES:
+        table = _k_subsets(n, k)
+        chunks = (table[lo : lo + chunk] for lo in range(0, count, chunk))
+    else:
+        subsets = itertools.combinations(range(n), k)
+        chunks = (_subset_rows(itertools.islice(subsets, chunk), k) for _ in range(0, count, chunk))
     best, regular = None, False
-    for _ in range(0, math.comb(n, k), chunk):
-        flat = itertools.chain.from_iterable(itertools.islice(subsets, chunk))
-        supports = np.fromiter(flat, dtype=np.intp).reshape(-1, k)
+    for supports in chunks:
         mus, sigmas, logdets = _batch_fit(x, supports)
         regular |= bool(np.isfinite(logdets).any())
         i = int(np.argmin(logdets))  # the first minimum, so ties go to the lower support
@@ -544,8 +582,7 @@ def reweight_mcd(data, raw: McdFit) -> McdFit:
     if raw.singular or sign <= 0 or not np.isfinite(raw_logdet):
         raise NotPositiveDefiniteError("raw MCD scatter is not positive definite")
     d2 = _sq_distances(x, raw.mu[None], raw.sigma[None])[0]
-    cutoff = chisq_quantile(REWEIGHT_DELTA, p)
-    w = d2 <= cutoff
+    w = d2 <= _reweight_cutoff(p)
     n_kept = int(w.sum())
     if n_kept == 0:
         raise SingularDataError("reweighting rejected every observation")

@@ -1,10 +1,30 @@
-"""Low-level numerics: chi-square CDF and quantile, and reproducible
-random-number streams.
+"""Low-level numerics: the chi-square distribution function and quantile,
+and reproducible random-number streams.
 
-The chi-square CDF/quantile pair backs the MCD consistency factors and the
-reweighting cutoff; both are thin wrappers of scipy's regularized
-incomplete gamma function and its inverse, with domain checks.  Squared
-Mahalanobis distances live with the MCD code (:mod:`robustvario.mcd`).
+The chi-square pair backs the MCD consistency factors and the reweighting
+cutoff, and needs only :mod:`math`.  F_df(x) is P(df/2, x/2), the
+regularized lower incomplete gamma ratio, computed as in DiDonato & Morris
+(1986, *ACM TOMS* 12:377): below x = a + 1 by its power series, above by
+the modified-Lentz continued fraction of Q = 1 - P.  Both scale the
+prefactor x^a e^-x / Gamma(a + 1), whose logarithm takes ``math.lgamma``
+for a < 10 and, above, Stirling's series about x = a, so that no large
+terms cancel.  The quantile takes Newton steps on log P against log x
+(a concave function, so a step never passes the root from the left), or
+on log Q against x above p = 1/2, where 1 - p is exact.  It starts at the
+larger of Wilson & Hilferty's cube-root guess and the lower bound
+(p Gamma(a + 1))^(1/a), keeps a bracket that every evaluation narrows, and
+bisects it when a step leaves it.  x = inf gives 1; no input overflows.
+
+Accuracy, checked in ``tests/test_numerics.py`` against
+``scipy.special.gammainc`` and ``gammaincinv`` on df from 1 to 100
+(integer, half-integer and other values): the CDF within 5.1e-14 relative
+from the 1e-14 to the 1 - 1e-14 quantile, the quantile within 2.1e-14 for
+p in [1e-10, 0.999].  Against 50-digit ``mpmath`` on half of that grid
+the CDF is within 2.1e-14, scipy within 4.5e-14.  The series and the
+fraction take about 7 sqrt(df/2) terms near the mean, so df is capped at
+``DF_MAX``.  A consistency factor costs about 20 us in pure Python, so
+:mod:`robustvario.mcd` caches them per (alpha, p) and its reweighting
+cutoff per p.  Squared Mahalanobis distances live with the MCD code.
 """
 
 from __future__ import annotations
@@ -13,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, gammaincinv
 
 from .errors import InputError
 
@@ -23,10 +42,62 @@ __all__ = [
     "RngStream",
 ]
 
+DF_MAX = 1e6  # largest degrees of freedom (about 5000 terms per evaluation)
+_EPS = 2.0**-52
+_TINY = 1e-300  # floor of the continued fraction's denominators (modified Lentz)
+_STIRLING_MIN = 10.0  # a from which the prefactor takes Stirling's series
+_MAX_STEPS = 100  # quantile iterations; a handful are typical
+
 
 def _check_df(df: float):
-    if df <= 0.0 or not math.isfinite(df):
-        raise ValueError(f"degrees of freedom must be positive, got {df}")
+    if not 0.0 < df <= DF_MAX:
+        raise ValueError(f"degrees of freedom must lie in (0, {DF_MAX:g}], got {df}")
+
+
+def _log_prefactor(a: float, x: float) -> float:
+    """log(x^a e^-x / Gamma(a + 1)) for a, x > 0, x finite."""
+    if a < _STIRLING_MIN:
+        return a * math.log(x) - x - math.lgamma(a + 1.0)
+    # Stirling: log Gamma(a + 1) = (a + 1/2) log a - a + log(2 pi) / 2 + tail
+    r = 1.0 / a
+    r2 = r * r
+    tail = r * (1 / 12 - r2 * (1 / 360 - r2 * (1 / 1260 - r2 * (
+        1 / 1680 - r2 * (1 / 1188 - r2 * (691 / 360360 - r2 / 156))))))
+    u = (x - a) / a
+    log_t = math.log1p(u) if x >= 0.5 * a else math.log(x) - math.log(a)
+    return a * (log_t - u) - 0.5 * math.log(2.0 * math.pi * a) - tail
+
+
+def _gamma_ratios(a: float, x: float) -> tuple[float, float, float]:
+    """(P, Q, g) at a, x > 0, x finite: the regularized lower and upper
+    incomplete gamma ratios and g = x^a e^-x / Gamma(a + 1)."""
+    g = math.exp(_log_prefactor(a, x))
+    if x < a + 1.0:  # P = g * sum_n x^n / ((a + 1) ... (a + n))
+        term = total = 1.0
+        n = a
+        while term > _EPS * total:
+            n += 1.0
+            term *= x / n
+            total += term
+        lower = min(1.0, g * total)
+        return lower, 1.0 - lower, g
+    # Q = a g / (x + 1 - a - 1 (1 - a) / (x + 3 - a - 2 (2 - a) / (x + 5 - a - ...)))
+    b = x + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    h, i = d, 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) >= _TINY else _TINY
+        h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            break
+    upper = min(1.0, a * g * h)
+    return 1.0 - upper, upper, g
 
 
 def chisq_cdf(x: float, df: float) -> float:
@@ -35,7 +106,14 @@ def chisq_cdf(x: float, df: float) -> float:
     _check_df(df)
     if x < 0.0 or math.isnan(x):
         raise ValueError(f"chi-square CDF argument must be >= 0, got {x}")
-    return float(gammainc(0.5 * df, 0.5 * x))
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    a, half = 0.5 * float(df), 0.5 * float(x)
+    if half == 0.0:  # x is the least subnormal: P = (x/2)^a / Gamma(a + 1) to rounding
+        return math.exp(a * (math.log(x) - math.log(2.0)) - math.lgamma(a + 1.0))
+    return _gamma_ratios(a, half)[0]
 
 
 def chisq_quantile(p: float, df: float) -> float:
@@ -43,7 +121,44 @@ def chisq_quantile(p: float, df: float) -> float:
     _check_df(df)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile probability must lie in (0, 1), got {p}")
-    return 2.0 * float(gammaincinv(0.5 * df, p))
+    a, p = 0.5 * float(df), float(p)
+    upper = p > 0.5
+    target = 1.0 - p if upper else p  # exact above 1/2
+    # P(a, x) <= x^a / Gamma(a + 1), so this bounds the quantile below
+    bound = math.exp((math.log(p) + math.lgamma(a + 1.0)) / a) if a > 0.0 else 0.0
+    if bound == 0.0:  # the quantile underflows
+        return 0.0
+    s = math.sqrt(-2.0 * math.log(target))  # Hastings' normal quantile, within 4.5e-4
+    z = s - (2.515517 + s * (0.802853 + s * 0.010328)) / (
+        1.0 + s * (1.432788 + s * (0.189269 + s * 0.001308)))
+    t = 1.0 / (9.0 * a)
+    w = 1.0 - t + (z if upper else -z) * math.sqrt(t)
+    x = max(bound, a * w * w * w) if w > 0.0 else bound
+    lo, hi = 0.0, math.inf
+    for _ in range(_MAX_STEPS):
+        p_x, q_x, g = _gamma_ratios(a, x)
+        value = q_x if upper else p_x
+        if value == target:
+            break
+        if (value > target) != upper:
+            hi = x
+        else:
+            lo = x
+        step = math.nan
+        if value > 0.0 and g > 0.0:
+            # Newton's relative step on log P against log x, or on log Q
+            # against x; a g is x times the density
+            delta = math.log(value / target) * value / (a * g)
+            step = x * (1.0 + delta) if upper else math.exp(math.log(x) - delta)
+            if abs(delta) <= 1e-9 and lo <= step <= hi:
+                x = step
+                break
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi) if hi < math.inf else 2.0 * x
+            if not lo < step < hi:  # the bracket has closed
+                break
+        x = step
+    return 2.0 * x
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -6,6 +12,8 @@ from robustvario.cli import _parse_contam, main
 from robustvario.errors import AscFormatError, InputError, NumericalError
 from robustvario.grid import Grid
 from robustvario.study import load_corrfac_csv
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def write(path, text):
@@ -404,3 +412,27 @@ class TestCli:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("estimator,direction,lag,bias")
         assert len(lines) == 4
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with it blocked, the fixture
+        # estimate and a two-worker study with a .mod id run; the study's
+        # forked workers inherit the block
+        data = ROOT / "tests" / "data"
+        script = textwrap.dedent(f"""
+            import sys
+            sys.modules["scipy"] = None
+            from robustvario.cli import main
+            assert main(["estimate", {str(data / "ndvi_synthetic.asc")!r},
+                         "--quality", {str(data / "ndvi_quality.asc")!r}, "--clear-codes", "0",
+                         "--directions", "ew", "--hmax", "2", "--estimators", "matheron,mcd.org.re",
+                         "--out", {str(tmp_path / "est.csv")!r}]) == 0
+            assert main(["study-corrfac", "--nx", "15", "--ny", "15", "--directions", "ew",
+                         "--estimators", "mcd.diff.mod.re", "--mx", "0", "--my", "0",
+                         "--reps", "4", "--jobs", "2", "--out", {str(tmp_path / "cf.csv")!r}]) == 0
+        """)
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "PYTHONPATH": path, "PYTHONWARNINGS": "error::RuntimeWarning"}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=300)
+        assert done.returncode == 0, done.stderr[-2000:]
+        assert (tmp_path / "cf.csv").read_text().startswith("estimator,direction,c_opt")

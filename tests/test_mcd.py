@@ -7,10 +7,12 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustvario import mcd as mcd_module
+from robustvario import numerics
 from robustvario.errors import (
     InputError,
     NotPositiveDefiniteError,
@@ -77,6 +79,39 @@ class TestConsistencyFactor:
             mcd_consistency_factor(0.0, 2)
         with pytest.raises(ValueError):
             mcd_consistency_factor(0.5, 0)
+
+    def test_scipy_formula_at_every_default_fraction(self):
+        # every default k / n up to 3600 rows and 8 columns, and the
+        # reweighting fraction: the benchmark's workloads (the 60x60 fixture
+        # and the 15x15 studies) fit only such samples
+        pairs = [((n + p + 1) // 2 / n, p) for p in range(1, 9) for n in range(p + 2, 3601)]
+        pairs += [(mcd_module.REWEIGHT_DELTA, p) for p in range(1, 9)]
+        alpha, p = np.array(pairs).T
+        quantiles = scipy.special.gammaincinv(p / 2, alpha)
+        expected = alpha / scipy.special.gammainc(p / 2 + 1, quantiles)
+        got = [mcd_consistency_factor(a, int(q)) for a, q in pairs]
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+    def test_repeated_fit_evaluates_no_incomplete_gamma(self, monkeypatch):
+        # the consistency factors and the reweighting cutoff are cached, so
+        # a second fit of the same shape evaluates no chi-square law
+        mcd_consistency_factor.cache_clear()
+        mcd_module._reweight_cutoff.cache_clear()
+        evaluated = []
+        ratios = numerics._gamma_ratios
+        monkeypatch.setattr(
+            numerics, "_gamma_ratios", lambda a, x: evaluated.append(a) or ratios(a, x)
+        )
+
+        def fit(seed):
+            x = shifted_sample(150, 3, seed)
+            return reweight_mcd(x, fast_mcd(x, McdConfig(), RngStream(seed)))
+
+        fit(0)
+        first = len(evaluated)
+        assert first > 0
+        fit(1)
+        assert len(evaluated) == first
 
 
 class TestExactMcd:
@@ -330,6 +365,26 @@ class TestEnumeration:
         assert calls == [12] and len(fit.support) == 1999
 
 
+class TestSubsetTable:
+    def test_cached_read_only_lexicographic(self):
+        table = mcd_module._k_subsets(9, 6)
+        assert mcd_module._k_subsets(9, 6) is table
+        assert not table.flags.writeable
+        assert table.tolist() == [list(c) for c in itertools.combinations(range(9), 6)]
+
+    def test_large_table_is_not_kept(self, monkeypatch):
+        # a table beyond _CHUNK_BYTES is built chunk by chunk, with the bits
+        # of the kept one
+        x = shifted_sample(15, 7, 2)
+        k = McdConfig().subset_size(15, 7)
+        one = fast_mcd(x, McdConfig(), RngStream(0))
+        mcd_module._k_subsets.cache_clear()
+        # 50 subsets a chunk, of C(15, 11) = 1365
+        monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 8 * k * 7 * 50)
+        assert fit_bits(fast_mcd(x, McdConfig(), RngStream(0))) == fit_bits(one)
+        assert mcd_module._k_subsets.cache_info().currsize == 0
+
+
 def cholesky_weights(x, raw):
     """Reweighting weights from distances by triangular solves against the
     Cholesky factor of the raw scatter; the oracle for the LU distances."""
@@ -518,6 +573,16 @@ def oracle_fit(x, supports):
     return mus, sigmas, np.where((signs > 0) & np.isfinite(logdets), logdets, -np.inf)
 
 
+def oracle_features(x):
+    """``_quadratic_features`` by its plain formulas: fancy-indexed column
+    products and one ``vstack``."""
+    c = x.mean(axis=0)
+    y = x - c
+    a, b = np.triu_indices(x.shape[1])
+    quadratic = (y[:, a] * y[:, b] * np.where(a == b, 1.0, 2.0)).T
+    return c, np.vstack([quadratic, y.T, np.ones(len(x))]), float(np.abs(y).max()), (a, b)
+
+
 def oracle_closest(x, k, mus, sigmas):
     """``_closest_rows`` with a stable argsort on every candidate: the
     distances from the inverse, overwritten by the LU solve's where the
@@ -690,6 +755,32 @@ class TestKernelBits:
         np.testing.assert_allclose(fits[1], sigmas, rtol=1e-9, atol=0)
         closest, expected = self.closest_of_nonsingular(x, k, fits)
         assert_same_bits([closest], [expected])
+
+
+class TestQuadraticFeatures:
+    """``_quadratic_features`` writes the bytes of ``oracle_features`` into
+    one (P, n) array, without (n, P) temporaries."""
+
+    @given(kernel_stacks(p=st.integers(1, 8)))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_plain_formulas(self, stack):
+        x = stack[0]
+        c, f, reach, (a, b) = mcd_module._quadratic_features(x)
+        c0, f0, reach0, (a0, b0) = oracle_features(x)
+        assert_same_bits([c, f, a, b], [c0, f0, a0, b0])
+        assert reach == reach0
+
+    def test_memory_at_100k_rows(self):
+        # peak 42 MiB here, 69.5 MiB with the plain formulas' temporaries;
+        # the (P, n) features alone are 27.5 MiB at p = 7
+        x = np.random.default_rng(61).standard_normal((100_000, 7))
+        tracemalloc.start()
+        try:
+            fast_mcd(x, McdConfig(), RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 56 * 2**20
 
 
 def near_tie_sample(seed):
