@@ -32,6 +32,7 @@ from fractions import Fraction
 
 from .errors import EstimatorUnusableError, InputError
 from .estimators import EstimatorKind, non_overlapping_count, parse_estimator_id
+from .mcd import McdConfig
 
 __all__ = ["BreakdownQuery", "breakdown_point"]
 
@@ -67,8 +68,8 @@ class BreakdownQuery:
 
 def _ell_star(n_star: int, p: int) -> int:
     """Minimal number of disturbed vectors that breaks the maximal-breakdown
-    MCD with k = floor((n+p+1)/2) on n_star vectors."""
-    return n_star - (n_star + p + 1) // 2 + 1
+    MCD, of subset size k = ``McdConfig().subset_size``, on n_star vectors."""
+    return n_star - McdConfig().subset_size(n_star, p) + 1
 
 
 def _mod_block_length(ell: int, h_max: int, m: int) -> int:

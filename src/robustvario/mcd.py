@@ -35,12 +35,11 @@ in group order; that fallback draws its seeds from the start of the stream.
 A C-step re-ranks all rows by squared Mahalanobis distance under the
 current fit, keeps the k closest and refits; the determinant never
 increases.  Small samples skip the search: when C(n, k) is at most
-``_ENUM_MAX`` (3000) and the work C(n, k) * k * p^2 at most
-``_ENUM_WORK_MAX``, where enumeration and search took about the same time,
-every k-subset is fitted and the exact MCD returned, as robustbase's
-``covMcd`` does; that fit draws nothing from the stream, and the table of
-k-subsets is kept per (n, k).  Every raw fit is scaled by its
-Fisher-consistency factor, which is cached per (alpha, p).
+``_ENUM_MAX`` (3000) and the (C(n, k), k, p) float64 rows of all k-subsets
+fit ``_CHUNK_BYTES``, every k-subset is fitted in one batch and the exact
+MCD returned, as robustbase's ``covMcd`` does; that fit draws nothing from
+the stream, and the table of k-subsets is kept per (n, k).  Every raw fit
+is scaled by its Fisher-consistency factor, which is cached per (alpha, p).
 
 The C-step kernel runs on BLAS.  ``_batch_fit`` gathers the subsets' rows
 by one ``np.take`` and forms the stacked subset scatters by one batched
@@ -106,11 +105,12 @@ MAX_CSTEPS = 100
 N_BEST_KEPT = 10  # candidates iterated to convergence after the first two C-steps
 CSTEP_TOL = 1e-12
 REWEIGHT_DELTA = 0.975
-_CHUNK_BYTES = 8 << 20  # float64 budget of one C-step chunk's (chunk, n, p) block
+# float64 budget of one C-step chunk's (chunk, n, p) block and of the
+# enumeration's one (C(n, k), k, p) batch
+_CHUNK_BYTES = 8 << 20
 _COND_MAX = 1e8  # 1-norm condition number above which distances use an LU solve
 _RANK_TOL = 64 * np.finfo(float).eps  # near-tie band at the k-th distance, per unit of cond
 _ENUM_MAX = 3000  # C(n, k) up to which fast_mcd enumerates every k-subset (measured crossover)
-_ENUM_WORK_MAX = 30_000_000  # and C(n, k) * k * p^2 up to which it does (measured crossover)
 _NESTED_MIN = 600  # n above which the search runs on nested subsets (the source's 600)
 _GROUP_ROWS = 300  # rows per group of the nested search, at most
 _N_GROUPS = 5  # groups of the nested search, at most
@@ -245,11 +245,11 @@ def _quadratic_features(x: np.ndarray) -> tuple:
 
 
 def _closest_rows(
-    x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray, features=None
+    x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray, features: tuple
 ) -> np.ndarray:
     """Sorted indices of the k rows of x closest to each fit in squared
     Mahalanobis distance; (m, k).  ``features`` are x's
-    ``_quadratic_features``, built here when not given.
+    ``_quadratic_features``.
 
     The rows are by definition the first k of a stable argsort (ties to the
     lower row index, NaNs last) of the distances from each scatter's inverse
@@ -286,7 +286,7 @@ def _closest_rows(
     above 1e-100 and |A| V^2 below 1e300 ensure.  Every other candidate
     takes the definition itself.
     """
-    c, f, reach, (a, b) = _quadratic_features(x) if features is None else features
+    c, f, reach, (a, b) = features
     p = mus.shape[1]
     inv = np.linalg.inv(sigmas)
     abs_inv = np.abs(inv)
@@ -326,11 +326,11 @@ def _closest_by_definition(x, k, mus, sigmas, inv, cond) -> np.ndarray:
 
 
 def _batch_cstep(
-    x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray, features=None
+    x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray, features: tuple
 ) -> _Candidates:
     """One C-step for every candidate fit: its k closest rows
-    (``_closest_rows``, given x's ``features`` or building them) and their
-    fit.  Returns (supports, mus, sigmas, logdets).
+    (``_closest_rows``, given x's ``_quadratic_features``) and their fit.
+    Returns (supports, mus, sigmas, logdets).
 
     Candidates run in chunks whose (chunk, n, p) float64 block fits
     ``_CHUNK_BYTES``, so memory stays bounded for any number of candidates.
@@ -468,46 +468,28 @@ def _search(
     return merged[supports], mus, sigmas, logdets
 
 
-def _subset_rows(subsets, k: int) -> np.ndarray:
-    """The given k-subsets as the rows of an intp array."""
-    return np.fromiter(itertools.chain.from_iterable(subsets), dtype=np.intp).reshape(-1, k)
-
-
 @functools.lru_cache(maxsize=8)
 def _k_subsets(n: int, k: int) -> np.ndarray:
     """Every k-subset of range(n) in lexicographic order, (C(n, k), k),
     read-only; cached per (n, k)."""
-    table = _subset_rows(itertools.combinations(range(n), k), k)
+    subsets = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    table = np.fromiter(subsets, dtype=np.intp).reshape(-1, k)
     table.flags.writeable = False
     return table
 
 
 def _enumerate_mcd(x: np.ndarray, k: int) -> McdFit:
-    """Exact MCD: every k-subset is fitted, in lexicographic chunks whose
-    (chunk, k, p) float64 block fits ``_CHUNK_BYTES``, and the best by
-    (log_det, support) wins.  A table of the k-subsets that fits
-    ``_CHUNK_BYTES``, as the studies' are, is built once per (n, k)
-    (``_k_subsets``); a larger one, from an alpha near 1 on many rows, is
-    built chunk by chunk.  Raises ``SingularDataError`` when every k-subset
-    is singular, which holds exactly when every (p+1)-subset is."""
+    """Exact MCD: every k-subset (``_k_subsets``) is fitted in one
+    ``_batch_fit`` and the first of least log-determinant, in lexicographic
+    order, wins.  Raises ``SingularDataError`` when every k-subset is
+    singular, which holds exactly when every (p+1)-subset is."""
     n, p = x.shape
-    chunk, count = max(1, _CHUNK_BYTES // (8 * k * p)), math.comb(n, k)
-    if 8 * k * count <= _CHUNK_BYTES:
-        table = _k_subsets(n, k)
-        chunks = (table[lo : lo + chunk] for lo in range(0, count, chunk))
-    else:
-        subsets = itertools.combinations(range(n), k)
-        chunks = (_subset_rows(itertools.islice(subsets, chunk), k) for _ in range(0, count, chunk))
-    best, regular = None, False
-    for supports in chunks:
-        mus, sigmas, logdets = _batch_fit(x, supports)
-        regular |= bool(np.isfinite(logdets).any())
-        i = int(np.argmin(logdets))  # the first minimum, so ties go to the lower support
-        if best is None or logdets[i] < best[3]:
-            best = (mus[i], sigmas[i], supports[i], logdets[i])
-    if not regular:
+    supports = _k_subsets(n, k)
+    mus, sigmas, logdets = _batch_fit(x, supports)
+    if not np.isfinite(logdets).any():
         raise SingularDataError("all k-subsets are singular")
-    return _finalize(k, n, p, *best)
+    i = int(np.argmin(logdets))  # the first minimum, so ties go to the lower support
+    return _finalize(k, n, p, mus[i], sigmas[i], supports[i], logdets[i])
 
 
 def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) -> McdFit:
@@ -515,18 +497,19 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
 
     Raises ``SampleTooSmallError`` unless n > p.  With k = n the fit is the
     classical mean and covariance of all rows.  When C(n, k) is at most
-    ``_ENUM_MAX`` and C(n, k) * k * p^2 at most ``_ENUM_WORK_MAX``, the fit
-    is the exact MCD of every k-subset instead: it draws nothing from
-    ``rng``.  Otherwise the search runs its stages: seeds drawn from
-    ``rng``, two C-steps of each, the ``N_BEST_KEPT`` best kept, C-steps of
-    those to convergence, and the best of them returned.  The seeds and
-    their first two C-steps run in g groups of rows (``_search``): one group
-    of all rows up to ``_NESTED_MIN`` (600) rows; above, up to 5 groups of at
-    most 300 random rows, whose best take two C-steps on the groups' rows
-    merged before the ``N_BEST_KEPT`` best go to all rows.  ``rng`` gives
-    first the groups' permutation, if any, then each group's seeds.  A
-    candidate that turns singular in a group or the merge sends the fit to
-    one group of all rows, with seeds from the start of ``rng``.
+    ``_ENUM_MAX`` and the (C(n, k), k, p) float64 rows of all k-subsets fit
+    ``_CHUNK_BYTES``, the fit is the exact MCD of every k-subset instead,
+    fitted in one batch: it draws nothing from ``rng``.  Otherwise the
+    search runs its stages: seeds drawn from ``rng``, two C-steps of each,
+    the ``N_BEST_KEPT`` best kept, C-steps of those to convergence, and the
+    best of them returned.  The seeds and their first two C-steps run in g
+    groups of rows (``_search``): one group of all rows up to
+    ``_NESTED_MIN`` (600) rows; above, up to 5 groups of at most 300 random
+    rows, whose best take two C-steps on the groups' rows merged before the
+    ``N_BEST_KEPT`` best go to all rows.  ``rng`` gives first the groups'
+    permutation, if any, then each group's seeds.  A candidate that turns
+    singular in a group or the merge sends the fit to one group of all rows,
+    with seeds from the start of ``rng``.
     """
     x = _rows(data)
     n, p = x.shape
@@ -537,7 +520,7 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
         (mu,), (sigma,), (logdet,) = _batch_fit(x, np.arange(n)[None])
         return _finalize(k, n, p, mu, sigma, range(n), logdet)
     # C(n, k) >= n, so n bounds the count before it is computed
-    if n <= _ENUM_MAX and math.comb(n, k) <= min(_ENUM_MAX, _ENUM_WORK_MAX // (k * p * p)):
+    if n <= _ENUM_MAX and math.comb(n, k) <= min(_ENUM_MAX, _CHUNK_BYTES // (8 * k * p)):
         return _enumerate_mcd(x, k)
 
     m, gen = cfg.n_initial_subsets, rng.generator()

@@ -273,19 +273,25 @@ def fit_bits(fit):
 
 
 class TestEnumeration:
-    """Samples with C(n, k) <= ``_ENUM_MAX`` get the exact MCD from every
-    k-subset instead of the randomized search."""
+    """Samples with C(n, k) <= ``_ENUM_MAX`` whose k-subsets' rows fit
+    ``_CHUNK_BYTES`` get the exact MCD, from every k-subset in one batch,
+    instead of the randomized search."""
 
     @pytest.mark.parametrize("n,p,k", STUDY_SHAPES)
-    def test_matches_exact_at_study_shapes(self, n, p, k):
+    def test_matches_exact_at_study_shapes(self, n, p, k, monkeypatch):
         assert McdConfig().subset_size(n, p) == k
         assert math.comb(n, k) <= mcd_module._ENUM_MAX
+        seeds = spy(monkeypatch, "_draw_seeds")
+        fits = spy(monkeypatch, "_batch_fit")
         for seed in range(4):
             x = shifted_sample(n, p, seed)
             e = exact_mcd(x)
             f = fast_mcd(x, McdConfig(), RngStream(seed))
             assert f.support == e.support
             assert f.log_det == pytest.approx(e.log_det, rel=1e-10)
+        # every fit is one batch of all k-subsets, and no search
+        assert seeds == []
+        assert [args[1].shape for args, _ in fits] == [(math.comb(n, k), k)] * 4
 
     @pytest.mark.parametrize("n,p,k", STUDY_SHAPES[-2:])
     def test_same_bits_as_search_at_mod_shapes(self, n, p, k, monkeypatch):
@@ -317,21 +323,6 @@ class TestEnumeration:
         assert fit.support == exact_mcd(x).support
         assert all(i - 1 in fit.support for i in fit.support if i % 2)
 
-    @pytest.mark.parametrize(
-        "x",
-        [shifted_sample(15, 7, 1), np.repeat(shifted_sample(7, 3, 2), 2, axis=0)],
-        ids=["shifted", "duplicated"],
-    )
-    @pytest.mark.parametrize("per_chunk", [1, 97])
-    def test_several_chunks(self, x, per_chunk, monkeypatch):
-        # one subset per chunk puts every tie between chunks
-        n, p = x.shape
-        k = McdConfig().subset_size(n, p)
-        one = fast_mcd(x, McdConfig(), RngStream(0))
-        monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 8 * k * p * per_chunk)
-        assert math.comb(n, k) > 5 * per_chunk
-        assert fit_bits(fast_mcd(x, McdConfig(), RngStream(0))) == fit_bits(one)
-
     def test_search_just_above_cutoff(self, monkeypatch):
         n, p = 15, 5  # k = 10, C(15, 10) = 3003
         k = McdConfig().subset_size(n, p)
@@ -348,21 +339,51 @@ class TestEnumeration:
         fast_mcd(x, McdConfig(), RngStream(0))
         assert calls == [1]
 
-    def test_bounded_by_work(self, monkeypatch):
-        # every shape with C(n, k) <= _ENUM_MAX and k <= 20 is enumerated;
-        # k = n - 1 at n = 2000, p = 5 is 1e8 of work and is searched
-        assert mcd_module._ENUM_MAX * 20 * 20**2 <= mcd_module._ENUM_WORK_MAX
-        calls = []
-        enumerate_mcd = mcd_module._enumerate_mcd
-        monkeypatch.setattr(
-            mcd_module, "_enumerate_mcd", lambda *a: calls.append(a[1]) or enumerate_mcd(*a)
-        )
-        fast_mcd(shifted_sample(15, 8, 1), McdConfig(), RngStream(0))
-        assert calls == [12]
-        cfg = McdConfig(alpha=0.9995)
-        assert cfg.subset_size(2000, 5) == 1999 and math.comb(2000, 1999) <= mcd_module._ENUM_MAX
-        fit = fast_mcd(shifted_sample(2000, 5, 1), cfg, RngStream(0))
-        assert calls == [12] and len(fit.support) == 1999
+    @pytest.mark.parametrize("n,p,seed,pin", [
+        (11, 5, 0, ("02718a5dae6e518e", 8, -7.26770161981405)),
+        (11, 5, 1, ("bb8fb9076c0bad22", 8, -4.2478654042909945)),
+        (11, 6, 0, ("0b7bb0c4a7fe8c84", 9, -7.930436342331546)),
+        (11, 6, 1, ("ffc3474bbb579ffc", 9, -4.443649041825739)),
+        (14, 5, 0, ("55e0973afa3a9fe9", 10, -5.022105650720457)),
+        (14, 5, 1, ("77e17c231bd3fc77", 10, -5.850459673269461)),
+        (14, 6, 0, ("4ddceca49bc32f9a", 10, -8.32782453194523)),
+        (14, 6, 1, ("34e971cbf7ec86dd", 10, -7.32798181085267)),
+        (15, 7, 0, ("14ff7313b85aca53", 11, -7.958666547377367)),
+        (15, 7, 1, ("763524ea8873f90c", 11, -10.049693935040835)),
+        (15, 8, 0, ("4110857a98339084", 12, -11.120024261939044)),
+        (15, 8, 1, ("2bfb586bfe249a3b", 12, -9.518003317471377)),
+    ])
+    def test_pinned_study_fits(self, n, p, seed, pin):
+        assert_pinned(fast_mcd(shifted_sample(n, p, seed), McdConfig(), RngStream(seed)), *pin)
+
+    @pytest.mark.parametrize("n,p,alpha,enumerates", [
+        *[(n, p, None, True) for n, p, _ in STUDY_SHAPES],
+        (26, 19, None, False),  # C(26, 23) = 2600 subsets, whose rows take 9.1 MB
+        (1024, 1, 0.9995, True), (1025, 1, 0.9995, False),  # k = n - 1 at the gate
+        (724, 2, 0.9995, True), (725, 2, 0.9995, False),
+    ])
+    def test_batch_within_chunk_bytes(self, n, p, alpha, enumerates, monkeypatch):
+        # an enumeration gathers the (C(n, k), k, p) rows of every k-subset
+        # in one batch, which must fit the budget of one C-step chunk
+        enumerated = spy(monkeypatch, "_enumerate_mcd")
+        fits = spy(monkeypatch, "_batch_fit")
+        fast_mcd(shifted_sample(n, p, 1), McdConfig(alpha), RngStream(0))
+        assert bool(enumerated) == enumerates
+        batches = [8 * args[1].size * p for args, _ in fits] if enumerated else []
+        assert all(size <= mcd_module._CHUNK_BYTES for size in batches)
+
+    @pytest.mark.parametrize("seed,pin", [
+        (0, ("9adc85c3d0530450", 1139, 0.00015059391876000305)),
+        (1, ("df9c29176f293bca", 1139, 0.5555515020038932)),
+    ])
+    def test_k_one_below_n_on_1140_rows(self, seed, pin, monkeypatch):
+        # a 40x30 study's east-west differences at --alpha 0.9995: k = 1139
+        # of 1140 rows, whose 1140 subsets' rows (20.8 MB) exceed the batch
+        # gate; the search finds the exact fit, pinned from every k-subset
+        seeds = spy(monkeypatch, "_draw_seeds")
+        fit = fast_mcd(shifted_sample(1140, 2, seed), McdConfig(alpha=0.9995), RngStream(seed))
+        assert seeds and len(fit.support) == 1139
+        assert_pinned(fit, *pin)
 
 
 class TestSubsetTable:
@@ -373,16 +394,20 @@ class TestSubsetTable:
         assert table.tolist() == [list(c) for c in itertools.combinations(range(9), 6)]
 
     def test_large_table_is_not_kept(self, monkeypatch):
-        # a table beyond _CHUNK_BYTES is built chunk by chunk, with the bits
-        # of the kept one
-        x = shifted_sample(15, 7, 2)
-        k = McdConfig().subset_size(15, 7)
-        one = fast_mcd(x, McdConfig(), RngStream(0))
+        # k = n - 1: the rows of the 725 subsets of 724 rows (8.4 MB) exceed
+        # _CHUNK_BYTES, so that fit is the search and builds no table; 724
+        # rows (8.38 MB) fit it and are enumerated
+        cfg = McdConfig(alpha=0.9995)
+        assert 8 * 725 * 724 * 2 > mcd_module._CHUNK_BYTES >= 8 * 724 * 723 * 2
         mcd_module._k_subsets.cache_clear()
-        # 50 subsets a chunk, of C(15, 11) = 1365
-        monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 8 * k * 7 * 50)
-        assert fit_bits(fast_mcd(x, McdConfig(), RngStream(0))) == fit_bits(one)
+        seeds = spy(monkeypatch, "_draw_seeds")
+        fit = fast_mcd(shifted_sample(725, 2, 1), cfg, RngStream(0))
+        assert seeds and len(fit.support) == 724
         assert mcd_module._k_subsets.cache_info().currsize == 0
+        drawn = len(seeds)
+        fast_mcd(shifted_sample(724, 2, 1), cfg, RngStream(0))
+        assert len(seeds) == drawn
+        assert mcd_module._k_subsets.cache_info().currsize == 1
 
 
 def cholesky_weights(x, raw):
@@ -639,7 +664,7 @@ class TestCStepOracle:
             alive = np.isfinite(logdets)  # as _concentrate steps them
             mus, sigmas = mus[alive], sigmas[alive]
             conds.append(one_norm_cond(sigmas))
-            new = mcd_module._batch_cstep(x, k, mus, sigmas)
+            new = mcd_module._batch_cstep(x, k, mus, sigmas, mcd_module._quadratic_features(x))
             assert_same_bits(new, oracle_cstep(x, k, mus, sigmas))
             _, mus, sigmas, logdets = new
         return np.concatenate(conds)
@@ -706,7 +731,8 @@ class TestKernelBits:
         # only nonsingular fits are stepped, as in _concentrate
         mus, sigmas, logdets = fits
         alive = np.isfinite(logdets)
-        return mcd_module._closest_rows(x, k, mus[alive], sigmas[alive]), oracle_closest(
+        features = mcd_module._quadratic_features(x)
+        return mcd_module._closest_rows(x, k, mus[alive], sigmas[alive], features), oracle_closest(
             x, k, mus[alive], sigmas[alive]
         )
 
@@ -828,7 +854,9 @@ class TestCertifiedCut:
             alive = np.isfinite(logdets)
             with monkeypatch.context() as m:
                 fallback = spy(m, "_closest_by_definition")
-                closest = mcd_module._closest_rows(x, k, mus[alive], sigmas[alive])
+                closest = mcd_module._closest_rows(
+                    x, k, mus[alive], sigmas[alive], mcd_module._quadratic_features(x)
+                )
             assert_same_bits([closest], [oracle_closest(x, k, mus[alive], sigmas[alive])])
             assert fallback
 
@@ -1008,8 +1036,8 @@ class TestNested:
         seen = []
         cstep = mcd_module._batch_cstep
 
-        def inflating(xs, k, mus, sigmas, *features):
-            out = cstep(xs, k, mus, sigmas, *features)
+        def inflating(xs, k, mus, sigmas, features):
+            out = cstep(xs, k, mus, sigmas, features)
             if len(xs) == rows:
                 seen.append(k)
                 if len(seen) == target:
@@ -1099,7 +1127,8 @@ def candidate_stack(x, seed):
     n, p = x.shape
     k = McdConfig().subset_size(n, p)
     seeds, mus, sigmas, _ = draw_seeds(x, seed)
-    return k, seeds, mcd_module._batch_cstep(x, k, mus, sigmas)[0]
+    features = mcd_module._quadratic_features(x)
+    return k, seeds, mcd_module._batch_cstep(x, k, mus, sigmas, features)[0]
 
 
 class TestBatchKernel:
@@ -1140,12 +1169,15 @@ class TestBatchKernel:
         # a candidate's fit and kept rows do not depend on the candidates
         # computed with it, so chunking the C-step keeps every bit
         k, seeds, supports = candidate_stack(x, 44)
+        features = mcd_module._quadratic_features(x)
         for subsets in (seeds, supports):
             mus, sigmas, logdets = mcd_module._batch_fit(x, subsets)
-            closest = mcd_module._closest_rows(x, k, mus, sigmas)
+            closest = mcd_module._closest_rows(x, k, mus, sigmas, features)
             for size in (1, 3):
                 chunks = [slice(lo, lo + size) for lo in range(0, len(subsets), size)]
                 fits = [mcd_module._batch_fit(x, subsets[c]) for c in chunks]
                 assert_same_bits((mus, sigmas, logdets), [np.concatenate(f) for f in zip(*fits)])
-                rows = [mcd_module._closest_rows(x, k, mus[c], sigmas[c]) for c in chunks]
+                rows = [
+                    mcd_module._closest_rows(x, k, mus[c], sigmas[c], features) for c in chunks
+                ]
                 assert_same_bits([closest], [np.concatenate(rows)])
