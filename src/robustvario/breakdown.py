@@ -16,9 +16,12 @@ p = h_max + 1 (org vectors) or h_max (difference vectors):
 * the Genton estimator at lag h inherits the Qn breakdown
   floor((n*+1)/2)/n* over its n* = n_x - h differences.
 
-For the plain MCD estimators the isolated-scenario value is only a lower
-bound.  The tests confirm the values by planting contamination of the
-critical size at the worst position (``tests/test_breakdown.py``).
+A query whose estimator cannot be fitted, n* <= p for the MCD ids
+(``McdConfig.subset_size``) or fewer than two differences at lag h_max for
+Genton, raises ``EstimatorUnusableError`` (exit status 3 in the CLI).  For
+the plain MCD estimators the isolated-scenario value is only a lower bound.
+The tests confirm the values by planting contamination of the critical size
+at the worst position (``tests/test_breakdown.py``).
 
 Estimators are named by their raw ids in ``ESTIMATOR_IDS`` (``mcd.org``,
 ``mcd.diff``, ``mcd.org.mod``, ``mcd.diff.mod``, ``genton``); "_" is
@@ -30,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import EstimatorUnusableError, InputError
+from .errors import EstimatorUnusableError, InputError, SampleTooSmallError
 from .estimators import EstimatorKind, non_overlapping_count, parse_estimator_id
 from .mcd import McdConfig
 
@@ -66,10 +69,16 @@ class BreakdownQuery:
         return self.h_max + 1 if self.kind.family == "org" else self.h_max
 
 
-def _ell_star(n_star: int, p: int) -> int:
-    """Minimal number of disturbed vectors that breaks the maximal-breakdown
-    MCD, of subset size k = ``McdConfig().subset_size``, on n_star vectors."""
-    return n_star - McdConfig().subset_size(n_star, p) + 1
+def _ell_star(q: BreakdownQuery, n_star: int) -> int:
+    """Minimal number of disturbed vectors that breaks the estimator on
+    n_star of them: n_star - k + 1 for the maximal-breakdown MCD's subset
+    size k (``McdConfig().subset_size``), ceil(n_star/2) for Qn.  Raises
+    ``SampleTooSmallError`` where the estimator cannot be fitted."""
+    if q.estimator != "genton":
+        return n_star - McdConfig().subset_size(n_star, q.p) + 1
+    if n_star < 2:
+        raise SampleTooSmallError(f"Qn needs at least 2 differences, got {n_star}")
+    return (n_star + 1) // 2  # ceil(eps_Qn * n*) with eps_Qn = floor((n*+1)/2)/n*
 
 
 def _mod_block_length(ell: int, h_max: int, m: int) -> int:
@@ -80,29 +89,21 @@ def _mod_block_length(ell: int, h_max: int, m: int) -> int:
 
 
 def breakdown_point(q: BreakdownQuery) -> Fraction:
-    """Exact explosion breakdown fraction for the query."""
+    """Exact explosion breakdown fraction for the query; raises
+    ``EstimatorUnusableError`` where the estimator cannot be fitted."""
+    if q.estimator == "genton" and q.scenario != "block":
+        raise InputError("no closed form for Genton under isolated contamination")
+    n_star = non_overlapping_count(q.n_x, q.h_max, q.m) if q.kind.mod else q.n_x - q.h_max
+    try:
+        ell = _ell_star(q, n_star)
+    except SampleTooSmallError as exc:
+        raise EstimatorUnusableError(f"{q.estimator} cannot be fitted: {exc}") from exc
     if q.estimator == "genton":
-        if q.scenario != "block":
-            raise InputError("no closed form for Genton under isolated contamination")
-        n_star = q.n_x - q.h_max
-        need = (n_star + 1) // 2  # ceil(eps_Qn * n*) with eps_Qn = floor((n*+1)/2)/n*
-        l_min = max(Fraction(need - q.h_max), Fraction(need, 2))
-        return l_min / q.n_x
-
+        return max(Fraction(ell - q.h_max), Fraction(ell, 2)) / q.n_x
     if q.kind.mod:
-        n_star = non_overlapping_count(q.n_x, q.h_max, q.m)
-        if n_star <= q.p:
-            raise EstimatorUnusableError(
-                f"only {n_star} non-overlapping vectors for dimension {q.p}; "
-                "the modified estimator cannot be used"
-            )
-        ell = _ell_star(n_star, q.p)
         if q.scenario == "block":
             return Fraction(_mod_block_length(ell, q.h_max, q.m), q.n_x)
         return Fraction(ell, q.n_x)
-
-    n_star = q.n_x - q.h_max
-    ell = _ell_star(n_star, q.p)
     if q.scenario == "block":
         return Fraction(max(ell - q.h_max, 1), q.n_x)
     return Fraction(ell, (q.h_max + 1) * q.n_x)

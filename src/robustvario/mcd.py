@@ -38,8 +38,9 @@ increases.  Small samples skip the search: when C(n, k) is at most
 ``_ENUM_MAX`` (3000) and the (C(n, k), k, p) float64 rows of all k-subsets
 fit ``_CHUNK_BYTES``, every k-subset is fitted in one batch and the exact
 MCD returned, as robustbase's ``covMcd`` does; that fit draws nothing from
-the stream, and the table of k-subsets is kept per (n, k).  Every raw fit
-is scaled by its Fisher-consistency factor, which is cached per (alpha, p).
+the stream, and a k-subset table of at most 512 KiB is kept per (n, k).
+Every raw fit is scaled by its Fisher-consistency factor, cached per
+(alpha, p).
 
 The C-step kernel runs on BLAS.  ``_batch_fit`` gathers the subsets' rows
 by one ``np.take`` and forms the stacked subset scatters by one batched
@@ -135,7 +136,10 @@ class McdConfig:
             raise InputError(f"alpha must lie in (0, 1], got {self.alpha}")
 
     def subset_size(self, n: int, p: int) -> int:
-        """k for an n x p sample with n > p, so that k_min <= n."""
+        """k for an n x p sample.  The one home of the MCD's n > p rule,
+        which makes k_min <= n: raises ``SampleTooSmallError`` otherwise."""
+        if n <= p:
+            raise SampleTooSmallError(f"need n > p, got n={n}, p={p}")
         k_min = (n + p + 1) // 2
         if self.alpha is None:
             return k_min
@@ -471,7 +475,7 @@ def _search(
 @functools.lru_cache(maxsize=8)
 def _k_subsets(n: int, k: int) -> np.ndarray:
     """Every k-subset of range(n) in lexicographic order, (C(n, k), k),
-    read-only; cached per (n, k)."""
+    read-only; cached per (n, k), and built uncached by ``__wrapped__``."""
     subsets = itertools.chain.from_iterable(itertools.combinations(range(n), k))
     table = np.fromiter(subsets, dtype=np.intp).reshape(-1, k)
     table.flags.writeable = False
@@ -484,7 +488,8 @@ def _enumerate_mcd(x: np.ndarray, k: int) -> McdFit:
     order, wins.  Raises ``SingularDataError`` when every k-subset is
     singular, which holds exactly when every (p+1)-subset is."""
     n, p = x.shape
-    supports = _k_subsets(n, k)
+    kept = math.comb(n, k) * k * 8 <= _CHUNK_BYTES // 16  # 512 KiB: the cache holds 4 MiB
+    supports = (_k_subsets if kept else _k_subsets.__wrapped__)(n, k)
     mus, sigmas, logdets = _batch_fit(x, supports)
     if not np.isfinite(logdets).any():
         raise SingularDataError("all k-subsets are singular")
@@ -495,26 +500,18 @@ def _enumerate_mcd(x: np.ndarray, k: int) -> McdFit:
 def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) -> McdFit:
     """Randomized MCD search; deterministic given (data, cfg, rng).
 
-    Raises ``SampleTooSmallError`` unless n > p.  With k = n the fit is the
-    classical mean and covariance of all rows.  When C(n, k) is at most
-    ``_ENUM_MAX`` and the (C(n, k), k, p) float64 rows of all k-subsets fit
-    ``_CHUNK_BYTES``, the fit is the exact MCD of every k-subset instead,
-    fitted in one batch: it draws nothing from ``rng``.  Otherwise the
-    search runs its stages: seeds drawn from ``rng``, two C-steps of each,
-    the ``N_BEST_KEPT`` best kept, C-steps of those to convergence, and the
-    best of them returned.  The seeds and their first two C-steps run in g
-    groups of rows (``_search``): one group of all rows up to
-    ``_NESTED_MIN`` (600) rows; above, up to 5 groups of at most 300 random
-    rows, whose best take two C-steps on the groups' rows merged before the
-    ``N_BEST_KEPT`` best go to all rows.  ``rng`` gives first the groups'
-    permutation, if any, then each group's seeds.  A candidate that turns
-    singular in a group or the merge sends the fit to one group of all rows,
-    with seeds from the start of ``rng``.
+    Raises ``SampleTooSmallError`` unless n > p (``McdConfig.subset_size``).
+    With k = n the fit is the classical mean and covariance of all rows.
+    When C(n, k) is at most ``_ENUM_MAX`` and the (C(n, k), k, p) float64
+    rows of all k-subsets fit ``_CHUNK_BYTES``, it is the exact MCD of every
+    k-subset, fitted in one batch, and draws nothing from ``rng``.
+    Otherwise it runs the search's stages as the module docstring sets them
+    out: seeds from ``rng``, in groups of rows (``_search``) above
+    ``_NESTED_MIN`` rows, two C-steps of each, the ``N_BEST_KEPT`` best kept
+    and stepped to convergence, and the best of them returned.
     """
     x = _rows(data)
     n, p = x.shape
-    if n <= p:
-        raise SampleTooSmallError(f"need n > p, got n={n}, p={p}")
     k = cfg.subset_size(n, p)
     if k == n:
         (mu,), (sigma,), (logdet,) = _batch_fit(x, np.arange(n)[None])

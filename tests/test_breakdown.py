@@ -1,15 +1,18 @@
+import itertools
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from robustvario.breakdown import BreakdownQuery, breakdown_point
-from robustvario.errors import EstimatorUnusableError, InputError
+from robustvario.errors import EstimatorUnusableError, InputError, SampleTooSmallError
 from robustvario.estimators import estimate_grid, org_scatter_to_variogram
 from robustvario.grid import Direction, Grid, LagSet, extract_diff_vectors, extract_org_vectors
 from robustvario.mcd import McdConfig, fast_mcd
 from robustvario.numerics import RngStream
+from robustvario.scale import qn
 
 # stream offset of MCD family j (org, diff, org.mod, diff.mod) below a
 # direction's base stream, as in estimate_grid
@@ -159,6 +162,73 @@ class TestClosedForms:
             BreakdownQuery("melted", "mcd_org", 50, 4)
         with pytest.raises(ValueError):
             BreakdownQuery("block", "qn", 50, 4)
+
+
+IDS = ("mcd.org", "mcd.diff", "mcd.org.mod", "mcd.diff.mod", "genton")
+
+
+def _domain_grid():
+    """Every query of n_x < 80, h_max 1-8, m 0-3, both scenarios and all
+    five ids (Genton under a block only), with whether the estimator can be
+    fitted on its n* vectors: n* > p for the MCD ids, n* >= 2 differences
+    for Genton."""
+    for scenario, eid, h_max, m in itertools.product(("block", "isolated"), IDS, range(1, 9), range(4)):
+        if eid == "genton" and scenario == "isolated":
+            continue
+        for n_x in range(h_max + 1, 80):
+            q = BreakdownQuery(scenario, eid, n_x, h_max, m)
+            if q.kind.mod:
+                n_star = len(range(0, n_x - h_max, h_max + 1 + m))
+            else:
+                n_star = n_x - h_max
+            yield q, n_star >= 2 if eid == "genton" else n_star > q.p
+
+
+class TestDomain:
+    """A query raises ``EstimatorUnusableError`` exactly where its estimator
+    cannot be fitted, and otherwise gives a fraction in (0, 1/2]."""
+
+    def test_sweep_both_ways(self):
+        unusable = Counter()
+        for q, usable in _domain_grid():
+            if usable:
+                eps = breakdown_point(q)
+                assert isinstance(eps, Fraction) and 0 < eps <= Fraction(1, 2), (q, eps)
+            else:
+                with pytest.raises(EstimatorUnusableError, match="cannot be fitted"):
+                    breakdown_point(q)
+                unusable[q.estimator] += 1
+        # the plain ids and Genton raise for 640 + 32 queries (both scenarios)
+        plain = unusable["mcd.org"] + unusable["mcd.diff"]
+        assert (plain, unusable["genton"]) == (640, 32)
+
+    @pytest.mark.parametrize("eid", IDS)
+    @pytest.mark.parametrize("h_max", [1, 2, 4])
+    def test_fits_raise_where_breakdown_raises(self, eid, h_max):
+        # the oracle: the estimator itself on one-row series just above and
+        # below the domain's edge
+        rng = np.random.default_rng(h_max)
+        lags = LagSet(Direction.EW, h_max)
+        for n_x, m in itertools.product(range(h_max + 1, 2 * h_max + 4), range(3)):
+            q = BreakdownQuery("block", eid, n_x, h_max, m)
+            series = rng.standard_normal(n_x)
+            try:
+                breakdown_point(q)
+            except EstimatorUnusableError:
+                unusable = True
+            else:
+                unusable = False
+            try:
+                if eid == "genton":
+                    qn(series[h_max:] - series[:-h_max])
+                else:
+                    extract = extract_org_vectors if q.kind.family == "org" else extract_diff_vectors
+                    rows = extract(Grid(series.reshape(1, -1)), lags).rows
+                    fast_mcd(rows[:: h_max + 1 + m] if q.kind.mod else rows, McdConfig(), RngStream(0))
+            except SampleTooSmallError:
+                assert unusable, q
+            else:
+                assert not unusable, q
 
 
 class TestEmpiricalBlock:

@@ -237,6 +237,16 @@ class TestFastMcd:
         with pytest.raises(SampleTooSmallError):
             fast_mcd(np.zeros((2, 3)), McdConfig(), RngStream(0))
 
+    @pytest.mark.parametrize("alpha", [None, 0.5, 0.75, 1.0])
+    def test_subset_size_needs_more_rows_than_dimensions(self, alpha):
+        cfg = McdConfig(alpha)
+        for p in range(1, 10):
+            for n in range(1, p + 1):
+                with pytest.raises(SampleTooSmallError, match="need n > p"):
+                    cfg.subset_size(n, p)
+            for n in range(p + 1, p + 12):
+                assert (n + p + 1) // 2 <= cfg.subset_size(n, p) <= n
+
     def test_consistency_rate(self):
         # entrywise deviation from I_p should shrink roughly like 1/sqrt(n)
         rng = np.random.default_rng(12)
@@ -396,7 +406,8 @@ class TestSubsetTable:
     def test_large_table_is_not_kept(self, monkeypatch):
         # k = n - 1: the rows of the 725 subsets of 724 rows (8.4 MB) exceed
         # _CHUNK_BYTES, so that fit is the search and builds no table; 724
-        # rows (8.38 MB) fit it and are enumerated
+        # rows (8.38 MB) fit it and are enumerated, but their table (4.2 MB)
+        # exceeds the cache's 512 KiB per table and is built for the fit
         cfg = McdConfig(alpha=0.9995)
         assert 8 * 725 * 724 * 2 > mcd_module._CHUNK_BYTES >= 8 * 724 * 723 * 2
         mcd_module._k_subsets.cache_clear()
@@ -407,7 +418,27 @@ class TestSubsetTable:
         drawn = len(seeds)
         fast_mcd(shifted_sample(724, 2, 1), cfg, RngStream(0))
         assert len(seeds) == drawn
+        assert mcd_module._k_subsets.cache_info().currsize == 0
+
+    def test_cache_keeps_small_tables_only(self, monkeypatch):
+        # eight enumerated k = n - 1 fits of 1017-1024 rows at p = 1, whose
+        # tables are 8.3-8.4 MB each, keep none of them; a study shape's
+        # table is kept and returned as the same object
+        cfg = McdConfig(alpha=0.9995)
+        mcd_module._k_subsets.cache_clear()
+        seeds = spy(monkeypatch, "_draw_seeds")
+        built = spy(monkeypatch, "_batch_fit")
+        for n in range(1017, 1025):
+            fit = fast_mcd(shifted_sample(n, 1, 1), cfg, RngStream(0))
+            assert len(fit.support) == n - 1
+        assert not seeds and len(built) == 8
+        assert mcd_module._k_subsets.cache_info().currsize == 0
+        n, p, k = max(STUDY_SHAPES, key=lambda s: math.comb(s[0], s[2]) * s[2])
+        fast_mcd(shifted_sample(n, p, 0), McdConfig(), RngStream(0))
         assert mcd_module._k_subsets.cache_info().currsize == 1
+        table = mcd_module._k_subsets(n, k)
+        assert mcd_module._k_subsets(n, k) is table
+        assert table.nbytes <= mcd_module._CHUNK_BYTES // 16
 
 
 def cholesky_weights(x, raw):
