@@ -13,7 +13,6 @@ from .errors import (
     EmptySampleError,
     EstimatorUnusableError,
     InputError,
-    NoValidPartitionError,
     NotPositiveDefiniteError,
     NumericalError,
     RobustVarioError,

@@ -18,7 +18,10 @@ p = h_max + 1 (org vectors) or h_max (difference vectors):
 
 A query whose estimator cannot be fitted, n* <= p for the MCD ids
 (``McdConfig.subset_size``) or fewer than two differences at lag h_max for
-Genton, raises ``EstimatorUnusableError`` (exit status 3 in the CLI).  For
+Genton, raises ``EstimatorUnusableError`` (exit status 3 in the CLI).  The
+MCD rule is the one by which ``estimate_grid`` fits a sample or a ``.mod``
+partition, whose largest holds n* vectors, so a query raises exactly where
+the estimator fails on the one-row grid.  For
 the plain MCD estimators the isolated-scenario value is only a lower bound.
 The tests confirm the values by planting contamination of the critical size
 at the worst position (``tests/test_breakdown.py``).

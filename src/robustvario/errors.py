@@ -38,10 +38,6 @@ class SingularDataError(NumericalError):
     """All candidate subsets are singular, or a required fit is singular."""
 
 
-class NoValidPartitionError(NumericalError):
-    """No partition of the grid yields enough vectors for a modified fit."""
-
-
 class EstimatorUnusableError(NumericalError):
     """A breakdown query is outside the domain where the estimator exists."""
 

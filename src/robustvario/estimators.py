@@ -15,10 +15,10 @@ scatter to joint lag vectors:
   2*gamma(h_l) = 2*(a_0 - a_l).
 
 The modified (".mod") variants fit only non-overlapping vectors separated by
-the dependence ranges (m_x, m_y) and average the fits over all partition
-offsets; they are the theoretically tractable, consistent benchmark, at the
-price of reduced robustness.  The reweighted (".re") variants reweight the
-raw fit of the same family.
+the dependence ranges (m_x, m_y) and average the fits over the partitions
+that keep more than p vectors; they are the theoretically tractable,
+consistent benchmark, at the price of reduced robustness.  The reweighted
+(".re") variants reweight the raw fit of the same family.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptySampleError, InputError, NoValidPartitionError, RobustVarioError
+from .errors import InputError, RobustVarioError, SampleTooSmallError
 from .grid import (
     Direction,
     Grid,
@@ -121,11 +121,11 @@ class ModConfig:
     diagonal for SWNE/SENW, the spacing at which any two cells on distinct
     kept chains have |dx| > m_x or |dy| > m_y.  A partition is one choice of
     (chain offset, in-chain start offset); its vectors are mutually
-    independent under (m_x, m_y)-dependence.  A partition is used only if it
-    keeps more than 2*h_max vectors, guarding MCD singularity; that is never
-    fewer than the vector dimension p (h_max or h_max + 1), as MCD needs
-    n > p.  Each used partition is fitted separately and the per-lag
-    estimates are averaged with equal weights.
+    independent under (m_x, m_y)-dependence.  A partition is fitted when it
+    keeps more than p vectors (h_max + 1 for org, h_max for diff), the
+    rule of every MCD sample (``McdConfig.subset_size``) and of
+    ``breakdown``; the per-lag estimates of the fitted partitions are
+    averaged with equal weights.
     """
 
     m_x: int
@@ -311,24 +311,23 @@ def _partitions(sample: VectorSample, g: Grid, lags: LagSet, mod: ModConfig) -> 
 def _mod_raw_fits(
     g: Grid, lags: LagSet, family: str, mod: ModConfig, mcdcfg: McdConfig, rng: RngStream
 ) -> list:
-    """Raw fits of the qualifying partitions; partition i draws from
-    ``rng.child(i)``, numbered from 1."""
-    threshold = 2 * lags.h_max  # max(2*h_max, p), as p <= h_max + 1 and h_max >= 1
-    try:
-        sample = _extract(family, g, lags)
-    except EmptySampleError:
-        parts = []
-    else:
-        parts = _partitions(sample, g, lags, mod)
+    """Raw fits of the partitions that ``McdConfig.subset_size`` admits;
+    partition i draws from ``rng.child(i)``, numbered from 1.  Raises
+    ``SampleTooSmallError`` when it admits none."""
+    sample = _extract(family, g, lags)
+    parts = _partitions(sample, g, lags, mod)
     fits = []
     for number, idx in enumerate(parts, start=1):
-        if idx.size <= threshold:
-            continue
         rows = sample.rows[idx]
+        try:
+            mcdcfg.subset_size(*rows.shape)
+        except SampleTooSmallError:
+            continue
         fits.append((rows, fast_mcd(rows, mcdcfg, rng.child(number))))
     if not fits:
-        raise NoValidPartitionError(
-            f"no partition keeps more than {threshold} vectors "
-            f"(h_max={lags.h_max}, m=({mod.m_x},{mod.m_y}), grid {g.nx}x{g.ny})"
+        raise SampleTooSmallError(
+            f"no partition keeps more than p={sample.rows.shape[1]} vectors, the largest "
+            f"{max(idx.size for idx in parts)} (h_max={lags.h_max}, m=({mod.m_x},{mod.m_y}), "
+            f"grid {g.nx}x{g.ny})"
         )
     return fits

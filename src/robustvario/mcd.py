@@ -11,8 +11,9 @@ C-steps all run in the one loop ``_concentrate``:
    stay singular are dropped (``SingularDataError`` if none is left);
 2. two C-steps of each seed;
 3. the ``N_BEST_KEPT`` best distinct candidates kept;
-4. their C-steps to a support fixed point, a log-determinant change of at
-   most ``CSTEP_TOL`` (relative), singularity or ``MAX_CSTEPS`` steps;
+4. their C-steps to a log-determinant change of at most ``CSTEP_TOL``
+   (relative), which a support fixed point also gives, singularity or
+   ``MAX_CSTEPS`` steps;
 5. the best of them returned.
 
 Stages 1-3 run in g groups of rows, ``_search``, as in section 3.3 of the
@@ -357,8 +358,9 @@ def _concentrate(
     """Up to ``steps`` C-steps of every candidate; returns its final
     (supports, mus, sigmas, logdets), the fits updated in place.
 
-    A candidate stops when its support is a fixed point, its log-determinant
-    changes by at most ``CSTEP_TOL`` (relative) or it turns singular; one
+    A candidate stops when its log-determinant changes by at most
+    ``CSTEP_TOL`` (relative), as it does at a support fixed point, which
+    refits to the same log-determinant, or when it turns singular; one
     singular on entry is not stepped and keeps its fit.  ``supports`` are
     rows of x.  A step from a fit of k of them must not increase the
     determinant (``NumericalError``).  The first step from other fits is
@@ -378,8 +380,7 @@ def _concentrate(
             scale = np.maximum(1.0, np.abs(ld))
             if not np.all(ld2 <= ld + _LOGDET_SLACK * scale):
                 raise NumericalError("C-step increased the covariance determinant")
-            fixed = np.all(sup2 == supports[idx], axis=1)
-            stopped |= fixed | (np.abs(ld - ld2) <= CSTEP_TOL * scale)
+            stopped |= np.abs(ld - ld2) <= CSTEP_TOL * scale
         else:  # every entering fit is nonsingular, so every one was stepped
             supports = np.empty((len(ld), k), dtype=np.intp)
         supports[idx], mus[idx], sigmas[idx], logdets[idx] = sup2, mu2, sigma2, ld2

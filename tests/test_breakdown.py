@@ -7,8 +7,13 @@ import numpy as np
 import pytest
 
 from robustvario.breakdown import BreakdownQuery, breakdown_point
-from robustvario.errors import EstimatorUnusableError, InputError, SampleTooSmallError
-from robustvario.estimators import estimate_grid, org_scatter_to_variogram
+from robustvario.errors import (
+    EstimatorUnusableError,
+    InputError,
+    RobustVarioError,
+    SampleTooSmallError,
+)
+from robustvario.estimators import ModConfig, estimate_grid, org_scatter_to_variogram
 from robustvario.grid import Direction, Grid, LagSet, extract_diff_vectors, extract_org_vectors
 from robustvario.mcd import McdConfig, fast_mcd
 from robustvario.numerics import RngStream
@@ -229,6 +234,24 @@ class TestDomain:
                 assert unusable, q
             else:
                 assert not unusable, q
+
+    def test_estimate_exists_where_breakdown_does(self):
+        # one domain rule for both commands: on one-row grids, estimate_grid
+        # returns a value exactly where breakdown_point returns a fraction,
+        # and otherwise says the sample is too small
+        rng = np.random.default_rng(11)
+        for n_x, h_max, m in itertools.product(range(2, 22), range(1, 7), range(3)):
+            if n_x <= h_max:
+                continue
+            g = Grid(rng.standard_normal((1, n_x)))
+            out = estimate_grid(g, [LagSet(Direction.EW, h_max)], IDS, mod=ModConfig(m, 0))
+            for eid in IDS:
+                try:
+                    breakdown_point(BreakdownQuery("block", eid, n_x, h_max, m))
+                except EstimatorUnusableError:
+                    assert isinstance(out[(eid, "ew")], SampleTooSmallError), (eid, n_x, h_max, m)
+                else:
+                    assert not isinstance(out[(eid, "ew")], RobustVarioError), (eid, n_x, h_max, m)
 
 
 class TestEmpiricalBlock:

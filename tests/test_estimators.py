@@ -11,9 +11,10 @@ from robustvario import estimators as estimators_module
 from robustvario.ascio import apply_quality_mask, load_asc
 from robustvario.contamination import ContaminationSpec, contaminate
 from robustvario.errors import (
+    EmptySampleError,
     InputError,
-    NoValidPartitionError,
     RobustVarioError,
+    SampleTooSmallError,
     SingularDataError,
 )
 from robustvario.estimators import (
@@ -235,15 +236,21 @@ class TestModEstimator:
         g = Grid(np.random.default_rng(1).standard_normal((1, 50)))
         lags = LagSet(Direction.EW, 6)
         assert non_overlapping_count(50, 6, 5) == 4
-        with pytest.raises(NoValidPartitionError):
+        with pytest.raises(SampleTooSmallError, match="more than p=7 vectors, the largest 4"):
             _estimate(g, lags, "mcd.org.mod", seed=1, mod=ModConfig(m_x=5, m_y=0))
 
-    def test_default_threshold_respects_2hmax(self):
-        # partitions need more than 2*h_max vectors by default
+    def test_paper_reference_case(self):
+        # the breakdown reference case, 1 x 50, h_max = 4, m = 1: the six
+        # partitions keep 8, 8, 8, 8, 7 and 7 vectors, more than p (5 for
+        # org, 4 for diff), so both .mod ids are fitted on all of them
         g = Grid(np.random.default_rng(2).standard_normal((1, 50)))
         lags = LagSet(Direction.EW, 4)
-        with pytest.raises(NoValidPartitionError):
-            _estimate(g, lags, "mcd.diff.mod", seed=1, mod=ModConfig(m_x=1, m_y=0))
+        out = estimate_grid(
+            g, [lags], ["mcd.org.mod", "mcd.diff.mod"], seed=1, mod=ModConfig(m_x=1, m_y=0)
+        )
+        for est in out.values():
+            assert not isinstance(est, RobustVarioError), est
+            assert np.all(np.isfinite(est.values)) and np.all(est.counts == 46)
 
     def test_averaging_uses_all_partitions(self):
         g = _iid_grid(30, 6, seed=5)
@@ -340,12 +347,13 @@ class TestModPartitions:
     def test_selection_matches_chain_loops(self, recorded_fits, direction, m, nx, ny, masked):
         g = _grid(nx, ny, seed=nx * ny + m, masked=masked)
         lags = LagSet(direction, 2)
-        # a partition is fitted when it keeps more than 2 * h_max = 4 vectors
+        # a partition is fitted when it keeps more than p vectors
         for kind, mod in [("org", ModConfig(m, m)), ("diff", ModConfig(m, 0))]:
             recorded_fits.clear()
             _estimate(g, lags, f"mcd.{kind}.mod", mod=mod)
+            p = lags.h_max + (kind == "org")
             expected = [(i, rows) for i, rows in _oracle_partitions(g, lags, kind, mod)
-                        if len(rows) > 4]
+                        if len(rows) > p]
             assert [i for i, _ in recorded_fits] == [i for i, _ in expected]
             for (_, got), (_, want) in zip(recorded_fits, expected):
                 np.testing.assert_array_equal(got, want)
@@ -371,7 +379,7 @@ class TestModPartitions:
 
     def test_grid_too_small_for_lags(self):
         g = _iid_grid(3, 3)
-        with pytest.raises(NoValidPartitionError):
+        with pytest.raises(EmptySampleError):
             _estimate(g, LagSet(Direction.EW, 4), "mcd.org.mod", seed=1, mod=ModConfig(0, 0))
 
 
@@ -395,8 +403,9 @@ class TestEstimateDispatch:
             return org_scatter_to_variogram(fit.sigma) if kind == "org" else np.diag(fit.sigma)
 
         def mod_values(kind, j, reweight):
+            p = lags.h_max + (kind == "org")
             parts = [(i, rows) for i, rows in _oracle_partitions(g, lags, kind, mod)
-                     if len(rows) > 2 * lags.h_max]
+                     if len(rows) > p]
             per = [fitted(rows, stream(j).child(i), reweight, kind) for i, rows in parts]
             return np.mean(per, axis=0), sum(len(rows) for _, rows in parts)
 
@@ -448,12 +457,13 @@ class TestEstimateDispatch:
         np.testing.assert_array_equal(both[key].values, alone[key].values)
 
     def test_failed_estimate_is_a_value(self):
-        # the .mod id finds no partition on a 3 x 3 grid; Matheron still runs
+        # no partition of a 3 x 3 grid keeps more than p = 3 org vectors;
+        # Matheron still runs
         g = _iid_grid(3, 3)
         lags = LagSet(Direction.EW, 2)
         out = estimate_grid(g, [lags], ["mcd.org.mod", "matheron"], mod=ModConfig(0, 0))
         assert list(out) == [("mcd.org.mod", "ew"), ("matheron", "ew")]
-        assert isinstance(out[("mcd.org.mod", "ew")], NoValidPartitionError)
+        assert isinstance(out[("mcd.org.mod", "ew")], SampleTooSmallError)
         np.testing.assert_array_equal(
             out[("matheron", "ew")].values, _estimate(g, lags, "matheron").values
         )
@@ -461,7 +471,8 @@ class TestEstimateDispatch:
     @pytest.mark.parametrize("family", ["diff", "org.mod"])
     def test_failed_raw_fit_searched_once(self, monkeypatch, family):
         # constant EW differences leave every diff row equal, so the raw
-        # search raises SingularDataError; a 3 x 3 grid has no .mod partition
+        # search raises SingularDataError; no .mod partition of a 3 x 3 grid
+        # keeps more than p = 3 org vectors
         calls = []
         name = "_mod_raw_fits" if "mod" in family else "fast_mcd"
         original = getattr(estimators_module, name)
@@ -469,7 +480,7 @@ class TestEstimateDispatch:
             estimators_module, name, lambda *a: calls.append(1) or original(*a)
         )
         if "mod" in family:
-            g, error = _iid_grid(3, 3), NoValidPartitionError
+            g, error = _iid_grid(3, 3), SampleTooSmallError
         else:
             g, error = Grid(np.tile(np.arange(20.0), (8, 1))), SingularDataError
         out = estimate_grid(
