@@ -46,19 +46,22 @@ Every raw fit is scaled by its Fisher-consistency factor, cached per
 The C-step kernel runs on BLAS.  ``_batch_fit`` gathers the subsets' rows
 by one ``np.take`` and forms the stacked subset scatters by one batched
 matmul, (p, k) @ (k, p) per subset; the full-sample fit and the reweighted
-refit go through it too.  ``_closest_rows`` keeps, by definition, the first
-k rows of a stable argsort (ties to the lowest row indices) of the squared
-distances from each scatter's inverse, overwritten by an LU solve's
-(``_sq_distances``) where the 1-norm condition number exceeds
-``_COND_MAX`` or another row lies within the rounding band ``_RANK_TOL`` *
-cond of the k-th distance.  It gets them from one product per candidate of
-P = p(p+1)/2 + p + 1 coefficients, from the candidate's inverse and centre,
-with the (P, n) quadratic features of the rows about the sample mean, which
+refit go through it too.  It factors each scatter once, by one stacked
+``np.linalg.cholesky`` (``_factor``), the only factorization in the module:
+the log-determinant is 2 * sum(log L_jj), and a scatter whose factorization
+fails, or with a pivot L_jj^2 <= p * eps * sigma_jj, is singular (-inf).
+Each candidate carries its factor L from the fit that makes it to the C-step
+that uses it.  ``_closest_rows`` keeps, by definition, the first k rows of a
+stable argsort (ties to the lowest row indices) of the squared norms of
+W (x - mu), W = L^{-1} (``_inverse_factor``, ``_whitened_sq_norms``).  It
+gets them from one product per candidate of P = p(p+1)/2 + p + 1
+coefficients, from A = W'W and the candidate's centre, with the (P, n)
+quadratic features of the rows about the sample mean, which
 ``_concentrate`` builds once per sample, without an (m, p, n) array.  A
 rounding bound per candidate, derived in ``_closest_rows``, proves the
 product's k closest rows the definition's; a candidate it cannot certify
-(0.1-0.3% of them in the benchmark's workloads: seed ties, near ties, ill
-conditioning) takes the definition itself, ``_closest_by_definition``.
+(about 0.01-0.03% of them in the benchmark's studies: near ties, extreme
+scales) takes the definition itself, ``_closest_by_definition``.
 For p >= 2 a subset's mean sums its rows in support order, the bits of
 numpy's ``mean``; at p = 1, where ``mean`` sums pairwise, the two may
 differ in the last bits.  Candidates run in chunks of at most
@@ -66,16 +69,17 @@ differ in the last bits.  Candidates run in chunks of at most
 with the number of candidates; a candidate's bits do not depend on the
 chunk it runs in.
 
-Reweighting keeps rows whose squared robust distance, from the same LU
-solve, is at most the chi-square cutoff chi2_{p, REWEIGHT_DELTA}, cached
-per p, and refits with its own consistency factor; a singular raw fit, or
-a raw scatter without a positive finite determinant, raises
-``NotPositiveDefiniteError``.  :class:`McdConfig` holds only what callers
+Reweighting keeps rows whose squared robust distance, the definition's
+from the Cholesky factor of the raw scatter, is at most the chi-square
+cutoff chi2_{p, REWEIGHT_DELTA}, cached per p, and refits with its own
+consistency factor; a singular raw fit, or a raw scatter that ``_factor``
+finds singular, raises ``NotPositiveDefiniteError``.  :class:`McdConfig` holds only what callers
 choose: the subset fraction.  Sample rows must be finite.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -110,13 +114,13 @@ REWEIGHT_DELTA = 0.975
 # float64 budget of one C-step chunk's (chunk, n, p) block and of the
 # enumeration's one (C(n, k), k, p) batch
 _CHUNK_BYTES = 8 << 20
-_COND_MAX = 1e8  # 1-norm condition number above which distances use an LU solve
-_RANK_TOL = 64 * np.finfo(float).eps  # near-tie band at the k-th distance, per unit of cond
+_EPS = np.finfo(float).eps
 _ENUM_MAX = 3000  # C(n, k) up to which fast_mcd enumerates every k-subset (measured crossover)
 _NESTED_MIN = 600  # n above which the search runs on nested subsets (the source's 600)
 _GROUP_ROWS = 300  # rows per group of the nested search, at most
 _N_GROUPS = 5  # groups of the nested search, at most
-_Candidates = tuple[np.ndarray, ...]  # (supports, mus, sigmas, logdets) of a candidate stack
+# (supports, mus, sigmas, chols, logdets) of a candidate stack, chols its Cholesky factors
+_Candidates = tuple[np.ndarray, ...]
 
 
 @dataclass(frozen=True)
@@ -203,8 +207,9 @@ def _finalize(k, n, p, mu, sigma, support, logdet) -> McdFit:
     )
 
 
-def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mean/covariance/logdet of many row subsets at once; supports is (m, k).
+def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mean, covariance, lower Cholesky factor and log-determinant of many
+    row subsets at once (``_factor``); supports is (m, k).
 
     For p >= 2 each mean sums its k rows one after another in support order
     and divides by k, the bits of ``mean(axis=1)``.  At p = 1 ``einsum``
@@ -216,16 +221,60 @@ def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, np.ndar
     mus = np.einsum("mkp->mp", subs) / k
     subs -= mus[:, None, :]
     sigmas = np.swapaxes(subs, 1, 2) @ subs / (k - 1)
-    signs, logdets = np.linalg.slogdet(sigmas)
-    logdets = np.where((signs > 0) & np.isfinite(logdets), logdets, -np.inf)
-    return mus, sigmas, logdets
+    return (mus, sigmas, *_factor(sigmas))
 
 
-def _sq_distances(x: np.ndarray, mus: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """Squared Mahalanobis distances of every row of x under each fit,
-    (x - mu)' sigma^{-1} (x - mu) by an LU solve against sigma; (m, n)."""
-    delta_t = np.swapaxes(x[None, :, :] - mus[:, None, :], 1, 2)
-    return np.einsum("mpn,mpn->mn", delta_t, np.linalg.solve(sigmas, delta_t))
+def _factor(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L, log-determinants) of a stack of (p, p) scatters: the lower
+    Cholesky factors, NaN where one does not exist, and 2 * sum(log L_jj),
+    -inf for a singular scatter.  ``np.linalg.cholesky`` raises for the
+    whole stack when one matrix fails, so a failed stack is factored again
+    one matrix at a time; a matrix's factor does not depend on its stack.
+
+    A scatter is singular when its factorization fails or a pivot has
+    L_jj^2 <= p * eps * sigma_jj.  The computed pivot L_jj^2 = sigma_jj -
+    sum_{i<j} L_ji^2 sums j <= p terms of at most sigma_jj each, within
+    gamma_p sigma_jj < p * (eps / 2) * sigma_jj / (1 - p eps / 2) of its
+    exact value: a pivot that small cannot be told from a rank-deficient
+    scatter's zero.
+    """
+    try:
+        chols = np.linalg.cholesky(sigmas)
+    except np.linalg.LinAlgError:
+        chols = np.full_like(sigmas, np.nan)
+        for i, sigma in enumerate(sigmas):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                chols[i] = np.linalg.cholesky(sigma)
+    p = sigmas.shape[-1]
+    pivots = np.diagonal(chols, axis1=1, axis2=2)
+    ok = (pivots * pivots > p * _EPS * np.diagonal(sigmas, axis1=1, axis2=2)).all(axis=1)
+    return chols, np.where(ok, 2 * np.log(pivots).sum(axis=1), -np.inf)
+
+
+def _inverse_factor(chols: np.ndarray) -> np.ndarray:
+    """W = L^{-1} of each lower Cholesky factor, by forward substitution
+    with one row of W for the whole stack at a time: W_ii = 1 / L_ii, and
+    left of the diagonal W_i = -sum_{j<i} (L_ij / L_ii) W_j, one ``einsum``
+    over the rows above.  The loop makes p numpy calls for any stack; a
+    product of batched matmuls makes a BLAS call per matrix, and took two
+    to five times as long on a C-step's 500 candidates."""
+    p = chols.shape[-1]
+    diag = np.diagonal(chols, axis1=1, axis2=2)
+    scaled = chols / -diag[:, :, None]
+    ws = np.zeros_like(chols)
+    idx = np.arange(p)
+    ws[:, idx, idx] = 1.0 / diag
+    for i in range(1, p):
+        ws[:, i, :i] = np.einsum("mj,mjk->mk", scaled[:, i, :i], ws[:, :i, :i])
+    return ws
+
+
+def _whitened_sq_norms(x: np.ndarray, mus: np.ndarray, ws: np.ndarray) -> np.ndarray:
+    """Squared Mahalanobis distances of every row of x under each fit, the
+    squared norms of W (x - mu) for W = L^{-1} (``_inverse_factor``); (m, n)."""
+    delta_t = np.ascontiguousarray(x.T) - mus[:, :, None]
+    z = ws @ delta_t
+    return np.einsum("mpn,mpn->mn", z, z)
 
 
 def _quadratic_features(x: np.ndarray) -> tuple:
@@ -250,113 +299,101 @@ def _quadratic_features(x: np.ndarray) -> tuple:
 
 
 def _closest_rows(
-    x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray, features: tuple
+    x: np.ndarray, k: int, mus: np.ndarray, chols: np.ndarray, features: tuple
 ) -> np.ndarray:
     """Sorted indices of the k rows of x closest to each fit in squared
-    Mahalanobis distance; (m, k).  ``features`` are x's
-    ``_quadratic_features``.
+    Mahalanobis distance, given the fits' centres and Cholesky factors;
+    (m, k).  ``features`` are x's ``_quadratic_features``.
 
     The rows are by definition the first k of a stable argsort (ties to the
-    lower row index, NaNs last) of the distances from each scatter's inverse
-    A, d_i = (x_i - mu)' A (x_i - mu) summed over p terms twice, overwritten
-    by an LU solve's (``_sq_distances``) when the 1-norm condition number
-    exceeds ``_COND_MAX`` or another row lies within ``_RANK_TOL`` * cond
-    (relative) of the k-th distance, as the p+1 rows of a seed always do,
-    their distances being equal in exact arithmetic.
+    lower row index, NaNs last) of d_i = ||W (x_i - mu)||^2, W = L^{-1} from
+    ``_inverse_factor``: x_i - mu rounded, W times it summed over p terms
+    per component and the squares over p terms (``_whitened_sq_norms``).
 
     Each candidate first takes the distances d' of one product of its P
-    coefficients, the upper triangle of S = (A + A')/2, -2 S e and e' S e
-    for e = mu - c, with the features: (x - mu)' A (x - mu) expanded about
-    the sample mean.  With u = eps / 2, gamma_j = j u / (1 - j u), V = max|y|
-    + max|e| >= max|x - mu| and |A| the sum of |A_ab|, every term of either
-    sum is at most |A| V^2 in all:
+    coefficients, the upper triangle of A = W'W, -2 A e and e' A e for e =
+    mu - c, with the features: ||W (x - mu)||^2 expanded about the sample
+    mean.  With u = eps / 2, gamma_j = j u / (1 - j u), V = max|y| + max|e|
+    >= max|x - mu|, B = |W|'|W| >= |A| and G = sum_ab B_ab = sum_j (sum_a
+    |W_ja|)^2, every term of either sum is at most B_ab V^2, G V^2 in all:
 
-    - forming S, S e and e' S e costs at most gamma_{2p+1} of each
-      coefficient's terms and the features gamma_1, the length-P sum
-      gamma_P, so d' is within gamma_{P+2p+2} |A| V^2 of the form at
-      y - e;
+    - forming A costs gamma_p of each entry's terms, A e and e' A e gamma_p
+      each more, the features gamma_1 and the length-P sum gamma_P, so d'
+      is within gamma_{P+3p} G V^2 of the exact form at y - e;
     - y - e differs from x - mu by at most u V per component, which moves
-      the form by at most gamma_3 |A| V^2;
-    - the inverse path rounds x - mu and sums p terms twice, within
-      gamma_{2p+4} |A| V^2 of the exact form at x - mu.
+      the form by at most gamma_3 G V^2;
+    - the definition rounds x - mu, sums p terms for each component of W (x
+      - mu) and p squares, within gamma_{3p+2} G V^2 of the exact form at
+      x - mu.
 
-    So |d' - d| <= gamma_{P+4p+9} |A| V^2 < E = (P + 4p + 9) eps |A| V^2,
-    the factor 2 of eps over u covering 1 / (1 - j u) and the rounding of E
-    and of the comparisons below.  A candidate keeps the k smallest d' when
-    cond <= ``_COND_MAX`` and no other row lies within ``_RANK_TOL`` * cond
-    * (|kth| + E) + 2E of its k-th d': then every kept row's d is below the
-    k-th row's and every other row's above, and no row's d lies within
-    ``_RANK_TOL`` * cond of the k-th, so these are the rows of the
-    definition.  E holds when no term under- or overflows, which |A| and V
-    above 1e-100 and |A| V^2 below 1e300 ensure.  Every other candidate
-    takes the definition itself.
+    So |d' - d| <= gamma_{P+6p+5} G V^2 < E = (P + 6p + 5) eps G V^2, the
+    factor 2 of eps over u covering 1 / (1 - j u) and the rounding of E and
+    of the comparisons below.  A candidate keeps the k smallest d' when no
+    other row lies within 2E of its k-th d': then every kept row's d is
+    below the k-th row's and every other row's above, so these are the rows
+    of the definition.  E holds when no term under- or overflows, which G
+    and V above 1e-100 and G V^2 below 1e300 ensure.  Every other candidate
+    (a near tie at the k-th distance, a W of extreme entries) takes the
+    definition itself.
     """
     c, f, reach, (a, b) = features
     p = mus.shape[1]
-    inv = np.linalg.inv(sigmas)
-    abs_inv = np.abs(inv)
-    cond = np.abs(sigmas).sum(axis=1).max(axis=1) * abs_inv.sum(axis=1).max(axis=1)
+    ws = _inverse_factor(chols)
+    gram = np.ascontiguousarray(np.swapaxes(ws, 1, 2)) @ ws
     e = mus - c
-    s = (inv + np.swapaxes(inv, 1, 2)) / 2
-    se = (s @ e[:, :, None])[:, :, 0]
-    coef = np.concatenate([s[:, a, b], -2 * se, np.einsum("mp,mp->m", se, e)[:, None]], axis=1)
+    ae = (gram @ e[:, :, None])[:, :, 0]
+    coef = np.concatenate([gram[:, a, b], -2 * ae, np.einsum("mp,mp->m", ae, e)[:, None]], axis=1)
     # one (1, P) @ (P, n) product per candidate, below OpenBLAS's threading threshold
     d2 = (coef[:, None, :] @ f)[:, 0]
-    size, v = abs_inv.sum(axis=(1, 2)), reach + np.abs(e).max(axis=1)
-    err = (len(f) + 4 * p + 9) * np.finfo(float).eps * size * v * v
+    row_sums = np.einsum("mij->mi", np.abs(ws))
+    size, v = np.einsum("mi,mi->m", row_sums, row_sums), reach + np.abs(e).max(axis=1)
+    err = (len(f) + 6 * p + 5) * _EPS * size * v * v
     order = np.argpartition(d2, k - 1, axis=1)
     kth = np.take_along_axis(d2, order[:, k - 1 : k], axis=1)
-    band = _RANK_TOL * cond[:, None] * (np.abs(kth) + err[:, None]) + 2 * err[:, None]
-    n_near = np.count_nonzero(np.abs(d2 - kth) <= band, axis=1)
-    sure = (cond <= _COND_MAX) & (np.minimum(size, v) > 1e-100) & (size * v * v < 1e300)
-    sure &= n_near == 1
+    n_near = np.count_nonzero(np.abs(d2 - kth) <= 2 * err[:, None], axis=1)
+    sure = (n_near == 1) & (np.minimum(size, v) > 1e-100) & (size * v * v < 1e300)
     rows = np.sort(order[:, :k], axis=1)
     if not sure.all():
         rest = ~sure
-        rows[rest] = _closest_by_definition(x, k, mus[rest], sigmas[rest], inv[rest], cond[rest])
+        rows[rest] = _closest_by_definition(x, k, mus[rest], ws[rest])
     return rows
 
 
-def _closest_by_definition(x, k, mus, sigmas, inv, cond) -> np.ndarray:
-    """``_closest_rows`` by its definition, given each scatter's inverse and
-    1-norm condition number."""
-    delta_t = np.ascontiguousarray(x.T) - mus[:, :, None]
-    d2 = np.einsum("mpn,mpn->mn", np.swapaxes(inv, 1, 2) @ delta_t, delta_t)
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    n_near = np.count_nonzero(np.abs(d2 - kth) <= _RANK_TOL * cond[:, None] * np.abs(kth), axis=1)
-    exact = ~(cond <= _COND_MAX) | (n_near > 1)
-    if exact.any():
-        d2[exact] = _sq_distances(x, mus[exact], sigmas[exact])
+def _closest_by_definition(x, k, mus, ws) -> np.ndarray:
+    """``_closest_rows`` by its definition, given each fit's W = L^{-1}."""
+    d2 = _whitened_sq_norms(x, mus, ws)
     return np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
 
 
 def _batch_cstep(
-    x: np.ndarray, k: int, mus: np.ndarray, sigmas: np.ndarray, features: tuple
+    x: np.ndarray, k: int, mus: np.ndarray, chols: np.ndarray, features: tuple
 ) -> _Candidates:
-    """One C-step for every candidate fit: its k closest rows
-    (``_closest_rows``, given x's ``_quadratic_features``) and their fit.
-    Returns (supports, mus, sigmas, logdets).
+    """One C-step for every candidate fit, given its centre and Cholesky
+    factor: its k closest rows (``_closest_rows``, given x's
+    ``_quadratic_features``) and their fit.  Returns (supports, mus,
+    sigmas, chols, logdets).
 
     Candidates run in chunks whose (chunk, n, p) float64 block fits
     ``_CHUNK_BYTES``, so memory stays bounded for any number of candidates.
     """
     m = len(mus)
     supports = np.empty((m, k), dtype=np.intp)
-    mus2, sigmas2, logdets = np.empty_like(mus), np.empty_like(sigmas), np.empty(m)
+    mus2, sigmas2, chols2 = np.empty_like(mus), np.empty_like(chols), np.empty_like(chols)
+    logdets = np.empty(m)
     chunk = max(1, _CHUNK_BYTES // (8 * x.size))
     for lo in range(0, m, chunk):
         sel = slice(lo, lo + chunk)
-        supports[sel] = _closest_rows(x, k, mus[sel], sigmas[sel], features)
-        mus2[sel], sigmas2[sel], logdets[sel] = _batch_fit(x, supports[sel])
-    return supports, mus2, sigmas2, logdets
+        supports[sel] = _closest_rows(x, k, mus[sel], chols[sel], features)
+        mus2[sel], sigmas2[sel], chols2[sel], logdets[sel] = _batch_fit(x, supports[sel])
+    return supports, mus2, sigmas2, chols2, logdets
 
 
 def _concentrate(
     x: np.ndarray, k: int, supports: np.ndarray, mus: np.ndarray, sigmas: np.ndarray,
-    logdets: np.ndarray, steps: int,
+    chols: np.ndarray, logdets: np.ndarray, steps: int,
 ) -> _Candidates:
     """Up to ``steps`` C-steps of every candidate; returns its final
-    (supports, mus, sigmas, logdets), the fits updated in place.
+    (supports, mus, sigmas, chols, logdets), the fits updated in place.
 
     A candidate stops when its log-determinant changes by at most
     ``CSTEP_TOL`` (relative), as it does at a support fixed point, which
@@ -373,7 +410,7 @@ def _concentrate(
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        sup2, mu2, sigma2, ld2 = _batch_cstep(x, k, mus[idx], sigmas[idx], features)
+        sup2, mu2, sigma2, chol2, ld2 = _batch_cstep(x, k, mus[idx], chols[idx], features)
         ld = logdets[idx]
         stopped = ~np.isfinite(ld2)
         if supports is not None and supports.shape[1] == k:
@@ -383,9 +420,10 @@ def _concentrate(
             stopped |= np.abs(ld - ld2) <= CSTEP_TOL * scale
         else:  # every entering fit is nonsingular, so every one was stepped
             supports = np.empty((len(ld), k), dtype=np.intp)
-        supports[idx], mus[idx], sigmas[idx], logdets[idx] = sup2, mu2, sigma2, ld2
+        supports[idx], mus[idx], sigmas[idx] = sup2, mu2, sigma2
+        chols[idx], logdets[idx] = chol2, ld2
         active[idx[stopped]] = False
-    return supports, mus, sigmas, logdets
+    return supports, mus, sigmas, chols, logdets
 
 
 def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -398,7 +436,7 @@ def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> 
 
 def _draw_seeds(x: np.ndarray, m: int, gen: np.random.Generator) -> _Candidates:
     """Seed subsets of size p+1 of the rows of x with a nonsingular fit, and
-    their fits: (seeds, mus, sigmas, logdets).
+    their fits: (seeds, mus, sigmas, chols, logdets).
 
     ``m`` random (p+1)-subsets are drawn from ``gen`` and singular ones
     redrawn within a budget of 100 draws per seed.  Seeds still singular
@@ -406,7 +444,8 @@ def _draw_seeds(x: np.ndarray, m: int, gen: np.random.Generator) -> _Candidates:
     """
     n, p = x.shape
     seeds = _sample_subsets(n, p + 1, m, gen)
-    mus, sigmas, logdets = _batch_fit(x, seeds)
+    fits = _batch_fit(x, seeds)
+    logdets = fits[-1]
     attempts, budget = m, 100 * m
     bad = np.flatnonzero(~np.isfinite(logdets))
     while bad.size and attempts < budget:
@@ -414,19 +453,18 @@ def _draw_seeds(x: np.ndarray, m: int, gen: np.random.Generator) -> _Candidates:
         redraw = bad[:n_redraw]
         seeds[redraw] = _sample_subsets(n, p + 1, n_redraw, gen)
         attempts += n_redraw
-        mus[redraw], sigmas[redraw], logdets[redraw] = _batch_fit(x, seeds[redraw])
+        for old, new in zip(fits, _batch_fit(x, seeds[redraw])):
+            old[redraw] = new
         bad = np.flatnonzero(~np.isfinite(logdets))
     ok = np.isfinite(logdets)
-    return seeds[ok], mus[ok], sigmas[ok], logdets[ok]
+    return seeds[ok], *(a[ok] for a in fits)
 
 
-def _best_after_two_steps(
-    x: np.ndarray, k: int, supports: np.ndarray | None, mus: np.ndarray, sigmas: np.ndarray,
-    logdets: np.ndarray,
-) -> _Candidates:
-    """Two C-steps of every candidate on x and the ``N_BEST_KEPT`` best."""
-    found = _concentrate(x, k, supports, mus, sigmas, logdets, steps=2)
-    kept = _rank_candidates(found[3], found[0], N_BEST_KEPT)
+def _best_after_two_steps(x: np.ndarray, k: int, *candidates: np.ndarray) -> _Candidates:
+    """Two C-steps of every candidate on x and the ``N_BEST_KEPT`` best;
+    ``candidates`` are a ``_Candidates`` stack."""
+    found = _concentrate(x, k, *candidates, steps=2)
+    kept = _rank_candidates(found[-1], found[0], N_BEST_KEPT)
     return tuple(a[kept] for a in found)
 
 
@@ -461,16 +499,14 @@ def _search(
         raise SingularDataError("all initial (p+1)-subsets are singular")
     if len(groups) == 1:
         return pooled[0]
-    mus, sigmas, logdets = (np.concatenate(a) for a in list(zip(*pooled))[1:])
-    if not np.isfinite(logdets).all():
+    fits = [np.concatenate(a) for a in list(zip(*pooled))[1:]]
+    if not np.isfinite(fits[-1]).all():
         return None
     merged = np.sort(np.concatenate(groups))
-    supports, mus, sigmas, logdets = _best_after_two_steps(
-        x[merged], k_of(merged), None, mus, sigmas, logdets
-    )
-    if not np.isfinite(logdets).all():
+    supports, *fits = _best_after_two_steps(x[merged], k_of(merged), None, *fits)
+    if not np.isfinite(fits[-1]).all():
         return None
-    return merged[supports], mus, sigmas, logdets
+    return merged[supports], *fits
 
 
 @functools.lru_cache(maxsize=8)
@@ -491,7 +527,7 @@ def _enumerate_mcd(x: np.ndarray, k: int) -> McdFit:
     n, p = x.shape
     kept = math.comb(n, k) * k * 8 <= _CHUNK_BYTES // 16  # 512 KiB: the cache holds 4 MiB
     supports = (_k_subsets if kept else _k_subsets.__wrapped__)(n, k)
-    mus, sigmas, logdets = _batch_fit(x, supports)
+    mus, sigmas, _, logdets = _batch_fit(x, supports)
     if not np.isfinite(logdets).any():
         raise SingularDataError("all k-subsets are singular")
     i = int(np.argmin(logdets))  # the first minimum, so ties go to the lower support
@@ -515,7 +551,7 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     n, p = x.shape
     k = cfg.subset_size(n, p)
     if k == n:
-        (mu,), (sigma,), (logdet,) = _batch_fit(x, np.arange(n)[None])
+        (mu,), (sigma,), _, (logdet,) = _batch_fit(x, np.arange(n)[None])
         return _finalize(k, n, p, mu, sigma, range(n), logdet)
     # C(n, k) >= n, so n bounds the count before it is computed
     if n <= _ENUM_MAX and math.comb(n, k) <= min(_ENUM_MAX, _CHUNK_BYTES // (8 * k * p)):
@@ -525,7 +561,7 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     found = _search(x, k, m, _group_rows(n, gen) if n > _NESTED_MIN else [np.arange(n)], gen)
     if found is None:
         found = _search(x, k, m, [np.arange(n)], rng.generator())
-    supports, mus, sigmas, logdets = _concentrate(x, k, *found, steps=MAX_CSTEPS)
+    supports, mus, sigmas, _, logdets = _concentrate(x, k, *found, steps=MAX_CSTEPS)
     i = _rank_candidates(logdets, supports, 1)[0]
     return _finalize(k, n, p, mus[i], sigmas[i], supports[i], logdets[i])
 
@@ -550,26 +586,27 @@ def reweight_mcd(data, raw: McdFit) -> McdFit:
     """One-pass hard-rejection reweighting of a raw MCD fit.
 
     Rows with squared robust distance above chi2_{p, delta} get weight 0,
-    delta = ``REWEIGHT_DELTA``; the distances come from the C-step's LU
-    solve (``_sq_distances``).  The scatter is the weighted sample
+    delta = ``REWEIGHT_DELTA``; the distances come from the Cholesky factor
+    of ``raw.sigma`` (``_factor``), as the C-step's definition does
+    (``_whitened_sq_norms``).  The scatter is the weighted sample
     covariance (divisor sum(w) - 1, the classical convention) times the
     consistency factor with alpha replaced by delta.  Raises
-    ``NotPositiveDefiniteError`` when the raw fit is singular or
-    ``raw.sigma`` has a determinant that is not positive and finite.
+    ``NotPositiveDefiniteError`` when the raw fit is singular or that
+    factor finds ``raw.sigma`` singular.
     """
     x = _rows(data)
     n, p = x.shape
-    sign, raw_logdet = np.linalg.slogdet(raw.sigma)
-    if raw.singular or sign <= 0 or not np.isfinite(raw_logdet):
+    chol, raw_logdet = _factor(raw.sigma[None])
+    if raw.singular or not np.isfinite(raw_logdet[0]):
         raise NotPositiveDefiniteError("raw MCD scatter is not positive definite")
-    d2 = _sq_distances(x, raw.mu[None], raw.sigma[None])[0]
+    d2 = _whitened_sq_norms(x, raw.mu[None], _inverse_factor(chol))[0]
     w = d2 <= _reweight_cutoff(p)
     n_kept = int(w.sum())
     if n_kept == 0:
         raise SingularDataError("reweighting rejected every observation")
     if n_kept < 2:
         raise SingularDataError("reweighting kept a single observation")
-    (mu,), (sigma,), (logdet,) = _batch_fit(x, np.flatnonzero(w)[None])
+    (mu,), (sigma,), _, (logdet,) = _batch_fit(x, np.flatnonzero(w)[None])
     c_star = mcd_consistency_factor(REWEIGHT_DELTA, p)
     return McdFit(
         mu=mu,

@@ -29,6 +29,22 @@ from robustvario.mcd import (
 )
 from robustvario.numerics import RngStream, chisq_cdf, chisq_quantile
 
+EPS = np.finfo(float).eps
+
+
+def oracle_factor(sigma):
+    """Cholesky factor and log-determinant of one scatter: ``np.linalg.cholesky``
+    of it alone, NaN where that fails, and -inf when it fails or a pivot has
+    L_jj^2 <= p eps sigma_jj, the pivot rule of ``_factor``."""
+    try:
+        chol = np.linalg.cholesky(sigma)
+    except np.linalg.LinAlgError:
+        return np.full_like(sigma, np.nan), -np.inf
+    pivots = np.diag(chol)
+    if not (pivots * pivots > len(sigma) * EPS * np.diag(sigma)).all():
+        return chol, -np.inf
+    return chol, 2 * np.log(pivots).sum()
+
 
 def exact_mcd(x, k=None):
     """Globally optimal raw MCD by enumerating every k-subset; the oracle
@@ -41,8 +57,7 @@ def exact_mcd(x, k=None):
         mu = sub.mean(axis=0)
         dev = sub - mu
         sigma = dev.T @ dev / (k - 1)
-        sign, logdet = np.linalg.slogdet(sigma)
-        logdet = logdet if sign > 0 and np.isfinite(logdet) else -np.inf
+        logdet = oracle_factor(sigma)[1]
         if best is None or (logdet, comb) < best[0]:
             best = ((logdet, comb), mu, sigma)
     (logdet, comb), mu, sigma = best
@@ -442,8 +457,8 @@ class TestSubsetTable:
 
 
 def cholesky_weights(x, raw):
-    """Reweighting weights from distances by triangular solves against the
-    Cholesky factor of the raw scatter; the oracle for the LU distances."""
+    """Reweighting weights from distances by triangular solves against
+    scipy's Cholesky factor of the raw scatter; the oracle of the weights."""
     lower = scipy.linalg.cholesky(raw.sigma, lower=True)
     y = scipy.linalg.solve_triangular(lower, (x - raw.mu).T, lower=True)
     d2 = np.einsum("ij,ij->j", y, y)
@@ -469,6 +484,17 @@ class TestReweight:
         fit = reweight_mcd(x, raw)
         np.testing.assert_array_equal(fit.weights, cholesky_weights(x, raw))
         assert 0 < fit.weights.sum() < len(x)
+
+    def test_factorizations_are_cholesky(self, monkeypatch):
+        # a fit and its reweighting factor every scatter by Cholesky alone:
+        # no LU inverse, determinant or solve
+        def lu(*args, **kwargs):
+            raise AssertionError("LU factorization called")
+
+        for name in ("inv", "slogdet", "det", "solve"):
+            monkeypatch.setattr(np.linalg, name, lu)
+        for x in (block_sample(5.0, 35), shifted_sample(15, 7, 1), shifted_sample(1600, 3, 1)):
+            reweight_mcd(x, fast_mcd(x, McdConfig(), RngStream(5)))
 
     def test_indefinite_raises(self):
         x = np.random.default_rng(6).standard_normal((20, 2))
@@ -551,31 +577,27 @@ class TestCStepMonotonicity:
         batch_fit = mcd_module._batch_fit
 
         def inflating(x, supports):
-            mus, sigmas, logdets = batch_fit(x, supports)
+            mus, sigmas, chols, logdets = batch_fit(x, supports)
             calls["n"] += 1
-            return mus, sigmas, logdets + 1e3 * calls["n"]
+            return mus, sigmas, chols, logdets + 1e3 * calls["n"]
 
         monkeypatch.setattr(mcd_module, "_batch_fit", inflating)
         x = np.random.default_rng(14).standard_normal((40, 3))
         with pytest.raises(NumericalError, match="increased"):
             fast_mcd(x, McdConfig(), RngStream(1))
 
-
-    @pytest.mark.xfail(raises=NumericalError, strict=True,
-                       reason="slogdet gives a numerically singular scatter a finite log-det")
-    @pytest.mark.filterwarnings("ignore:MCD support subset has singular covariance")
     def test_collinear_rows_give_singular_fit(self):
         # 20 of 30 rows on one line: the MCD's 17 rows can all lie on it, so
-        # the fit is singular; today the monotonicity check raises instead.
-        # At p = 4 each of these samples raises with the einsum scatter and
-        # the matmul scatter alike; at p = 2 and 3, which samples raise
-        # depends on rounding.
+        # the fit is singular.  slogdet gave some of these rank-1 scatters a
+        # finite log-determinant, and the monotonicity check raised; the
+        # Cholesky pivot rule finds every one singular
         p = 4
         for seed in range(10):
             rng = np.random.default_rng(seed)
             x = rng.standard_normal((30, p))
             x[:20] = rng.standard_normal(p) + rng.standard_normal((20, 1)) * rng.standard_normal(p)
-            assert fast_mcd(x, McdConfig(), RngStream(seed)).singular
+            with pytest.warns(RuntimeWarning, match="singular covariance"):
+                assert fast_mcd(x, McdConfig(), RngStream(seed)).singular
 
 
 def ranked_by_full_sort(logdets, supports, n_keep):
@@ -620,13 +642,14 @@ class TestRankCandidates:
 
 def oracle_fit(x, supports):
     """``_batch_fit`` by its plain formulas: ``mean``, the deviations, one
-    batched matmul and ``slogdet``."""
+    batched matmul and ``oracle_factor`` of each scatter alone."""
     subs = x[supports]
     mus = subs.mean(axis=1)
     dev = subs - mus[:, None, :]
     sigmas = np.swapaxes(dev, 1, 2) @ dev / (supports.shape[1] - 1)
-    signs, logdets = np.linalg.slogdet(sigmas)
-    return mus, sigmas, np.where((signs > 0) & np.isfinite(logdets), logdets, -np.inf)
+    factors = [oracle_factor(sigma) for sigma in sigmas]
+    chols = np.array([chol for chol, _ in factors]).reshape(sigmas.shape)
+    return mus, sigmas, chols, np.array([logdet for _, logdet in factors])
 
 
 def oracle_features(x):
@@ -639,29 +662,51 @@ def oracle_features(x):
     return c, np.vstack([quadratic, y.T, np.ones(len(x))]), float(np.abs(y).max()), (a, b)
 
 
+def definition_closest(x, k, mus, chols):
+    """``_closest_rows`` by its definition, one candidate at a time: W =
+    ``_inverse_factor`` of its factor alone, the squared norms of W (x - mu)
+    and the first k of a stable argsort."""
+    rows = []
+    for mu, chol in zip(mus, chols):
+        w = mcd_module._inverse_factor(chol[None])[0]
+        z = w @ (np.ascontiguousarray(x.T) - mu[:, None])
+        rows.append(np.sort(np.argsort(np.einsum("pn,pn->n", z, z), kind="stable")[:k]))
+    return np.array(rows, dtype=np.intp).reshape(len(mus), k)
+
+
 def oracle_closest(x, k, mus, sigmas):
-    """``_closest_rows`` with a stable argsort on every candidate: the
-    distances from the inverse, overwritten by the LU solve's where the
-    condition number or a near tie at the k-th distance asks for it."""
-    inv = np.linalg.inv(sigmas)
-    cond = one_norm_cond(sigmas)
-    delta_t = x.T[None] - mus[:, :, None]
-    d2 = np.einsum("mpn,mpn->mn", np.swapaxes(inv, 1, 2) @ delta_t, delta_t)
+    """The k rows closest to each fit by triangular solves against scipy's
+    Cholesky factor, one candidate at a time, then a stable argsort; and the
+    squared distances, (m, n)."""
+    d2 = np.empty((len(mus), len(x)))
+    for i, (mu, sigma) in enumerate(zip(mus, sigmas)):
+        lower = scipy.linalg.cholesky(sigma, lower=True)
+        d2[i] = np.square(scipy.linalg.solve_triangular(lower, (x - mu).T, lower=True)).sum(axis=0)
+    return np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1), d2
+
+
+def assert_near_oracle(rows, x, k, mus, sigmas):
+    """``rows`` are ``oracle_closest``'s but for rows whose oracle distance
+    lies within 4 p eps cond_2(sigma), relative, of the k-th.  Both paths
+    are backward stable: each gives the distances under a scatter within
+    about p eps |sigma| of the fit's, so they may order such rows either way
+    (scipy's and numpy's Cholesky factors differ in the last bits).  A fit
+    whose band exceeds 1e-2 orders no row for sure and is skipped."""
+    band = 4 * x.shape[1] * EPS * np.linalg.cond(sigmas)
+    told = band <= 1e-2
+    wanted, d2 = oracle_closest(x, k, mus[told], sigmas[told])
     kth = np.partition(d2, k - 1, axis=1)[:, k - 1 : k]
-    near = np.abs(d2 - kth) <= mcd_module._RANK_TOL * cond[:, None] * np.abs(kth)
-    exact = ~(cond <= mcd_module._COND_MAX) | (near.sum(axis=1) > 1)
-    if exact.any():
-        d2[exact] = mcd_module._sq_distances(x, mus[exact], sigmas[exact])
-    return np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+    near = np.abs(d2 - kth) <= band[told, None] * np.abs(kth)
+    kept, want = np.zeros(d2.shape, dtype=bool), np.zeros(d2.shape, dtype=bool)
+    np.put_along_axis(kept, rows[told], True, axis=1)
+    np.put_along_axis(want, wanted, True, axis=1)
+    assert (kept == want)[~near].all()
 
 
-def oracle_cstep(x, k, mus, sigmas):
-    """The C-step before chunking: one LU solve with n right-hand sides per
-    candidate, a full stable argsort, every candidate in one batch, and
-    ``oracle_fit``."""
-    delta_t = np.swapaxes(x[None, :, :] - mus[:, None, :], 1, 2)
-    d2 = np.einsum("mpn,mpn->mn", delta_t, np.linalg.solve(sigmas, delta_t))
-    supports = np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
+def oracle_cstep(x, k, mus, chols):
+    """The C-step before chunking: every candidate's rows by the definition,
+    one at a time (``definition_closest``), and ``oracle_fit``."""
+    supports = definition_closest(x, k, mus, chols)
     return (supports, *oracle_fit(x, supports))
 
 
@@ -676,54 +721,51 @@ def assert_same_bits(a, b):
         assert u.tobytes() == v.tobytes()
 
 
-def one_norm_cond(sigmas):
-    inv = np.linalg.inv(sigmas)
-    return np.abs(sigmas).sum(axis=1).max(axis=1) * np.abs(inv).sum(axis=1).max(axis=1)
-
-
 class TestCStepOracle:
     """``_batch_cstep`` returns the oracle's supports and fits bit for bit
-    over the first two C-steps of a FastMCD run."""
+    over the first two C-steps of a FastMCD run, and scipy's closest rows
+    but for near ties."""
 
     @staticmethod
-    def two_steps(x, seed):
+    def two_steps(x, seed, monkeypatch):
+        # returns the number of candidates the product sent to the definition
         n, p = x.shape
         k = McdConfig().subset_size(n, p)
-        _, mus, sigmas, logdets = draw_seeds(x, seed)
-        conds = []
+        _, mus, sigmas, chols, logdets = draw_seeds(x, seed)
+        defined = spy(monkeypatch, "_closest_by_definition")
         for _ in range(2):
             alive = np.isfinite(logdets)  # as _concentrate steps them
-            mus, sigmas = mus[alive], sigmas[alive]
-            conds.append(one_norm_cond(sigmas))
-            new = mcd_module._batch_cstep(x, k, mus, sigmas, mcd_module._quadratic_features(x))
-            assert_same_bits(new, oracle_cstep(x, k, mus, sigmas))
-            _, mus, sigmas, logdets = new
-        return np.concatenate(conds)
+            mus, sigmas, chols = mus[alive], sigmas[alive], chols[alive]
+            new = mcd_module._batch_cstep(x, k, mus, chols, mcd_module._quadratic_features(x))
+            assert_same_bits(new, oracle_cstep(x, k, mus, chols))
+            assert_near_oracle(new[0], x, k, mus, sigmas)
+            _, mus, sigmas, chols, logdets = new
+        return sum(len(args[2]) for args, _ in defined)
 
-    def test_clean_gaussian(self):
+    def test_clean_gaussian(self, monkeypatch):
         x = np.random.default_rng(21).standard_normal((300, 4))
-        self.two_steps(x, 1)
+        self.two_steps(x, 1, monkeypatch)
 
-    def test_block_takes_solve_fallback(self):
+    def test_block_takes_solve_fallback(self, monkeypatch):
+        # fits that mix the block with the rest are ill-conditioned, and the
+        # product cannot certify some of them: those take the definition's
+        # triangular-solve distances
         rng = np.random.default_rng(22)
         x = rng.standard_normal((200, 3))
         x[:20] = 1e6 + rng.standard_normal((20, 3))
-        # mixed supports exceed _COND_MAX; one well-conditioned first-step
-        # candidate has its k-th distance at a tie of its p+1 seed rows,
-        # which the inverse alone orders differently from the solve
-        assert (self.two_steps(x, 2) > mcd_module._COND_MAX).any()
+        assert self.two_steps(x, 2, monkeypatch) > 0
 
-    def test_duplicated_rows_tie(self):
+    def test_duplicated_rows_tie(self, monkeypatch):
         # rows on a 3x3x3 lattice: many duplicates, and distinct rows at
-        # equal distances
+        # equal distances, which only the definition orders
         x = np.random.default_rng(23).integers(0, 3, (150, 3)).astype(float)
-        self.two_steps(x, 3)
+        assert self.two_steps(x, 3, monkeypatch) > 0
 
     def test_several_chunks(self, monkeypatch):
         x = np.random.default_rng(24).standard_normal((120, 3))
         x[:15] += 50.0
         monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 7 * x.nbytes)
-        self.two_steps(x, 4)
+        self.two_steps(x, 4, monkeypatch)
 
 
 @st.composite
@@ -731,10 +773,10 @@ def kernel_stacks(draw, p=st.integers(2, 8)):
     """A sample, a subset size k and a stack of sorted candidate supports:
     (p+1)-seeds or k-subsets.  The rows are Gaussian, on a 3-level lattice
     (duplicate rows and distinct rows at equal distances), Gaussian with a
-    tenth of them moved by 1e6 (mixed fits exceed ``_COND_MAX`` and take
-    the LU solve) or by 1e3 (the product's features cancel, so its rounding
-    bound decides), or near ties: Gaussian or offset rows, each repeated one
-    ulp up; k is the maximal-breakdown size or n - 1."""
+    tenth of them moved by 1e6 (mixed fits are ill-conditioned) or by 1e3
+    (the product's features cancel, so its rounding bound decides), or near
+    ties: Gaussian or offset rows, each repeated one ulp up; k is the
+    maximal-breakdown size or n - 1."""
     p = draw(p)
     n = draw(st.integers(p + 2, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -755,17 +797,18 @@ def kernel_stacks(draw, p=st.integers(2, 8)):
 
 class TestKernelBits:
     """``_batch_fit`` and ``_closest_rows`` give the bytes of their plain
-    formulas, ``oracle_fit`` and ``oracle_closest``."""
+    formulas, ``oracle_fit`` and ``definition_closest``, and scipy's closest
+    rows but for near ties."""
 
     @staticmethod
     def closest_of_nonsingular(x, k, fits):
         # only nonsingular fits are stepped, as in _concentrate
-        mus, sigmas, logdets = fits
+        mus, sigmas, chols, logdets = fits
         alive = np.isfinite(logdets)
         features = mcd_module._quadratic_features(x)
-        return mcd_module._closest_rows(x, k, mus[alive], sigmas[alive], features), oracle_closest(
-            x, k, mus[alive], sigmas[alive]
-        )
+        closest = mcd_module._closest_rows(x, k, mus[alive], chols[alive], features)
+        assert_near_oracle(closest, x, k, mus[alive], sigmas[alive])
+        return closest, definition_closest(x, k, mus[alive], chols[alive])
 
     @given(kernel_stacks())
     @settings(max_examples=300, deadline=None)
@@ -782,19 +825,17 @@ class TestKernelBits:
     ], ids=["lattice", "block-1e6"])
     def test_same_bytes_on_search_stacks(self, x, monkeypatch):
         # a search's seeds and first-step supports: the lattice ties many
-        # k-th distances, and the block's mixed fits exceed _COND_MAX; both
-        # send candidates to the LU solve
+        # k-th distances, and the block's mixed fits are ill-conditioned;
+        # both send candidates to the definition
         k, seeds, supports = candidate_stack(x, 47)
         for subsets in (seeds, supports):
             fits = mcd_module._batch_fit(x, subsets)
             assert_same_bits(fits, oracle_fit(x, subsets))
             with monkeypatch.context() as m:
-                solved = spy(m, "_sq_distances")
+                defined = spy(m, "_closest_by_definition")
                 closest, expected = self.closest_of_nonsingular(x, k, fits)
             assert_same_bits([closest], [expected])
-            # one solve of the same candidates each, in _closest_rows and the oracle
-            n_solved = [len(args[1]) for args, _ in solved]
-            assert len(n_solved) == 2 and n_solved[0] == n_solved[1] > 0
+            assert sum(len(args[2]) for args, _ in defined) > 0
 
     @given(kernel_stacks(p=st.just(1)))
     @settings(max_examples=200, deadline=None)
@@ -802,12 +843,12 @@ class TestKernelBits:
         # at p = 1 ``mean`` sums pairwise and ``_batch_fit`` in another
         # order, so means may differ by the rounding of either sum, at most
         # (k' - 1) * eps * max|x| for k' summed rows; the selection is the
-        # oracle's bit for bit
+        # definition's bit for bit
         x, k, supports = stack
         fits = mcd_module._batch_fit(x, supports)
-        mus, sigmas, _ = oracle_fit(x, supports)
+        mus, sigmas, _, _ = oracle_fit(x, supports)
         scale = np.abs(x[supports]).max(axis=(1, 2))[:, None]
-        bound = (supports.shape[1] - 1) * np.finfo(float).eps * scale
+        bound = (supports.shape[1] - 1) * EPS * scale
         assert (np.abs(fits[0] - mus) <= bound).all()
         np.testing.assert_allclose(fits[1], sigmas, rtol=1e-9, atol=0)
         closest, expected = self.closest_of_nonsingular(x, k, fits)
@@ -842,8 +883,8 @@ class TestQuadraticFeatures:
 
 def near_tie_sample(seed):
     """75 Gaussian rows, a tenth of them moved by 1e3, each repeated one ulp
-    up: the product's features cancel to about 1e-12, far beyond the
-    inverse's near-tie band, so only its rounding bound separates twins."""
+    up: the product's features cancel to about 1e-12, so that only the
+    product's rounding bound keeps twins from being cut in its order."""
     x = np.random.default_rng(seed).standard_normal((75, 3))
     x[:8] += 1e3
     return np.vstack([x, np.nextafter(x, np.inf)])
@@ -876,19 +917,20 @@ class TestCertifiedCut:
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_near_ties_at_an_offset(self, seed, monkeypatch):
-        # a bound a millionth as wide, or one without its 2E term, keeps
-        # twins in the product's order here and misses the oracle's bytes
+        # a bound a millionth as wide keeps twins in the product's order
+        # here and misses the definition's bytes
         x = near_tie_sample(seed)
         k, seeds, supports = candidate_stack(x, seed)
         for subsets in (seeds, supports):
-            mus, sigmas, logdets = mcd_module._batch_fit(x, subsets)
+            mus, sigmas, chols, logdets = mcd_module._batch_fit(x, subsets)
             alive = np.isfinite(logdets)
             with monkeypatch.context() as m:
                 fallback = spy(m, "_closest_by_definition")
                 closest = mcd_module._closest_rows(
-                    x, k, mus[alive], sigmas[alive], mcd_module._quadratic_features(x)
+                    x, k, mus[alive], chols[alive], mcd_module._quadratic_features(x)
                 )
-            assert_same_bits([closest], [oracle_closest(x, k, mus[alive], sigmas[alive])])
+            assert_same_bits([closest], [definition_closest(x, k, mus[alive], chols[alive])])
+            assert_near_oracle(closest, x, k, mus[alive], sigmas[alive])
             assert fallback
 
 
@@ -903,7 +945,7 @@ class TestConcentrate:
         entry = mcd_module._concentrate(x, k, *seeds, steps=2)
         kill = np.zeros(len(entry[0]), dtype=bool)
         kill[[0, 8, 9, len(kill) - 1]] = True
-        entry[3][kill] = -np.inf
+        entry[4][kill] = -np.inf
         monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 7 * x.nbytes)
         out = mcd_module._concentrate(x, k, *[a.copy() for a in entry], steps=3)
         assert_same_bits([a[kill] for a in out], [a[kill] for a in entry])
@@ -1067,12 +1109,12 @@ class TestNested:
         seen = []
         cstep = mcd_module._batch_cstep
 
-        def inflating(xs, k, mus, sigmas, features):
-            out = cstep(xs, k, mus, sigmas, features)
+        def inflating(xs, k, mus, chols, features):
+            out = cstep(xs, k, mus, chols, features)
             if len(xs) == rows:
                 seen.append(k)
                 if len(seen) == target:
-                    out = (*out[:3], out[3] + 1.0)
+                    out = (*out[:4], out[4] + 1.0)
             return out
 
         monkeypatch.setattr(mcd_module, "_batch_cstep", inflating)
@@ -1131,11 +1173,14 @@ class TestNested:
 
 def subset_moments(x, support):
     """The per-subset oracle of ``_batch_fit``: the plain mean, ``np.cov``
-    and its log-determinant."""
+    and scipy's Cholesky factor of it, None where that fails."""
     sub = x[list(support)]
     sigma = np.atleast_2d(np.cov(sub, rowvar=False))
-    sign, logdet = np.linalg.slogdet(sigma)
-    return sub.mean(axis=0), sigma, logdet if sign > 0 else -np.inf
+    try:
+        chol = scipy.linalg.cholesky(sigma, lower=True)
+    except np.linalg.LinAlgError:
+        chol = None
+    return sub.mean(axis=0), sigma, chol
 
 
 @st.composite
@@ -1154,12 +1199,12 @@ def subset_stacks(draw):
 
 def candidate_stack(x, seed):
     """The (p+1)-seeds of a FastMCD run and the k-subset fits of their first
-    C-step: stacks with both the fast distances and the LU fallback."""
+    C-step: stacks with both the certified product and the definition."""
     n, p = x.shape
     k = McdConfig().subset_size(n, p)
-    seeds, mus, sigmas, _ = draw_seeds(x, seed)
+    seeds, mus, _, chols, _ = draw_seeds(x, seed)
     features = mcd_module._quadratic_features(x)
-    return k, seeds, mcd_module._batch_cstep(x, k, mus, sigmas, features)[0]
+    return k, seeds, mcd_module._batch_cstep(x, k, mus, chols, features)[0]
 
 
 class TestBatchKernel:
@@ -1179,18 +1224,46 @@ class TestBatchKernel:
 
     @staticmethod
     def assert_matches_oracle(x, supports):
-        mus, sigmas, logdets = mcd_module._batch_fit(x, supports)
+        mus, sigmas, chols, logdets = mcd_module._batch_fit(x, supports)
         dev = x[supports] - mus[:, None, :]
         summed = np.einsum("mkp,mkq->mpq", dev, dev) / (supports.shape[1] - 1)
         assert np.abs(sigmas - summed).max() <= 1e-12 * np.abs(summed).max()
-        for mu, sigma, logdet, support in zip(mus, sigmas, logdets, supports):
-            mu_o, sigma_o, logdet_o = subset_moments(x, support)
+        for mu, sigma, chol, logdet, support in zip(mus, sigmas, chols, logdets, supports):
+            mu_o, sigma_o, chol_o = subset_moments(x, support)
             assert np.abs(mu - mu_o).max() <= 1e-12 * np.abs(x[support]).max()
             assert np.abs(sigma - sigma_o).max() <= 1e-12 * np.abs(sigma_o).max()
-            sign, own = np.linalg.slogdet(sigma)
-            assert logdet == (own if sign > 0 else -np.inf)
-            if np.isfinite(logdet_o) and np.linalg.cond(sigma_o) < 1e6:
+            own_chol, own_logdet = oracle_factor(sigma)
+            assert chol.tobytes() == own_chol.tobytes() and logdet == own_logdet
+            if chol_o is not None and np.linalg.cond(sigma_o) < 1e6:
+                assert np.abs(chol - chol_o).max() <= 1e-9 * np.abs(chol_o).max()
+                logdet_o = 2 * np.log(np.diag(chol_o)).sum()
                 assert logdet == pytest.approx(logdet_o, rel=1e-9, abs=1e-9)
+
+    def test_one_failed_factor_leaves_the_stack(self):
+        # np.linalg.cholesky raises for a stack that holds one indefinite
+        # scatter: that candidate alone turns singular, and every other one
+        # keeps the bytes it has in a stack without it
+        a = np.random.default_rng(48).standard_normal((9, 8, 4))
+        sigmas = np.swapaxes(a, 1, 2) @ a
+        alone = mcd_module._factor(sigmas)
+        assert np.isfinite(alone[1]).all()
+        for at in (0, 4, 9):
+            stack = np.insert(sigmas, at, np.diag([1.0, 1.0, -1.0, 1.0]), axis=0)
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.cholesky(stack)
+            chols, logdets = mcd_module._factor(stack)
+            assert logdets[at] == -np.inf and np.isnan(chols[at]).all()
+            assert_same_bits([np.delete(chols, at, axis=0), np.delete(logdets, at)], alone)
+
+    @pytest.mark.parametrize("gap,singular", [(2.0**-53, True), (2.0**-50, False)])
+    def test_pivot_rule(self, gap, singular):
+        # [[1, r], [r, 1]] for r = 1 - gap factors, with a last pivot 1 - r^2
+        # of about 2 gap, and slogdet gives it a finite log-determinant; the
+        # rule calls it singular up to p eps sigma_22 = 2^-51
+        sigma = np.array([[1.0, 1.0 - gap], [1.0 - gap, 1.0]])
+        assert np.isfinite(np.linalg.cholesky(sigma)).all()
+        assert np.isfinite(np.linalg.slogdet(sigma)[1])
+        assert (mcd_module._factor(sigma[None])[1][0] == -np.inf) == singular
 
     @pytest.mark.parametrize("x", [
         np.random.default_rng(42).standard_normal((200, 4)),
@@ -1202,13 +1275,14 @@ class TestBatchKernel:
         k, seeds, supports = candidate_stack(x, 44)
         features = mcd_module._quadratic_features(x)
         for subsets in (seeds, supports):
-            mus, sigmas, logdets = mcd_module._batch_fit(x, subsets)
-            closest = mcd_module._closest_rows(x, k, mus, sigmas, features)
+            fits = mcd_module._batch_fit(x, subsets)
+            mus, _, chols, _ = fits
+            closest = mcd_module._closest_rows(x, k, mus, chols, features)
             for size in (1, 3):
                 chunks = [slice(lo, lo + size) for lo in range(0, len(subsets), size)]
-                fits = [mcd_module._batch_fit(x, subsets[c]) for c in chunks]
-                assert_same_bits((mus, sigmas, logdets), [np.concatenate(f) for f in zip(*fits)])
+                parts = [mcd_module._batch_fit(x, subsets[c]) for c in chunks]
+                assert_same_bits(fits, [np.concatenate(f) for f in zip(*parts)])
                 rows = [
-                    mcd_module._closest_rows(x, k, mus[c], sigmas[c], features) for c in chunks
+                    mcd_module._closest_rows(x, k, mus[c], chols[c], features) for c in chunks
                 ]
                 assert_same_bits([closest], [np.concatenate(rows)])

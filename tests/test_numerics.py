@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import special
 
 from robustvario.errors import InputError
-from robustvario.mcd import _sq_distances
+from robustvario.mcd import _factor, _inverse_factor, _whitened_sq_norms
 from robustvario.numerics import DF_MAX, RngStream, chisq_cdf, chisq_quantile
 
 # degrees of freedom of the accuracy grids: every integer and half-integer
@@ -19,9 +19,11 @@ DF_GRID = sorted({*(np.arange(2, 201) / 2).tolist(),
 
 
 def sq_distances(rows, mu, sigma):
-    """Squared distances of the rows under one fit, by the MCD code's solve."""
+    """Squared distances of the rows under one fit, by the MCD code's
+    Cholesky factor and its inverse."""
     mu, sigma = np.asarray(mu, dtype=float), np.asarray(sigma, dtype=float)
-    return _sq_distances(np.asarray(rows, dtype=float), mu[None], sigma[None])[0]
+    chol, _ = _factor(sigma[None])
+    return _whitened_sq_norms(np.asarray(rows, dtype=float), mu[None], _inverse_factor(chol))[0]
 
 
 class TestChisqCdf:
@@ -159,7 +161,7 @@ class TestChisqEdges:
 
 
 class TestMahalanobis:
-    """`mcd._sq_distances`, the one squared-distance path of the package."""
+    """`mcd._whitened_sq_norms`, the one squared-distance path of the package."""
 
     def test_zero_at_center(self):
         sigma = [[2.0, 0.3], [0.3, 1.0]]
