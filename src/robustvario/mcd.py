@@ -46,10 +46,11 @@ Every raw fit is scaled by its Fisher-consistency factor, cached per
 The C-step kernel runs on BLAS.  ``_batch_fit`` gathers the subsets' rows
 by one ``np.take`` and forms the stacked subset scatters by one batched
 matmul, (p, k) @ (k, p) per subset; the full-sample fit and the reweighted
-refit go through it too.  It factors each scatter once, by one stacked
-``np.linalg.cholesky`` (``_factor``), the only factorization in the module:
-the log-determinant is 2 * sum(log L_jj), and a scatter whose factorization
-fails, or with a pivot L_jj^2 <= p * eps * sigma_jj, is singular (-inf).
+refit go through it too.  It factors each scatter once, by one Cholesky
+call per stack (``_factor``), the only factorization in the module: the
+log-determinant is 2 * sum(log L_jj), and a scatter whose factorization
+fails, its factor all NaN, or with a pivot L_jj^2 <= p * eps * sigma_jj,
+is singular (-inf); the other scatters of its stack keep their factors.
 Each candidate carries its factor L from the fit that makes it to the C-step
 that uses it.  ``_closest_rows`` keeps, by definition, the first k rows of a
 stable argsort (ties to the lowest row indices) of the squared norms of
@@ -73,13 +74,13 @@ Reweighting keeps rows whose squared robust distance, the definition's
 from the Cholesky factor of the raw scatter, is at most the chi-square
 cutoff chi2_{p, REWEIGHT_DELTA}, cached per p, and refits with its own
 consistency factor; a singular raw fit, or a raw scatter that ``_factor``
-finds singular, raises ``NotPositiveDefiniteError``.  :class:`McdConfig` holds only what callers
+finds singular, raises ``NotPositiveDefiniteError``, and fewer than 2 kept
+rows ``SingularDataError``.  :class:`McdConfig` holds only what callers
 choose: the subset fraction.  Sample rows must be finite.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import math
@@ -88,6 +89,7 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import (
     InputError,
@@ -226,25 +228,21 @@ def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def _factor(sigmas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(L, log-determinants) of a stack of (p, p) scatters: the lower
-    Cholesky factors, NaN where one does not exist, and 2 * sum(log L_jj),
-    -inf for a singular scatter.  ``np.linalg.cholesky`` raises for the
-    whole stack when one matrix fails, so a failed stack is factored again
-    one matrix at a time; a matrix's factor does not depend on its stack.
+    Cholesky factors by one call, all NaN where one does not exist, and
+    2 * sum(log L_jj), -inf for a singular scatter.  Each matrix has its own
+    LAPACK ``dpotrf``, so its factor does not depend on its stack.
 
-    A scatter is singular when its factorization fails or a pivot has
-    L_jj^2 <= p * eps * sigma_jj.  The computed pivot L_jj^2 = sigma_jj -
-    sum_{i<j} L_ji^2 sums j <= p terms of at most sigma_jj each, within
-    gamma_p sigma_jj < p * (eps / 2) * sigma_jj / (1 - p eps / 2) of its
-    exact value: a pivot that small cannot be told from a rank-deficient
+    A scatter is singular when its factorization fails (NaN pivots) or a
+    pivot has L_jj^2 <= p * eps * sigma_jj.  The computed pivot L_jj^2 =
+    sigma_jj - sum_{i<j} L_ji^2 sums j <= p terms of at most sigma_jj each,
+    within gamma_p sigma_jj < p * (eps / 2) * sigma_jj / (1 - p eps / 2) of
+    its exact value: a pivot that small cannot be told from a rank-deficient
     scatter's zero.
     """
-    try:
-        chols = np.linalg.cholesky(sigmas)
-    except np.linalg.LinAlgError:
-        chols = np.full_like(sigmas, np.nan)
-        for i, sigma in enumerate(sigmas):
-            with contextlib.suppress(np.linalg.LinAlgError):
-                chols[i] = np.linalg.cholesky(sigma)
+    # numpy's own Cholesky gufunc, without the wrapper that raises for the
+    # whole stack; numpy has it, with a .pyi stub, from 1.24 (our floor) to 2.4
+    with np.errstate(all="ignore"):
+        chols = _umath_linalg.cholesky_lo(sigmas, signature="d->d")
     p = sigmas.shape[-1]
     pivots = np.diagonal(chols, axis1=1, axis2=2)
     ok = (pivots * pivots > p * _EPS * np.diagonal(sigmas, axis1=1, axis2=2)).all(axis=1)
@@ -592,7 +590,8 @@ def reweight_mcd(data, raw: McdFit) -> McdFit:
     covariance (divisor sum(w) - 1, the classical convention) times the
     consistency factor with alpha replaced by delta.  Raises
     ``NotPositiveDefiniteError`` when the raw fit is singular or that
-    factor finds ``raw.sigma`` singular.
+    factor finds ``raw.sigma`` singular, and ``SingularDataError`` when
+    fewer than 2 rows are kept.
     """
     x = _rows(data)
     n, p = x.shape
@@ -602,10 +601,8 @@ def reweight_mcd(data, raw: McdFit) -> McdFit:
     d2 = _whitened_sq_norms(x, raw.mu[None], _inverse_factor(chol))[0]
     w = d2 <= _reweight_cutoff(p)
     n_kept = int(w.sum())
-    if n_kept == 0:
-        raise SingularDataError("reweighting rejected every observation")
     if n_kept < 2:
-        raise SingularDataError("reweighting kept a single observation")
+        raise SingularDataError(f"reweighting kept {n_kept} observation(s); a scatter needs 2")
     (mu,), (sigma,), _, (logdet,) = _batch_fit(x, np.flatnonzero(w)[None])
     c_star = mcd_consistency_factor(REWEIGHT_DELTA, p)
     return McdFit(

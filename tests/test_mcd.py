@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -525,6 +526,17 @@ class TestReweight:
         c_star = mcd_consistency_factor(0.975, 2)
         np.testing.assert_allclose(fit.mu, x.mean(axis=0), atol=1e-12)
         np.testing.assert_allclose(fit.sigma, c_star * np.cov(x, rowvar=False), rtol=1e-10)
+
+    @pytest.mark.parametrize("centre,n_kept", [(1e3, 0), (None, 1)], ids=["far", "one-row"])
+    def test_fewer_than_two_kept_raises(self, centre, n_kept):
+        # a raw fit far from every row keeps none, one of unit-scale data
+        # centred on a row with a tiny scatter keeps that row alone
+        x = np.random.default_rng(11).standard_normal((30, 2))
+        mu = x[3] if centre is None else np.full(2, centre)
+        raw = McdFit(mu=mu.copy(), sigma=1e-6 * np.eye(2), support=tuple(range(16)),
+                     log_det=2 * math.log(1e-6))
+        with pytest.raises(SingularDataError, match=f"kept {n_kept} observation"):
+            reweight_mcd(x, raw)
 
     def test_far_point_zero_weight(self):
         x = cluster_with_far_point()
@@ -1239,21 +1251,46 @@ class TestBatchKernel:
                 logdet_o = 2 * np.log(np.diag(chol_o)).sum()
                 assert logdet == pytest.approx(logdet_o, rel=1e-9, abs=1e-9)
 
-    def test_one_failed_factor_leaves_the_stack(self):
-        # np.linalg.cholesky raises for a stack that holds one indefinite
-        # scatter: that candidate alone turns singular, and every other one
-        # keeps the bytes it has in a stack without it
+    def test_one_failed_factor_leaves_the_stack(self, monkeypatch):
+        # np.linalg.cholesky raises for a stack that holds an indefinite or a
+        # rank-deficient (zero row and column) scatter; _factor factors it by
+        # one call, without np.linalg.cholesky and without a warning.  Each
+        # scatter gets oracle_factor's bytes of it alone: NaN and -inf where
+        # it does not factor, -inf for the inf pivot of an inf diagonal
+        # entry, and every other scatter the bytes it has in a stack without
+        # the three
         a = np.random.default_rng(48).standard_normal((9, 8, 4))
         sigmas = np.swapaxes(a, 1, 2) @ a
-        alone = mcd_module._factor(sigmas)
-        assert np.isfinite(alone[1]).all()
-        for at in (0, 4, 9):
-            stack = np.insert(sigmas, at, np.diag([1.0, 1.0, -1.0, 1.0]), axis=0)
+        rank_deficient, inf_diagonal = sigmas[0].copy(), sigmas[1].copy()
+        rank_deficient[1], rank_deficient[:, 1] = 0.0, 0.0
+        inf_diagonal[2, 2] = np.inf
+        bad = [np.diag([1.0, 1.0, -1.0, 1.0]), rank_deficient, inf_diagonal]
+        # each kind of bad scatter at the start, the middle and the end
+        stacks = [np.insert(sigmas, [0, 4, 9], np.roll(bad, r, axis=0), axis=0) for r in range(3)]
+        at = [0, 5, 11]
+        oracles = [[oracle_factor(sigma) for sigma in stack] for stack in stacks]
+        for stack in stacks:
             with pytest.raises(np.linalg.LinAlgError):
                 np.linalg.cholesky(stack)
-            chols, logdets = mcd_module._factor(stack)
-            assert logdets[at] == -np.inf and np.isnan(chols[at]).all()
-            assert_same_bits([np.delete(chols, at, axis=0), np.delete(logdets, at)], alone)
+
+        def raising_cholesky(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", raising_cholesky)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            alone = mcd_module._factor(sigmas)
+            assert np.isfinite(alone[1]).all()
+            for stack, oracle in zip(stacks, oracles):
+                chols, logdets = mcd_module._factor(stack)
+                for chol, logdet, (own_chol, own_logdet) in zip(chols, logdets, oracle):
+                    if np.isnan(own_chol).all():
+                        assert np.isnan(chol).all() and logdet == -np.inf
+                    else:
+                        assert chol.tobytes() == own_chol.tobytes() and logdet == own_logdet
+                assert (logdets[at] == -np.inf).all()
+                rest = [np.delete(chols, at, axis=0), np.delete(logdets, at)]
+                assert_same_bits(rest, alone)
 
     @pytest.mark.parametrize("gap,singular", [(2.0**-53, True), (2.0**-50, False)])
     def test_pivot_rule(self, gap, singular):
