@@ -60,7 +60,10 @@ coefficients, from A = W'W and the candidate's centre, with the (P, n)
 quadratic features of the rows about the sample mean, which
 ``_concentrate`` builds once per sample, without an (m, p, n) array.  A
 rounding bound per candidate, derived in ``_closest_rows``, proves the
-product's k closest rows the definition's; a candidate it cannot certify
+product's k closest rows the definition's, checked against the two
+neighbours of the k-th distance in one partition of the values; the rows
+are read off the mask of distances at most the k-th, already in ascending
+order.  A candidate it cannot certify
 (about 0.01-0.03% of them in the benchmark's studies: near ties, extreme
 scales) takes the definition itself, ``_closest_by_definition``.
 For p >= 2 a subset's mean sums its rows in support order, the bits of
@@ -329,10 +332,19 @@ def _closest_rows(
     of the comparisons below.  A candidate keeps the k smallest d' when no
     other row lies within 2E of its k-th d': then every kept row's d is
     below the k-th row's and every other row's above, so these are the rows
-    of the definition.  E holds when no term under- or overflows, which G
-    and V above 1e-100 and G V^2 below 1e300 ensure.  Every other candidate
-    (a near tie at the k-th distance, a W of extreme entries) takes the
-    definition itself.
+    of the definition.  One partition of d', which moves values only, gives
+    the k-th d' and its neighbours, the (k-1)-th and (k+1)-th order
+    statistics: the largest value left of it and the smallest right of it,
+    none at k = n.  Rounding is monotone and sign-symmetric, so a row
+    farther from the k-th d' than the neighbour on its side has a computed
+    |d'_j - d'_(k)| at least as large: both neighbours outside 2E certify
+    every row, the same decision as a count of the rows within 2E.  A
+    certified candidate has no tie at the cut, so the mask d' <= d'_(k)
+    holds exactly its k rows, read off in ascending order by one
+    ``flatnonzero`` (``_columns``).  E holds when no term
+    under- or overflows, which G and V above 1e-100 and G V^2 below 1e300
+    ensure.  Every other candidate (a near tie at the k-th distance, a W of
+    extreme entries) takes the definition itself.
     """
     c, f, reach, (a, b) = features
     p = mus.shape[1]
@@ -345,16 +357,30 @@ def _closest_rows(
     d2 = (coef[:, None, :] @ f)[:, 0]
     row_sums = np.einsum("mij->mi", np.abs(ws))
     size, v = np.einsum("mi,mi->m", row_sums, row_sums), reach + np.abs(e).max(axis=1)
-    err = (len(f) + 6 * p + 5) * _EPS * size * v * v
-    order = np.argpartition(d2, k - 1, axis=1)
-    kth = np.take_along_axis(d2, order[:, k - 1 : k], axis=1)
-    n_near = np.count_nonzero(np.abs(d2 - kth) <= 2 * err[:, None], axis=1)
-    sure = (n_near == 1) & (np.minimum(size, v) > 1e-100) & (size * v * v < 1e300)
-    rows = np.sort(order[:, :k], axis=1)
-    if not sure.all():
-        rest = ~sure
-        rows[rest] = _closest_by_definition(x, k, mus[rest], ws[rest])
+    n = len(x)
+    band = 2 * ((len(f) + 6 * p + 5) * _EPS * size * v * v)
+    part = np.partition(d2, k - 1, axis=1)
+    kth = part[:, k - 1]
+    sure = (kth - part[:, : k - 1].max(axis=1) > band) & (np.minimum(size, v) > 1e-100)
+    sure &= size * v * v < 1e300
+    if k < n:
+        sure &= part[:, k:].min(axis=1) - kth > band
+    if sure.all():
+        return _columns(np.flatnonzero(d2 <= kth[:, None]), n, k)
+    rows = np.empty((len(d2), k), dtype=np.intp)
+    rows[sure] = _columns(np.flatnonzero(d2[sure] <= kth[sure, None]), n, k)
+    rows[~sure] = _closest_by_definition(x, k, mus[~sure], ws[~sure])
     return rows
+
+
+def _columns(flat: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The (m, k) column indices of ``flat``, the ascending flat indices of
+    the entries of an (m, n) mask, when every row holds k of them: each
+    row's offset i * n subtracted, so each row's columns ascend."""
+    m = flat.size // k  # an explicit m: an empty stack cannot infer it
+    cols = flat.reshape(m, k)
+    cols -= np.arange(0, m * n, n)[:, None]
+    return cols
 
 
 def _closest_by_definition(x, k, mus, ws) -> np.ndarray:
@@ -426,8 +452,17 @@ def _concentrate(
 
 def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> np.ndarray:
     """``count`` sorted index subsets of the given size, drawn uniformly
-    without replacement via random sort keys."""
+    without replacement via random sort keys: each row's keys at most its
+    size-th smallest, the cut from a partition that moves values only, read
+    off one mask (``_columns``).  Only when two keys tie at a cut (53-bit
+    uniforms: possible, never seen) does the mask hold more than count *
+    size entries; then the subsets are the sorted first ``size`` of an
+    ``argpartition``, the one way to keep its choice among tied keys."""
     keys = gen.random((count, n))
+    cuts = np.partition(keys, size - 1, axis=1)[:, size - 1 : size]
+    flat = np.flatnonzero(keys <= cuts)
+    if flat.size == count * size:
+        return _columns(flat, n, size)
     picked = np.argpartition(keys, size - 1, axis=1)[:, :size]
     return np.sort(picked, axis=1)
 
@@ -566,17 +601,21 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
 
 def _rank_candidates(logdets: np.ndarray, supports: np.ndarray, n_keep: int) -> list[int]:
     """Indices of the ``n_keep`` best distinct candidates, ordered by
-    (determinant, support lexicographic).  A support's big-endian int64
-    bytes compare in the numeric order of its indices."""
+    (determinant, support lexicographic), the first of each support kept.
+    A stable argsort orders the determinants; supports are compared, as
+    lists of ints, only within a run of equal determinants, and only until
+    ``n_keep`` distinct ones are kept."""
     dets = logdets.tolist()
-    keys = [row.tobytes() for row in supports.astype(">i8")]
+    order = np.argsort(logdets, kind="stable").tolist()
     kept, seen = [], set()
-    for i in sorted(range(len(dets)), key=lambda i: (dets[i], keys[i])):
-        if keys[i] not in seen:
-            seen.add(keys[i])
-            kept.append(i)
-            if len(kept) == n_keep:
-                break
+    for _, run in itertools.groupby(order, key=dets.__getitem__):
+        for i in sorted(run, key=lambda i: supports[i].tolist()):
+            key = supports[i].tobytes()
+            if key not in seen:
+                seen.add(key)
+                kept.append(i)
+                if len(kept) == n_keep:
+                    return kept
     return kept
 
 

@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -788,7 +789,8 @@ def kernel_stacks(draw, p=st.integers(2, 8)):
     tenth of them moved by 1e6 (mixed fits are ill-conditioned) or by 1e3
     (the product's features cancel, so its rounding bound decides), or near
     ties: Gaussian or offset rows, each repeated one ulp up; k is the
-    maximal-breakdown size or n - 1."""
+    maximal-breakdown size, n - 1 or n (every row kept, so the k-th
+    distance has no neighbour above it)."""
     p = draw(p)
     n = draw(st.integers(p + 2, 80))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -801,7 +803,7 @@ def kernel_stacks(draw, p=st.integers(2, 8)):
         x[: n // 10 + 1] += {"block": 1e6, "offset": 1e3}.get(base, 0.0)
         if kind == "near-tie":
             x = np.vstack([x[: n - n // 2], np.nextafter(x[: n // 2], np.inf)])
-    k = draw(st.sampled_from([(n + p + 1) // 2, n - 1]))
+    k = draw(st.sampled_from([(n + p + 1) // 2, n - 1, n]))
     size = draw(st.sampled_from([p + 1, k]))
     supports = np.sort(rng.random((draw(st.integers(1, 30)), n)).argsort(axis=1)[:, :size], axis=1)
     return x, k, supports
@@ -893,13 +895,14 @@ class TestQuadraticFeatures:
         assert peak < 56 * 2**20
 
 
-def near_tie_sample(seed):
-    """75 Gaussian rows, a tenth of them moved by 1e3, each repeated one ulp
-    up: the product's features cancel to about 1e-12, so that only the
-    product's rounding bound keeps twins from being cut in its order."""
+def near_tie_sample(seed, twins=75):
+    """75 Gaussian rows, a tenth of them moved by 1e3, the first ``twins``
+    of them repeated one ulp up: the product's features cancel to about
+    1e-12, so that only the product's rounding bound keeps twins from being
+    cut in its order."""
     x = np.random.default_rng(seed).standard_normal((75, 3))
     x[:8] += 1e3
-    return np.vstack([x, np.nextafter(x, np.inf)])
+    return np.vstack([x, np.nextafter(x[:twins], np.inf)])
 
 
 class TestCertifiedCut:
@@ -915,24 +918,28 @@ class TestCertifiedCut:
         fast_mcd(x, McdConfig(), RngStream(seed))
         return tuple(sum(len(args[2]) for args, _ in calls) for calls in (stepped, fallback))
 
+    # The counts are pinned: the certificate from the k-th distance's two
+    # neighbours decides each candidate as a near-tie count over all rows did.
+
     def test_clean_gaussian_search_is_certified(self, monkeypatch):
         x = np.random.default_rng(51).standard_normal((300, 4))
-        stepped, fallback = self.shares(x, 1, monkeypatch)
-        assert stepped > 1000 and fallback <= 0.01 * stepped
+        assert self.shares(x, 1, monkeypatch) == (1042, 1)
 
-    @pytest.mark.parametrize("x", [
-        np.random.default_rng(52).integers(0, 3, (150, 3)).astype(float),
-        block_sample(1e6, 53),
+    @pytest.mark.parametrize("x, counts", [
+        (np.random.default_rng(52).integers(0, 3, (150, 3)).astype(float), (1013, 1010)),
+        (block_sample(1e6, 53), (1037, 1029)),
     ], ids=["lattice", "block-1e6"])
-    def test_ties_and_blocks_reach_the_definition(self, x, monkeypatch):
-        assert self.shares(x, 2, monkeypatch)[1] > 0
+    def test_ties_and_blocks_reach_the_definition(self, x, counts, monkeypatch):
+        assert self.shares(x, 2, monkeypatch) == counts
 
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_near_ties_at_an_offset(self, seed, monkeypatch):
-        # a bound a millionth as wide keeps twins in the product's order
-        # here and misses the definition's bytes
-        x = near_tie_sample(seed)
+    @staticmethod
+    def near_tie_stacks(seed, twins, monkeypatch):
+        # the seeds' and the first step's stacks of near_tie_sample(seed,
+        # twins): checks the definition's bytes and returns, per stack, the
+        # candidates stepped and those sent to the definition
+        x = near_tie_sample(seed, twins)
         k, seeds, supports = candidate_stack(x, seed)
+        shares = []
         for subsets in (seeds, supports):
             mus, sigmas, chols, logdets = mcd_module._batch_fit(x, subsets)
             alive = np.isfinite(logdets)
@@ -943,7 +950,23 @@ class TestCertifiedCut:
                 )
             assert_same_bits([closest], [definition_closest(x, k, mus[alive], chols[alive])])
             assert_near_oracle(closest, x, k, mus[alive], sigmas[alive])
-            assert fallback
+            shares.append((alive.sum(), sum(len(args[2]) for args, _ in fallback)))
+        return shares
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_near_ties_at_an_offset(self, seed, monkeypatch):
+        # a bound a millionth as wide keeps twins in the product's order
+        # here and misses the definition's bytes.  Every row has a twin, so
+        # no candidate is certified: the certified stack is empty
+        for stepped, defined in self.near_tie_stacks(seed, 75, monkeypatch):
+            assert defined == stepped
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_certified_and_uncertified_in_one_stack(self, seed, monkeypatch):
+        # 25 of 75 rows twinned: the certificate keeps some candidates and
+        # sends the others to the definition
+        for stepped, defined in self.near_tie_stacks(seed, 25, monkeypatch):
+            assert 0 < defined < stepped
 
 
 class TestConcentrate:
@@ -977,6 +1000,24 @@ class TestConcentrate:
         seeds, *fits = draw_seeds(x, 3)
         assert len(draws) > 1
         assert_same_bits(fits, mcd_module._batch_fit(x, seeds))
+
+
+class TestSampleSubsets:
+    @pytest.mark.parametrize("tie", [False, True], ids=["distinct", "tie-at-cut"])
+    def test_argpartition_choice(self, tie):
+        # keys that tie at a cut put more than count * size entries in the
+        # mask; then the subsets keep argpartition's choice among the ties
+        keys = np.random.default_rng(56).random((40, 30))
+        if tie:
+            order = np.argsort(keys, axis=1)
+            rows = np.arange(0, 40, 2)
+            keys[rows, order[rows, 4]] = keys[rows, order[rows, 3]]
+            keys[rows[::2], order[rows[::2], 5]] = keys[rows[::2], order[rows[::2], 3]]
+            cuts = np.sort(keys, axis=1)[:, 3:4]
+            assert np.count_nonzero(keys <= cuts) > 40 * 4
+        gen = types.SimpleNamespace(random=lambda shape: keys.copy())
+        expected = np.sort(np.argpartition(keys, 3, axis=1)[:, :4], axis=1)
+        assert_same_bits([mcd_module._sample_subsets(30, 4, 40, gen)], [expected])
 
 
 def outlier_sample(n, p, seed):
