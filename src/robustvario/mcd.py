@@ -44,9 +44,11 @@ Every raw fit is scaled by its Fisher-consistency factor, cached per
 (alpha, p).
 
 The C-step kernel runs on BLAS.  ``_batch_fit`` gathers the subsets' rows
-by one ``np.take`` and forms the stacked subset scatters by one batched
-matmul, (p, k) @ (k, p) per subset; the full-sample fit and the reweighted
-refit go through it too.  It factors each scatter once, by one Cholesky
+by one ``np.take`` into a (k, m, p) block, support position first (for p
+>= 2), takes the means and centres the rows over its contiguous (m, p)
+slabs, and forms the stacked subset scatters from the block's (m, k, p)
+view by one batched matmul, (p, k) @ (k, p) per subset; the full-sample
+fit and the reweighted refit go through it too.  It factors each scatter once, by one Cholesky
 call per stack (``_factor``), the only factorization in the module: the
 log-determinant is 2 * sum(log L_jj), and a scatter whose factorization
 fails, its factor all NaN, or with a pivot L_jj^2 <= p * eps * sigma_jj,
@@ -206,7 +208,7 @@ def _finalize(k, n, p, mu, sigma, support, logdet) -> McdFit:
     return McdFit(
         mu=mu,
         sigma=c * sigma,
-        support=tuple(int(i) for i in support),
+        support=tuple(np.asarray(support).tolist()),
         log_det=float(logdet),
         singular=singular,
     )
@@ -216,16 +218,27 @@ def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, ...]:
     """Mean, covariance, lower Cholesky factor and log-determinant of many
     row subsets at once (``_factor``); supports is (m, k).
 
-    For p >= 2 each mean sums its k rows one after another in support order
-    and divides by k, the bits of ``mean(axis=1)``.  At p = 1 ``einsum``
-    sums in another order and ``mean`` pairwise, so the means may differ in
-    the last bits.
+    The rows are gathered as a (k, m, p) block, support position first, so
+    the mean adds its contiguous (m, p) slabs one after another and the
+    centring runs over them in place; the scatters come from the block's
+    (m, k, p) view.  Each mean so sums its k rows one after another in
+    support order and divides by k, the bits of ``mean(axis=1)``.  At p = 1
+    numpy would sum the one-value slabs of a lone subset pairwise, so a
+    fit's bits would depend on its stack: there the rows are gathered
+    subset-major and each mean summed by ``einsum``, the same in any stack,
+    where ``mean`` sums pairwise and the two may differ in the last bits.
     """
-    subs = np.take(x, supports, axis=0)
     k = supports.shape[1]
-    mus = np.einsum("mkp->mp", subs) / k
-    subs -= mus[:, None, :]
-    sigmas = np.swapaxes(subs, 1, 2) @ subs / (k - 1)
+    if x.shape[1] == 1:
+        dev = np.take(x, supports, axis=0)
+        mus = np.einsum("mkp->mp", dev) / k
+        dev -= mus[:, None, :]
+    else:
+        subs = np.take(x, supports.T, axis=0)
+        mus = subs.sum(axis=0) / k
+        subs -= mus
+        dev = subs.transpose(1, 0, 2)
+    sigmas = np.swapaxes(dev, 1, 2) @ dev / (k - 1)
     return (mus, sigmas, *_factor(sigmas))
 
 
@@ -286,7 +299,7 @@ def _quadratic_features(x: np.ndarray) -> tuple:
     rows.  The features are written in place into the one (P, n) array."""
     n, p = x.shape
     c = x.mean(axis=0)
-    a, b = np.triu_indices(p)
+    a, b = _upper_pairs(p)
     f = np.empty((len(a) + p + 1, n))
     y = np.subtract(x.T, c[:, None], out=f[len(a) : -1])
     row = 0
@@ -297,6 +310,15 @@ def _quadratic_features(x: np.ndarray) -> tuple:
         row += p - i
     f[-1] = 1.0
     return c, f, float(max(y.max(), -y.min())), (a, b)
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.triu_indices(p)``, read-only; cached per p."""
+    pairs = np.triu_indices(p)
+    for index in pairs:
+        index.flags.writeable = False
+    return pairs
 
 
 def _closest_rows(

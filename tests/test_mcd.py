@@ -851,6 +851,26 @@ class TestKernelBits:
             assert_same_bits([closest], [expected])
             assert sum(len(args[2]) for args, _ in defined) > 0
 
+    @pytest.mark.parametrize("m, k, n, p", [
+        (100, 152, 300, 4),  # a search's first C-steps
+        (10, 1552, 3100, 4),  # the refinement of a fixture fit
+        (500, 64, 120, 8),  # a study's seeds stepped to k
+        (1365, 11, 15, 7),  # the enumeration: every 11-subset of 15 rows
+        (1, 2950, 3100, 5),  # reweighting refits, one candidate
+        (1, 110, 120, 8),
+    ])
+    def test_same_bytes_at_benchmark_shapes(self, m, k, n, p):
+        # the gathered (k, m, p) block, its mean over the leading axis and
+        # the scatters of its transposed view give the plain formulas' bytes
+        rng = np.random.default_rng(m * n + k)
+        x = rng.standard_normal((n, p)) * rng.uniform(0.1, 100, p) + rng.uniform(-1e3, 1e3, p)
+        x[: n // 10] += 1e3
+        if m == math.comb(n, k):
+            supports = mcd_module._k_subsets.__wrapped__(n, k)
+        else:
+            supports = np.sort(rng.random((m, n)).argsort(axis=1)[:, :k], axis=1)
+        assert_same_bits(mcd_module._batch_fit(x, supports), oracle_fit(x, supports))
+
     @given(kernel_stacks(p=st.just(1)))
     @settings(max_examples=200, deadline=None)
     def test_one_column_means_within_summation_error(self, stack):
@@ -1346,10 +1366,12 @@ class TestBatchKernel:
     @pytest.mark.parametrize("x", [
         np.random.default_rng(42).standard_normal((200, 4)),
         block_sample(1e6, 43),
-    ], ids=["gaussian", "block-1e6"])
+        1e3 + np.random.default_rng(48).standard_normal((200, 1)),
+    ], ids=["gaussian", "block-1e6", "one-column"])
     def test_same_bits_in_any_stack(self, x):
         # a candidate's fit and kept rows do not depend on the candidates
-        # computed with it, so chunking the C-step keeps every bit
+        # computed with it, so chunking the C-step keeps every bit; at p = 1
+        # a position-major sum would add a lone subset's rows pairwise
         k, seeds, supports = candidate_stack(x, 44)
         features = mcd_module._quadratic_features(x)
         for subsets in (seeds, supports):

@@ -38,6 +38,15 @@ def qn_enumerated(sample) -> float:
         return float(np.partition(np.abs(x[iu] - x[ju]), k - 1)[k - 1])
 
 
+def spy(monkeypatch, name):
+    """Replace ``scale.<name>`` by a wrapper that records each call's
+    arguments; returns the list of calls."""
+    calls = []
+    wrapped = getattr(scale, name)
+    monkeypatch.setattr(scale, name, lambda *a: calls.append(a) or wrapped(*a))
+    return calls
+
+
 class TestQnRaw:
     def test_constant_sample(self):
         assert qn_raw([4.0] * 10) == 0.0
@@ -138,6 +147,75 @@ class TestQnSelectionOracle:
         x = np.random.default_rng(0).standard_normal(1000)
         assert bits(qn_raw(x)) == bits(qn_enumerated(x))
         assert cuts
+
+    @pytest.mark.parametrize("n", [1000, 2000, 3000])
+    @pytest.mark.parametrize("kind", [
+        "constant", "two-valued", "three-valued", "geometric", "two-cluster", "lognormal", "huge",
+    ])
+    def test_sampled_rounds_on_adversarial_samples(self, kind, n, monkeypatch):
+        # heavy ties put both pivots on the k-th value; a geometric or
+        # lognormal sample spreads the differences over many binades; two
+        # tight clusters far apart round their differences; +-1e308 overflow
+        rng = np.random.default_rng(n)
+        x = {
+            "constant": lambda: np.full(n, -2.25),
+            "two-valued": lambda: rng.integers(0, 2, n) * 1.0,
+            "three-valued": lambda: rng.integers(0, 3, n) * 0.1,
+            "geometric": lambda: 2.0 ** (0.35 * rng.permutation(n) - 500),
+            "two-cluster": lambda: 1e-9 * rng.standard_normal(n) + rng.choice([0.0, 1e6], n),
+            "lognormal": lambda: rng.lognormal(0.0, 5.0, n),
+            "huge": lambda: rng.choice([-1e308, 1e308], n) * rng.uniform(0.5, 1.0, n),
+        }[kind]()
+        sampled = spy(monkeypatch, "_sampled_pivots")
+        assert bits(qn_raw(x)) == bits(qn_enumerated(x))
+        assert 1 <= len(sampled) <= 3
+
+    def test_two_sampled_pivots_per_round(self, monkeypatch):
+        # the k-th lies between the two pivots of nearly every round, so a
+        # round makes two cuts; the weighted-median rounds made about 14
+        cuts = spy(monkeypatch, "_row_cut")
+        x = np.random.default_rng(0).standard_normal(3300)
+        assert bits(qn_raw(x)) == bits(qn_enumerated(x))
+        assert len(cuts) <= 6
+
+    @pytest.mark.parametrize("rank", [-1, 0, 1], ids=["below", "kth", "above"])
+    @pytest.mark.parametrize("at", [0, 1], ids=["low", "high"])
+    def test_pivot_at_or_next_to_the_kth_value(self, at, rank, monkeypatch):
+        # a pivot that is the k-th difference, unique here, is returned by
+        # its second cut (<= counts k and < counts k - 1); one next to it
+        # keeps the k-th in the bands
+        x = np.random.default_rng(12).standard_normal(1000)
+        iu, ju = np.triu_indices(x.size, 1)
+        ranked = np.sort(np.abs(x[iu] - x[ju]))
+        h = x.size // 2 + 1
+        k = h * (h - 1) // 2
+        sampled = scale._sampled_pivots
+        rounds = []
+
+        def pivots(*args):
+            chosen = list(sampled(*args))
+            if not rounds:
+                chosen[at] = ranked[k - 1 + rank]
+            rounds.append(1)
+            return tuple(chosen)
+
+        monkeypatch.setattr(scale, "_sampled_pivots", pivots)
+        assert bits(qn_raw(x)) == bits(ranked[k - 1])
+        if rank == 0:
+            assert rounds == [1]
+
+    @pytest.mark.parametrize("kind", ["gaussian", "ties"])
+    def test_weighted_median_after_a_failed_round(self, kind, monkeypatch):
+        # eight candidates per sample put the pivots at its ends, so a round
+        # removes less than half its candidates and a weighted-median round
+        # follows
+        monkeypatch.setattr(scale, "_SAMPLE", 8)
+        monkeypatch.setattr(scale, "_STRATA", scale._STRATA[:8])
+        medians = spy(monkeypatch, "_weighted_median")
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal(1500) if kind == "gaussian" else rng.integers(0, 40, 1500) * 0.1
+        assert bits(qn_raw(x)) == bits(qn_enumerated(x))
+        assert medians
 
     def test_rounded_differences(self):
         # at tenths and near 1e6 the differences round, so counting by
