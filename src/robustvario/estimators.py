@@ -247,9 +247,8 @@ def org_scatter_to_variogram(sigma: np.ndarray) -> np.ndarray:
     observation vectors: average the main and each minor diagonal of the
     Toeplitz-structured matrix, then 2*gamma(h_l) = 2*(a_0 - a_l)."""
     sigma = np.asarray(sigma, dtype=float)
-    p = sigma.shape[0]
-    a0 = float(np.mean(np.diag(sigma)))
-    return np.array([2.0 * (a0 - float(np.mean(np.diag(sigma, l)))) for l in range(1, p)])
+    p, a0 = len(sigma), float(np.trace(sigma)) / len(sigma)
+    return np.array([2.0 * (a0 - np.trace(sigma, l) / (p - l)) for l in range(1, p)])
 
 
 def _extract(family: str, g: Grid, lags: LagSet) -> VectorSample:

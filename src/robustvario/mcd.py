@@ -70,10 +70,14 @@ order.  A candidate it cannot certify
 scales) takes the definition itself, ``_closest_by_definition``.
 For p >= 2 a subset's mean sums its rows in support order, the bits of
 numpy's ``mean``; at p = 1, where ``mean`` sums pairwise, the two may
-differ in the last bits.  Candidates run in chunks of at most
-``_CHUNK_BYTES`` of (chunk, n, p) float64 data, so memory does not grow
-with the number of candidates; a candidate's bits do not depend on the
-chunk it runs in.
+differ in the last bits.  Each stage holds its candidates in one stack
+(supports, mus, chols, logdets), without scatters, which no C-step reads:
+``_draw_seeds`` fills it, redrawn seeds in place, and ``_concentrate`` steps
+it in place in chunks of at most ``_CHUNK_BYTES`` of (chunk, n, p) float64
+data, as the seeds' keys are drawn in row blocks, so memory does not grow
+with the number of candidates; a candidate's bits do not depend on its
+chunk.  Every fit leaves through ``_finalize``, which refits the winning
+support alone and builds its scatter once, the bits it has in any stack.
 
 Reweighting keeps rows whose squared robust distance, the definition's
 from the Cholesky factor of the raw scatter, is at most the chi-square
@@ -118,15 +122,15 @@ MAX_CSTEPS = 100
 N_BEST_KEPT = 10  # candidates iterated to convergence after the first two C-steps
 CSTEP_TOL = 1e-12
 REWEIGHT_DELTA = 0.975
-# float64 budget of one C-step chunk's (chunk, n, p) block and of the
-# enumeration's one (C(n, k), k, p) batch
+# float64 budget of one C-step chunk's (chunk, n, p) block, of the
+# enumeration's one (C(n, k), k, p) batch and of a block of seed keys
 _CHUNK_BYTES = 8 << 20
 _EPS = np.finfo(float).eps
 _ENUM_MAX = 3000  # C(n, k) up to which fast_mcd enumerates every k-subset (measured crossover)
 _NESTED_MIN = 600  # n above which the search runs on nested subsets (the source's 600)
 _GROUP_ROWS = 300  # rows per group of the nested search, at most
 _N_GROUPS = 5  # groups of the nested search, at most
-# (supports, mus, sigmas, chols, logdets) of a candidate stack, chols its Cholesky factors
+# (supports, mus, chols, logdets) of a candidate stack, chols its Cholesky factors
 _Candidates = tuple[np.ndarray, ...]
 
 
@@ -160,14 +164,19 @@ class McdConfig:
 
 @dataclass
 class McdFit:
-    """Robust location/scatter fit with its support subset."""
+    """Robust location/scatter fit with its support subset, the raw fit's
+    sorted rows: a read-only intp array of its own, no view of a stack."""
 
     mu: np.ndarray
     sigma: np.ndarray
-    support: tuple[int, ...]
+    support: np.ndarray
     log_det: float
     weights: np.ndarray | None = None
     singular: bool = False
+
+    def __post_init__(self):
+        self.support = np.array(self.support, dtype=np.intp)
+        self.support.flags.writeable = False
 
 
 @functools.lru_cache(maxsize=1024)
@@ -191,8 +200,7 @@ def _reweight_cutoff(p: int) -> float:
 
 
 def _rows(data) -> np.ndarray:
-    rows = getattr(data, "rows", data)
-    rows = np.ascontiguousarray(rows, dtype=float)
+    rows = np.ascontiguousarray(getattr(data, "rows", data), dtype=float)
     if rows.ndim != 2:
         raise ValueError(f"expected a 2-D sample, got shape {rows.shape}")
     if not np.isfinite(rows).all():
@@ -200,18 +208,18 @@ def _rows(data) -> np.ndarray:
     return rows
 
 
-def _finalize(k, n, p, mu, sigma, support, logdet) -> McdFit:
+def _finalize(x: np.ndarray, support: np.ndarray) -> McdFit:
+    """The one exit of ``fast_mcd``: the winning support, k rows of x,
+    refitted alone by ``_batch_fit``, whose bits do not depend on its stack,
+    so its mean and log-determinant are the ones ranked; its scatter, built
+    here once, takes the consistency factor for k / n; a singular one warns."""
+    n, p = x.shape
+    (mu,), (sigma,), _, (logdet,) = _batch_fit(x, support[None])
     singular = not np.isfinite(logdet)
     if singular:
         warnings.warn("MCD support subset has singular covariance", RuntimeWarning)
-    c = mcd_consistency_factor(k / n, p)
-    return McdFit(
-        mu=mu,
-        sigma=c * sigma,
-        support=tuple(np.asarray(support).tolist()),
-        log_det=float(logdet),
-        singular=singular,
-    )
+    c = mcd_consistency_factor(len(support) / n, p)
+    return McdFit(mu=mu, sigma=c * sigma, support=support, log_det=float(logdet), singular=singular)
 
 
 def _batch_fit(x: np.ndarray, supports: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -411,35 +419,12 @@ def _closest_by_definition(x, k, mus, ws) -> np.ndarray:
     return np.sort(np.argsort(d2, axis=1, kind="stable")[:, :k], axis=1)
 
 
-def _batch_cstep(
-    x: np.ndarray, k: int, mus: np.ndarray, chols: np.ndarray, features: tuple
-) -> _Candidates:
-    """One C-step for every candidate fit, given its centre and Cholesky
-    factor: its k closest rows (``_closest_rows``, given x's
-    ``_quadratic_features``) and their fit.  Returns (supports, mus,
-    sigmas, chols, logdets).
-
-    Candidates run in chunks whose (chunk, n, p) float64 block fits
-    ``_CHUNK_BYTES``, so memory stays bounded for any number of candidates.
-    """
-    m = len(mus)
-    supports = np.empty((m, k), dtype=np.intp)
-    mus2, sigmas2, chols2 = np.empty_like(mus), np.empty_like(chols), np.empty_like(chols)
-    logdets = np.empty(m)
-    chunk = max(1, _CHUNK_BYTES // (8 * x.size))
-    for lo in range(0, m, chunk):
-        sel = slice(lo, lo + chunk)
-        supports[sel] = _closest_rows(x, k, mus[sel], chols[sel], features)
-        mus2[sel], sigmas2[sel], chols2[sel], logdets[sel] = _batch_fit(x, supports[sel])
-    return supports, mus2, sigmas2, chols2, logdets
-
-
-def _concentrate(
-    x: np.ndarray, k: int, supports: np.ndarray, mus: np.ndarray, sigmas: np.ndarray,
-    chols: np.ndarray, logdets: np.ndarray, steps: int,
-) -> _Candidates:
-    """Up to ``steps`` C-steps of every candidate; returns its final
-    (supports, mus, sigmas, chols, logdets), the fits updated in place.
+def _concentrate(x: np.ndarray, k: int, stack: _Candidates, steps: int) -> _Candidates:
+    """Up to ``steps`` C-steps of every candidate of the stack (supports,
+    mus, chols, logdets), which they update in place; returns the stack.  A
+    C-step refits a candidate's k closest rows of x (``_closest_rows``, from
+    x's ``_quadratic_features``); the candidates run in chunks, in stack
+    order, whose (chunk, n, p) float64 block fits ``_CHUNK_BYTES``.
 
     A candidate stops when its log-determinant changes by at most
     ``CSTEP_TOL`` (relative), as it does at a support fixed point, which
@@ -449,27 +434,33 @@ def _concentrate(
     determinant (``NumericalError``).  The first step from other fits is
     exempt and always runs, for their determinants are not comparable:
     (p+1)-seeds, whose supports are not k wide, and fits of another sample,
-    given as ``supports=None``; such fits must all be nonsingular.
+    given with supports None; such fits must all be nonsingular, and the
+    step writes their supports into a new (m, k) array.
     """
+    supports, mus, chols, logdets = stack
     active, features = np.isfinite(logdets), _quadratic_features(x)
+    chunk = max(1, _CHUNK_BYTES // (8 * x.size))
     for _ in range(steps):
         idx = np.flatnonzero(active)
         if not idx.size:
             break
-        sup2, mu2, sigma2, chol2, ld2 = _batch_cstep(x, k, mus[idx], chols[idx], features)
-        ld = logdets[idx]
-        stopped = ~np.isfinite(ld2)
-        if supports is not None and supports.shape[1] == k:
-            scale = np.maximum(1.0, np.abs(ld))
-            if not np.all(ld2 <= ld + _LOGDET_SLACK * scale):
-                raise NumericalError("C-step increased the covariance determinant")
-            stopped |= np.abs(ld - ld2) <= CSTEP_TOL * scale
-        else:  # every entering fit is nonsingular, so every one was stepped
-            supports = np.empty((len(ld), k), dtype=np.intp)
-        supports[idx], mus[idx], sigmas[idx] = sup2, mu2, sigma2
-        chols[idx], logdets[idx] = chol2, ld2
-        active[idx[stopped]] = False
-    return supports, mus, sigmas, chols, logdets
+        exempt = supports is None or supports.shape[1] != k
+        if exempt:  # every entering fit is nonsingular, so every one is stepped
+            supports = np.empty((len(logdets), k), dtype=np.intp)
+        for lo in range(0, idx.size, chunk):
+            sel = idx[lo : lo + chunk]
+            rows = _closest_rows(x, k, mus[sel], chols[sel], features)
+            mu2, _, chol2, ld2 = _batch_fit(x, rows)
+            ld = logdets[sel]
+            stopped = ~np.isfinite(ld2)
+            if not exempt:
+                scale = np.maximum(1.0, np.abs(ld))
+                if not np.all(ld2 <= ld + _LOGDET_SLACK * scale):
+                    raise NumericalError("C-step increased the covariance determinant")
+                stopped |= np.abs(ld - ld2) <= CSTEP_TOL * scale
+            supports[sel], mus[sel], chols[sel], logdets[sel] = rows, mu2, chol2, ld2
+            active[sel[stopped]] = False
+    return supports, mus, chols, logdets
 
 
 def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> np.ndarray:
@@ -479,46 +470,49 @@ def _sample_subsets(n: int, size: int, count: int, gen: np.random.Generator) -> 
     off one mask (``_columns``).  Only when two keys tie at a cut (53-bit
     uniforms: possible, never seen) does the mask hold more than count *
     size entries; then the subsets are the sorted first ``size`` of an
-    ``argpartition``, the one way to keep its choice among tied keys."""
-    keys = gen.random((count, n))
-    cuts = np.partition(keys, size - 1, axis=1)[:, size - 1 : size]
-    flat = np.flatnonzero(keys <= cuts)
-    if flat.size == count * size:
-        return _columns(flat, n, size)
-    picked = np.argpartition(keys, size - 1, axis=1)[:, :size]
-    return np.sort(picked, axis=1)
+    ``argpartition``, the one way to keep its choice among tied keys.  The
+    keys are drawn in row blocks of at most ``_CHUNK_BYTES``; the generator
+    fills arrays in C order, so the blocks draw the keys of one draw."""
+    block, parts = max(1, _CHUNK_BYTES // (8 * n)), []
+    for lo in range(0, count, block):
+        keys = gen.random((min(block, count - lo), n))
+        cuts = np.partition(keys, size - 1, axis=1)[:, size - 1 : size]
+        flat = np.flatnonzero(keys <= cuts)
+        if flat.size == len(keys) * size:
+            parts.append(_columns(flat, n, size))
+        else:
+            parts.append(np.sort(np.argpartition(keys, size - 1, axis=1)[:, :size], axis=1))
+    return np.concatenate(parts)
 
 
 def _draw_seeds(x: np.ndarray, m: int, gen: np.random.Generator) -> _Candidates:
     """Seed subsets of size p+1 of the rows of x with a nonsingular fit, and
-    their fits: (seeds, mus, sigmas, chols, logdets).
+    their fits: the stack (seeds, mus, chols, logdets).
 
     ``m`` random (p+1)-subsets are drawn from ``gen`` and singular ones
-    redrawn within a budget of 100 draws per seed.  Seeds still singular
+    redrawn within a budget of 100 draws per seed, each redrawn seed and its
+    fit written into the same four arrays in place.  Seeds still singular
     are dropped, so the stack is empty when every seed is singular.
     """
     n, p = x.shape
     seeds = _sample_subsets(n, p + 1, m, gen)
-    fits = _batch_fit(x, seeds)
-    logdets = fits[-1]
+    mus, _, chols, logdets = _batch_fit(x, seeds)
     attempts, budget = m, 100 * m
     bad = np.flatnonzero(~np.isfinite(logdets))
     while bad.size and attempts < budget:
-        n_redraw = min(bad.size, budget - attempts)
-        redraw = bad[:n_redraw]
-        seeds[redraw] = _sample_subsets(n, p + 1, n_redraw, gen)
-        attempts += n_redraw
-        for old, new in zip(fits, _batch_fit(x, seeds[redraw])):
-            old[redraw] = new
+        redraw = bad[: budget - attempts]
+        seeds[redraw] = _sample_subsets(n, p + 1, len(redraw), gen)
+        attempts += len(redraw)
+        mus[redraw], _, chols[redraw], logdets[redraw] = _batch_fit(x, seeds[redraw])
         bad = np.flatnonzero(~np.isfinite(logdets))
     ok = np.isfinite(logdets)
-    return seeds[ok], *(a[ok] for a in fits)
+    return seeds[ok], mus[ok], chols[ok], logdets[ok]
 
 
-def _best_after_two_steps(x: np.ndarray, k: int, *candidates: np.ndarray) -> _Candidates:
-    """Two C-steps of every candidate on x and the ``N_BEST_KEPT`` best;
-    ``candidates`` are a ``_Candidates`` stack."""
-    found = _concentrate(x, k, *candidates, steps=2)
+def _best_after_two_steps(x: np.ndarray, k: int, stack: _Candidates) -> _Candidates:
+    """Two C-steps of every candidate of the stack on x and the
+    ``N_BEST_KEPT`` best."""
+    found = _concentrate(x, k, stack, steps=2)
     kept = _rank_candidates(found[-1], found[0], N_BEST_KEPT)
     return tuple(a[kept] for a in found)
 
@@ -539,17 +533,16 @@ def _search(
     on all rows and returns its candidates, singular ones too; more groups
     add the merge stage and give None when a candidate turned singular.
     Raises ``SingularDataError`` when no group has a nonsingular seed."""
-    n = len(x)
 
     def k_of(rows):  # ceil(len(rows) * k / n), in integers
-        return -(-len(rows) * k // n)
+        return -(-len(rows) * k // len(x))
 
     pooled = []
     for rows in groups:
         block = x[rows]
         seeds = _draw_seeds(block, m // len(groups), gen)
         if len(seeds[0]):
-            pooled.append(_best_after_two_steps(block, k_of(rows), *seeds))
+            pooled.append(_best_after_two_steps(block, k_of(rows), seeds))
     if not pooled:
         raise SingularDataError("all initial (p+1)-subsets are singular")
     if len(groups) == 1:
@@ -558,7 +551,7 @@ def _search(
     if not np.isfinite(fits[-1]).all():
         return None
     merged = np.sort(np.concatenate(groups))
-    supports, *fits = _best_after_two_steps(x[merged], k_of(merged), None, *fits)
+    supports, *fits = _best_after_two_steps(x[merged], k_of(merged), (None, *fits))
     if not np.isfinite(fits[-1]).all():
         return None
     return merged[supports], *fits
@@ -579,14 +572,14 @@ def _enumerate_mcd(x: np.ndarray, k: int) -> McdFit:
     ``_batch_fit`` and the first of least log-determinant, in lexicographic
     order, wins.  Raises ``SingularDataError`` when every k-subset is
     singular, which holds exactly when every (p+1)-subset is."""
-    n, p = x.shape
+    n = len(x)
     kept = math.comb(n, k) * k * 8 <= _CHUNK_BYTES // 16  # 512 KiB: the cache holds 4 MiB
     supports = (_k_subsets if kept else _k_subsets.__wrapped__)(n, k)
-    mus, sigmas, _, logdets = _batch_fit(x, supports)
+    logdets = _batch_fit(x, supports)[3]
     if not np.isfinite(logdets).any():
         raise SingularDataError("all k-subsets are singular")
-    i = int(np.argmin(logdets))  # the first minimum, so ties go to the lower support
-    return _finalize(k, n, p, mus[i], sigmas[i], supports[i], logdets[i])
+    # the first minimum, so ties go to the lower support
+    return _finalize(x, supports[int(np.argmin(logdets))])
 
 
 def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) -> McdFit:
@@ -600,14 +593,14 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     Otherwise it runs the search's stages as the module docstring sets them
     out: seeds from ``rng``, in groups of rows (``_search``) above
     ``_NESTED_MIN`` rows, two C-steps of each, the ``N_BEST_KEPT`` best kept
-    and stepped to convergence, and the best of them returned.
+    and stepped to convergence, and the best of them returned.  Each of the
+    three leaves through ``_finalize``.
     """
     x = _rows(data)
     n, p = x.shape
     k = cfg.subset_size(n, p)
     if k == n:
-        (mu,), (sigma,), _, (logdet,) = _batch_fit(x, np.arange(n)[None])
-        return _finalize(k, n, p, mu, sigma, range(n), logdet)
+        return _finalize(x, np.arange(n))
     # C(n, k) >= n, so n bounds the count before it is computed
     if n <= _ENUM_MAX and math.comb(n, k) <= min(_ENUM_MAX, _CHUNK_BYTES // (8 * k * p)):
         return _enumerate_mcd(x, k)
@@ -616,9 +609,8 @@ def fast_mcd(data, cfg: McdConfig = McdConfig(), rng: RngStream = RngStream(0)) 
     found = _search(x, k, m, _group_rows(n, gen) if n > _NESTED_MIN else [np.arange(n)], gen)
     if found is None:
         found = _search(x, k, m, [np.arange(n)], rng.generator())
-    supports, mus, sigmas, _, logdets = _concentrate(x, k, *found, steps=MAX_CSTEPS)
-    i = _rank_candidates(logdets, supports, 1)[0]
-    return _finalize(k, n, p, mus[i], sigmas[i], supports[i], logdets[i])
+    supports, _, _, logdets = _concentrate(x, k, found, steps=MAX_CSTEPS)
+    return _finalize(x, supports[_rank_candidates(logdets, supports, 1)[0]])
 
 
 def _rank_candidates(logdets: np.ndarray, supports: np.ndarray, n_keep: int) -> list[int]:
@@ -666,11 +658,5 @@ def reweight_mcd(data, raw: McdFit) -> McdFit:
         raise SingularDataError(f"reweighting kept {n_kept} observation(s); a scatter needs 2")
     (mu,), (sigma,), _, (logdet,) = _batch_fit(x, np.flatnonzero(w)[None])
     c_star = mcd_consistency_factor(REWEIGHT_DELTA, p)
-    return McdFit(
-        mu=mu,
-        sigma=c_star * sigma,
-        support=raw.support,
-        log_det=float(logdet),
-        weights=w.astype(np.int8),
-        singular=not np.isfinite(logdet),
-    )
+    return McdFit(mu=mu, sigma=c_star * sigma, support=raw.support, log_det=float(logdet),
+                  weights=w.astype(np.int8), singular=not np.isfinite(logdet))

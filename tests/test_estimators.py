@@ -123,6 +123,19 @@ class TestMcdOrg:
         expected = [aniso_variogram(PAPER_MODEL, (l, 0)) for l in range(1, h_max + 1)]
         np.testing.assert_allclose(values, expected, atol=1e-12)
 
+    @given(st.integers(2, 19), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_same_bytes_as_diagonal_means(self, p, seed):
+        # the oracle averages each diagonal by ``np.mean``, the function by
+        # ``np.trace`` over the diagonal's length: the same bytes
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((p + 3, p)) * rng.uniform(1e-3, 1e3, p) + rng.uniform(-10, 10, p)
+        sigma = a.T @ a
+        a0 = float(np.mean(np.diag(sigma)))
+        expected = np.array([2.0 * (a0 - float(np.mean(np.diag(sigma, l)))) for l in range(1, p)])
+        got = org_scatter_to_variogram(sigma)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+
     def test_iid_lags_near_two(self):
         values = []
         for seed in range(30):

@@ -63,7 +63,9 @@ def exact_mcd(x, k=None):
         if best is None or (logdet, comb) < best[0]:
             best = ((logdet, comb), mu, sigma)
     (logdet, comb), mu, sigma = best
-    return mcd_module._finalize(k, n, p, mu, sigma, comb, logdet)
+    c = mcd_consistency_factor(k / n, p)
+    return McdFit(mu=mu, sigma=c * sigma, support=comb, log_det=float(logdet),
+                  singular=not np.isfinite(logdet))
 
 
 def cluster_with_far_point(seed=0):
@@ -153,7 +155,7 @@ class TestExactMcd:
         f2 = exact_mcd(x @ a.T + b)
         np.testing.assert_allclose(f2.mu, a @ f1.mu + b, rtol=1e-8, atol=1e-10)
         np.testing.assert_allclose(f2.sigma, a @ f1.sigma @ a.T, rtol=1e-8)
-        assert f1.support == f2.support
+        assert_same_bits([f1.support], [f2.support])
 
 
 class TestFastMcd:
@@ -168,7 +170,7 @@ class TestFastMcd:
             x = rng.standard_normal((n, p))
             e = exact_mcd(x)
             f = fast_mcd(x, McdConfig(), RngStream(i))
-            assert f.support == e.support
+            assert_same_bits([f.support], [e.support])
             assert f.log_det == pytest.approx(e.log_det, rel=1e-10, abs=1e-10)
 
     def test_matches_exact_on_mod_partition_shape(self, monkeypatch):
@@ -183,7 +185,7 @@ class TestFastMcd:
                 x[rng.choice(15, 2, replace=False)] += 20.0
             e = exact_mcd(x)
             f = fast_mcd(x, McdConfig(), RngStream(i))
-            assert f.support == e.support
+            assert_same_bits([f.support], [e.support])
             assert f.log_det == pytest.approx(e.log_det, rel=1e-10)
 
     def test_deterministic(self):
@@ -191,7 +193,7 @@ class TestFastMcd:
         x = rng.standard_normal((60, 3))
         a = fast_mcd(x, McdConfig(), RngStream(5, 5))
         b = fast_mcd(x, McdConfig(), RngStream(5, 5))
-        assert a.support == b.support
+        assert_same_bits([a.support], [b.support])
         np.testing.assert_array_equal(a.sigma, b.sigma)
 
     def test_affine_equivariance(self):
@@ -228,6 +230,19 @@ class TestFastMcd:
         x = rng.standard_normal((12, 2))
         fit = fast_mcd(x, McdConfig(alpha=1.0), RngStream(0))
         np.testing.assert_allclose(fit.mu, x.mean(axis=0), atol=1e-12)
+        assert_pinned(fit, "700a4498438a801b", 12, -0.2955234494898339, "8b9c87cfc73f7c34",
+                      "2ac314ba439db306")
+
+    def test_support_is_owned_and_read_only(self):
+        # the search, the k = n fit, the enumeration and a reweighted fit:
+        # each support is an intp array of its own, no view of a stack
+        x = shifted_sample(40, 2, 1)
+        fits = [fast_mcd(x, McdConfig(alpha), RngStream(0)) for alpha in (None, 1.0)]
+        fits += [fast_mcd(shifted_sample(11, 5, 0), McdConfig(), RngStream(0))]
+        fits += [reweight_mcd(x, fits[0])]
+        for fit in fits:
+            assert fit.support.dtype == np.intp and fit.support.flags.owndata
+            assert not fit.support.flags.writeable
 
     def test_alpha_parameter(self):
         rng = np.random.default_rng(8)
@@ -296,7 +311,7 @@ def shifted_sample(n, p, seed):
 
 
 def fit_bits(fit):
-    return fit.support, fit.log_det, fit.mu.tobytes(), fit.sigma.tobytes(), fit.singular
+    return fit.support.tobytes(), fit.log_det, fit.mu.tobytes(), fit.sigma.tobytes(), fit.singular
 
 
 class TestEnumeration:
@@ -314,11 +329,13 @@ class TestEnumeration:
             x = shifted_sample(n, p, seed)
             e = exact_mcd(x)
             f = fast_mcd(x, McdConfig(), RngStream(seed))
-            assert f.support == e.support
+            assert_same_bits([f.support], [e.support])
             assert f.log_det == pytest.approx(e.log_det, rel=1e-10)
-        # every fit is one batch of all k-subsets, and no search
+        # every fit is one batch of all k-subsets and the winner's refit at
+        # the exit, and no search
         assert seeds == []
-        assert [args[1].shape for args, _ in fits] == [(math.comb(n, k), k)] * 4
+        shapes = [args[1].shape for args, _ in fits]
+        assert shapes == [(math.comb(n, k), k), (1, k)] * 4
 
     @pytest.mark.parametrize("n,p,k", STUDY_SHAPES[-2:])
     def test_same_bits_as_search_at_mod_shapes(self, n, p, k, monkeypatch):
@@ -347,7 +364,7 @@ class TestEnumeration:
         # bits tie and only the support order decides
         x = np.repeat(shifted_sample(6, 2, 3), 2, axis=0)
         fit = fast_mcd(x, McdConfig(), RngStream(0))
-        assert fit.support == exact_mcd(x).support
+        assert_same_bits([fit.support], [exact_mcd(x).support])
         assert all(i - 1 in fit.support for i in fit.support if i % 2)
 
     def test_search_just_above_cutoff(self, monkeypatch):
@@ -367,7 +384,8 @@ class TestEnumeration:
         assert calls == [1]
 
     @pytest.mark.parametrize("n,p,seed,pin", [
-        (11, 5, 0, ("02718a5dae6e518e", 8, -7.26770161981405)),
+        (11, 5, 0, ("02718a5dae6e518e", 8, -7.26770161981405, "bd4830aef13155b7",
+                    "cde842e396981de7")),
         (11, 5, 1, ("bb8fb9076c0bad22", 8, -4.2478654042909945)),
         (11, 6, 0, ("0b7bb0c4a7fe8c84", 9, -7.930436342331546)),
         (11, 6, 1, ("ffc3474bbb579ffc", 9, -4.443649041825739)),
@@ -448,7 +466,9 @@ class TestSubsetTable:
         for n in range(1017, 1025):
             fit = fast_mcd(shifted_sample(n, 1, 1), cfg, RngStream(0))
             assert len(fit.support) == n - 1
-        assert not seeds and len(built) == 8
+        # one batch of the n subsets and the winner's refit per fit
+        stacks = [len(args[1]) for args, _ in built]
+        assert not seeds and stacks == [m for n in range(1017, 1025) for m in (n, 1)]
         assert mcd_module._k_subsets.cache_info().currsize == 0
         n, p, k = max(STUDY_SHAPES, key=lambda s: math.comb(s[0], s[2]) * s[2])
         fast_mcd(shifted_sample(n, p, 0), McdConfig(), RngStream(0))
@@ -735,24 +755,27 @@ def assert_same_bits(a, b):
 
 
 class TestCStepOracle:
-    """``_batch_cstep`` returns the oracle's supports and fits bit for bit
-    over the first two C-steps of a FastMCD run, and scipy's closest rows
-    but for near ties."""
+    """One C-step of ``_concentrate`` gives the oracle's supports and fits
+    bit for bit over the first two C-steps of a FastMCD run, and scipy's
+    closest rows but for near ties."""
 
     @staticmethod
     def two_steps(x, seed, monkeypatch):
         # returns the number of candidates the product sent to the definition
         n, p = x.shape
         k = McdConfig().subset_size(n, p)
-        _, mus, sigmas, chols, logdets = draw_seeds(x, seed)
+        stack = draw_seeds(x, seed)
+        sigmas = oracle_fit(x, stack[0])[1]
         defined = spy(monkeypatch, "_closest_by_definition")
         for _ in range(2):
-            alive = np.isfinite(logdets)  # as _concentrate steps them
-            mus, sigmas, chols = mus[alive], sigmas[alive], chols[alive]
-            new = mcd_module._batch_cstep(x, k, mus, chols, mcd_module._quadratic_features(x))
-            assert_same_bits(new, oracle_cstep(x, k, mus, chols))
+            alive = np.isfinite(stack[3])  # as _concentrate steps them
+            stack, sigmas = [a[alive] for a in stack], sigmas[alive]
+            _, mus, chols, _ = stack
+            supports, mus2, sigmas2, chols2, logdets2 = oracle_cstep(x, k, mus, chols)
+            new = mcd_module._concentrate(x, k, [a.copy() for a in stack], steps=1)
+            assert_same_bits(new, [supports, mus2, chols2, logdets2])
             assert_near_oracle(new[0], x, k, mus, sigmas)
-            _, mus, sigmas, chols, logdets = new
+            stack, sigmas = new, sigmas2
         return sum(len(args[2]) for args, _ in defined)
 
     def test_clean_gaussian(self, monkeypatch):
@@ -997,15 +1020,15 @@ class TestConcentrate:
         x[:15] += 50.0
         k = McdConfig().subset_size(*x.shape)
         seeds = draw_seeds(x, 4)
-        entry = mcd_module._concentrate(x, k, *seeds, steps=2)
+        entry = mcd_module._concentrate(x, k, seeds, steps=2)
         kill = np.zeros(len(entry[0]), dtype=bool)
         kill[[0, 8, 9, len(kill) - 1]] = True
-        entry[4][kill] = -np.inf
+        entry[3][kill] = -np.inf
         monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 7 * x.nbytes)
-        out = mcd_module._concentrate(x, k, *[a.copy() for a in entry], steps=3)
+        out = mcd_module._concentrate(x, k, [a.copy() for a in entry], steps=3)
         assert_same_bits([a[kill] for a in out], [a[kill] for a in entry])
         # the others step as they would without the singular ones
-        alive = mcd_module._concentrate(x, k, *[a[~kill] for a in entry], steps=3)
+        alive = mcd_module._concentrate(x, k, [a[~kill] for a in entry], steps=3)
         assert_same_bits([a[~kill] for a in out], alive)
         assert not np.array_equal(alive[0], entry[0][~kill])
 
@@ -1017,9 +1040,10 @@ class TestConcentrate:
         monkeypatch.setattr(
             mcd_module, "_sample_subsets", lambda *a: draws.append(a[2]) or sample(*a)
         )
-        seeds, *fits = draw_seeds(x, 3)
+        seeds, mus, chols, logdets = draw_seeds(x, 3)
         assert len(draws) > 1
-        assert_same_bits(fits, mcd_module._batch_fit(x, seeds))
+        fits = mcd_module._batch_fit(x, seeds)
+        assert_same_bits([mus, chols, logdets], [fits[0], fits[2], fits[3]])
 
 
 class TestSampleSubsets:
@@ -1039,6 +1063,18 @@ class TestSampleSubsets:
         expected = np.sort(np.argpartition(keys, 3, axis=1)[:, :4], axis=1)
         assert_same_bits([mcd_module._sample_subsets(30, 4, 40, gen)], [expected])
 
+    def test_key_blocks_keep_the_draws(self, monkeypatch):
+        # keys drawn in blocks of 7 rows give the subsets of one (40, 30)
+        # draw and leave the generator where that draw leaves it
+        whole = np.random.default_rng(57)
+        expected = np.sort(np.argsort(whole.random((40, 30)), axis=1)[:, :4], axis=1)
+        monkeypatch.setattr(mcd_module, "_CHUNK_BYTES", 8 * 30 * 7)
+        blocked, shapes = np.random.default_rng(57), []
+        gen = types.SimpleNamespace(random=lambda s: shapes.append(s) or blocked.random(s))
+        assert_same_bits([mcd_module._sample_subsets(30, 4, 40, gen)], [expected])
+        assert shapes == [(7, 30)] * 5 + [(5, 30)]
+        assert blocked.random() == whole.random()
+
 
 def outlier_sample(n, p, seed):
     """Gaussian rows with 10% of them, the returned set, shifted by 10."""
@@ -1056,12 +1092,15 @@ def full_search(x, seed, monkeypatch):
         return fast_mcd(x, McdConfig(), RngStream(seed))
 
 
-def assert_pinned(fit, digest, size, log_det):
+def assert_pinned(fit, digest, size, log_det, mu=None, sigma=None):
     """The fit's support hash (sha256[:16] of its little-endian int64
-    bytes), support size and log-determinant are the pinned ones."""
+    bytes), support size and log-determinant are the pinned ones, and so
+    are the sha256[:16] of its ``mu`` and ``sigma`` bytes where given."""
     support = np.array(fit.support, dtype="<i8").tobytes()
     assert (hashlib.sha256(support).hexdigest()[:16], len(fit.support)) == (digest, size)
     assert fit.log_det == pytest.approx(log_det, rel=1e-12)
+    for pinned, value in ((mu, fit.mu), (sigma, fit.sigma)):
+        assert pinned is None or hashlib.sha256(value.tobytes()).hexdigest()[:16] == pinned
 
 
 def spy(monkeypatch, name):
@@ -1175,22 +1214,23 @@ class TestNested:
     ])
     def test_determinant_check(self, n, stage, step, raises, monkeypatch):
         # one C-step of one stage reports a larger log-determinant; up to
-        # 1500 rows the merge and full-data stages both step all n rows
+        # 1500 rows the merge and full-data stages both step all n rows.
+        # Their stacks fit one chunk, so each step refits them by one call
         x, _ = outlier_sample(n, 3, 11)
         rows = n if stage == "full" else min(n, 1500)
         target = step + (2 if stage == "full" and n <= 1500 else 0)
         seen = []
-        cstep = mcd_module._batch_cstep
+        batch_fit = mcd_module._batch_fit
 
-        def inflating(xs, k, mus, chols, features):
-            out = cstep(xs, k, mus, chols, features)
+        def inflating(xs, supports):
+            mus, sigmas, chols, logdets = batch_fit(xs, supports)
             if len(xs) == rows:
-                seen.append(k)
+                seen.append(supports.shape)
                 if len(seen) == target:
-                    out = (*out[:4], out[4] + 1.0)
-            return out
+                    logdets = logdets + 1.0
+            return mus, sigmas, chols, logdets
 
-        monkeypatch.setattr(mcd_module, "_batch_cstep", inflating)
+        monkeypatch.setattr(mcd_module, "_batch_fit", inflating)
         if raises:
             with pytest.raises(NumericalError, match="increased"):
                 fast_mcd(x, McdConfig(), RngStream(2))
@@ -1213,20 +1253,39 @@ class TestNested:
         assert_same_bits(seeds[-1][1], draw_seeds(x, 3))
         with pytest.warns(RuntimeWarning, match="singular"):
             assert fit_bits(fit) == fit_bits(full_search(x, 3, monkeypatch))
-        assert_pinned(fit, "bce11bc10cb6ac44", 351, -math.inf)
+        assert_pinned(fit, "bce11bc10cb6ac44", 351, -math.inf, "5f07eef034c5a21f",
+                      "66687aadf862bd77")
 
     @pytest.mark.parametrize("n,p,nested,full", [
-        (1501, 3, ("38d2110afa35d55f", 752, -2.545272685298139),
-         ("38d2110afa35d55f", 752, -2.545272685298139)),
-        (3000, 4, ("443ca8f85aa08fe4", 1502, -2.615091800007867),
-         ("99dde98ad03e96f1", 1502, -2.615139104538154)),
+        (1501, 3, ("38d2110afa35d55f", 752, -2.545272685298139, "6dbba260767a411f",
+                   "88c762d687c872fd"),
+         ("38d2110afa35d55f", 752, -2.545272685298139, "6dbba260767a411f", "88c762d687c872fd")),
+        (3000, 4, ("443ca8f85aa08fe4", 1502, -2.615091800007867, "70a316a4ae1cc7f0",
+                   "55d064e9c80c8c9a"),
+         ("99dde98ad03e96f1", 1502, -2.615139104538154, "b1c79efcd74651f2", "c63d69112f9e48fe")),
     ])
     def test_pinned_bits(self, n, p, nested, full, monkeypatch):
         # the nested search and the search on all rows keep their pinned
-        # supports and log-determinants
+        # supports, log-determinants and the bytes of their mean and scatter
         x, _ = outlier_sample(n, p, 6)
         assert_pinned(fast_mcd(x, McdConfig(), RngStream(6)), *nested)
         assert_pinned(full_search(x, 6, monkeypatch), *full)
+
+    def test_fallback_memory_bounded(self):
+        # 12,000 of 20,000 rows coincide, so group fits turn singular and the
+        # fit falls back to the search on all rows: its seeds' keys, 80 MB in
+        # one draw, are drawn in blocks, and its (500, k) supports are stepped
+        # in place.  The peak was 170.5 MB with neither, here about 75 MB
+        x = np.random.default_rng(0).standard_normal((20_000, 2))
+        x[:12_000] = x[0]
+        tracemalloc.start()
+        try:
+            with pytest.warns(RuntimeWarning, match="singular"):
+                fit = fast_mcd(x, McdConfig(), RngStream(1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fit.singular and peak <= 80e6
 
     def test_no_group_seed_raises(self):
         with pytest.raises(SingularDataError, match="singular"):
@@ -1275,9 +1334,9 @@ def candidate_stack(x, seed):
     C-step: stacks with both the certified product and the definition."""
     n, p = x.shape
     k = McdConfig().subset_size(n, p)
-    seeds, mus, _, chols, _ = draw_seeds(x, seed)
+    seeds, mus, chols, _ = draw_seeds(x, seed)
     features = mcd_module._quadratic_features(x)
-    return k, seeds, mcd_module._batch_cstep(x, k, mus, chols, features)[0]
+    return k, seeds, mcd_module._closest_rows(x, k, mus, chols, features)
 
 
 class TestBatchKernel:
