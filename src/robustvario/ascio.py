@@ -34,11 +34,19 @@ class AscHeader:
     nodata_value: float = -9999.0
 
 
+def read_lines(path) -> list[str]:
+    """The lines of a text file; one that does not decode is an ``InputError``."""
+    try:
+        with open(path) as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a text file ({exc})") from None
+
+
 def load_asc(path) -> tuple[Grid, AscHeader]:
     """Read an ESRI ASCII grid into a Grid (nodata cells masked) and the
     header it was read with."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     header = {}
     for i, key in enumerate(_HEADER_KEYS):
         if i >= len(lines):

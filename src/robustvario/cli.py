@@ -6,7 +6,8 @@ outliers into an ASC), study-corrfac / study-biasrmse (Monte-Carlo
 studies), and breakdown (closed-form breakdown tables).  Every table goes
 through :func:`robustvario.ascio.write_csv`.
 
-Exit codes: 0 on success, 2 on input/parse errors, 3 on numerical failure.
+Exit codes: 0 on success, 2 on input/parse errors and files that cannot be
+read or written, 3 on numerical failure.
 """
 
 from __future__ import annotations
@@ -247,7 +248,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:

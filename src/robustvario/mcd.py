@@ -307,7 +307,7 @@ def _quadratic_features(x: np.ndarray) -> tuple:
     rows.  The features are written in place into the one (P, n) array."""
     n, p = x.shape
     c = x.mean(axis=0)
-    a, b = _upper_pairs(p)
+    a, b = np.triu_indices(p)
     f = np.empty((len(a) + p + 1, n))
     y = np.subtract(x.T, c[:, None], out=f[len(a) : -1])
     row = 0
@@ -318,15 +318,6 @@ def _quadratic_features(x: np.ndarray) -> tuple:
         row += p - i
     f[-1] = 1.0
     return c, f, float(max(y.max(), -y.min())), (a, b)
-
-
-@functools.lru_cache(maxsize=64)
-def _upper_pairs(p: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.triu_indices(p)``, read-only; cached per p."""
-    pairs = np.triu_indices(p)
-    for index in pairs:
-        index.flags.writeable = False
-    return pairs
 
 
 def _closest_rows(

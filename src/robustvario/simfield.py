@@ -9,13 +9,11 @@ then cover those lags exactly, and there is no Nyquist line, on which an
 anisotropic covariance would make the circulant asymmetric.  The real part of one FFT of complex
 white noise scaled by the square roots of the eigenvalues, cut to the grid,
 has exactly the model covariance.  numpy's FFT does not call BLAS, so a
-field depends only on its spec and its random stream.  The eigenvalues of
-the last spec are cached, so a study computes them once per process.
+field depends only on its spec and its random stream.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,10 +53,9 @@ def _torus_lags(m: int) -> np.ndarray:
     return np.where(j <= m // 2, j, j - m)
 
 
-@functools.lru_cache(maxsize=1)
 def _torus_eigenvalues(spec: FieldSpec) -> np.ndarray:
-    """Eigenvalues of the first nonnegative definite embedding, as a
-    read-only (my, mx) array, cached for the last spec.
+    """Eigenvalues of the first nonnegative definite embedding, an (my, mx)
+    array.
 
     The torus starts at (2nx-1) x (2ny-1) and grows by about a quarter per
     axis (at least 2 cells, so it stays odd) while its smallest eigenvalue
@@ -73,9 +70,7 @@ def _torus_eigenvalues(spec: FieldSpec) -> np.ndarray:
         cov = 0.5 * (spec.model.sill - aniso_variogram(spec.model, lags))
         eig = np.fft.fft2(cov).real
         if eig.min() >= -_NEG_TOL * eig.max():
-            eig = np.maximum(eig, 0.0)
-            eig.setflags(write=False)
-            return eig
+            return np.maximum(eig, 0.0)
         mx, my = mx + 2 * (mx // 8 + 1), my + 2 * (my // 8 + 1)
     raise NotPositiveDefiniteError(
         f"no circulant embedding of at most {MAX_TORUS_CELLS} cells is nonnegative definite"

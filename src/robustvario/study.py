@@ -38,7 +38,7 @@ from multiprocessing import get_all_start_methods, get_context
 
 import numpy as np
 
-from .ascio import write_csv
+from .ascio import read_lines, write_csv
 from .contamination import ContaminationSpec, contaminate
 from .errors import InputError, NumericalError, RobustVarioError, TooManyFailuresError
 from .estimators import _OFF_CONTAM, ModConfig, check_request, estimate_grid
@@ -196,21 +196,20 @@ def load_corrfac_csv(path) -> dict[tuple[str, str], float]:
     """{(estimator, direction): c_opt} from a correction-factor CSV such as
     :meth:`CorrfacResult.to_csv` writes; only the first three columns are read."""
     factors = {}
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[:3] != ["estimator", "direction", "c_opt"]:
-            raise InputError(f"{path}: not a correction-factor CSV")
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) < 3:
-                raise InputError(f"{path}: line {lineno}: expected estimator,direction,c_opt")
-            key = (parts[0], parts[1])
-            if key in factors:
-                raise InputError(f"{path}: line {lineno}: repeated row for {key}")
-            try:
-                factors[key] = float(parts[2])
-            except ValueError:
-                raise InputError(f"{path}: line {lineno}: bad c_opt {parts[2]!r}") from None
+    header, *lines = read_lines(path) or [""]
+    if header.strip().split(",")[:3] != ["estimator", "direction", "c_opt"]:
+        raise InputError(f"{path}: not a correction-factor CSV")
+    for lineno, line in enumerate(lines, start=2):
+        parts = line.strip().split(",")
+        if len(parts) < 3:
+            raise InputError(f"{path}: line {lineno}: expected estimator,direction,c_opt")
+        key = (parts[0], parts[1])
+        if key in factors:
+            raise InputError(f"{path}: line {lineno}: repeated row for {key}")
+        try:
+            factors[key] = float(parts[2])
+        except ValueError:
+            raise InputError(f"{path}: line {lineno}: bad c_opt {parts[2]!r}") from None
     return factors
 
 

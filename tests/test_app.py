@@ -275,6 +275,24 @@ class TestCli:
     def test_missing_file_exit_2(self):
         assert main(["estimate", "/nonexistent/grid.asc"]) == 2
 
+    @pytest.mark.parametrize("case", ["grid-directory", "grid-not-utf8", "corrfac-directory"])
+    def test_unreadable_input_exit_2(self, tmp_path, capsys, case):
+        # the error names the file instead of ending in a traceback
+        binary = tmp_path / "binary.asc"
+        binary.write_bytes(b"ncols 3\n\xff\xfe\x00\x81\n")
+        study = ["study-biasrmse", "--nx", "6", "--ny", "6", "--hmax", "2", "--directions", "ew",
+                 "--estimators", "matheron", "--reps", "2", "--jobs", "1",
+                 "--out", str(tmp_path / "out.csv")]
+        path, argv = {
+            "grid-directory": (tmp_path, ["estimate", str(tmp_path)]),
+            "grid-not-utf8": (binary, ["estimate", str(binary)]),
+            "corrfac-directory": (tmp_path, study + ["--corrfac", str(tmp_path)]),
+        }[case]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
     def test_malformed_asc_exit_2(self, tmp_path):
         bad = write(tmp_path / "bad.asc", "not a header\n")
         assert main(["estimate", bad]) == 2

@@ -22,6 +22,8 @@ from robustvario.scale import qn
 # stream offset of MCD family j (org, diff, org.mod, diff.mod) below a
 # direction's base stream, as in estimate_grid
 FAMILY_OFFSET = 2**40
+# outlier magnitudes of the breakdown oracle
+MAGNITUDES = (1e3, 1e4)
 
 
 def _outlier_values(q, count, magnitude):
@@ -59,37 +61,42 @@ def _variogram(q, series, stream):
     return org_scatter_to_variogram(sigma) if org else np.diag(sigma)
 
 
-def empirical_breakdown_check(q, magnitude=1e6, rng=RngStream(0), size_offset=0):
+def empirical_breakdown_check(q, rng=RngStream(0), size_offset=0):
     """Oracle of the closed forms: plant contamination of the critical size
-    (plus ``size_offset``) at the worst position and report whether any lag
-    estimate exceeds magnitude^2 / 100.
+    (plus ``size_offset``) at the worst position, once at each of
+    ``MAGNITUDES``, and report whether some lag estimate grows with the
+    square of the magnitude, by more than the 1.5th power of their ratio.
+    An estimate that rejects the outliers stays put; one that takes them in
+    grows a hundredfold.  Both magnitudes lie well inside float64's range,
+    so no verdict hangs on the last bits of a fit.
 
     Blocks are scanned exhaustively over all start positions, position i
     drawing from ``rng.child(i + 1)``; isolated outliers go to the
     deterministic worst-case placement (one per non-overlapping vector for
     the modified estimators, spaced h_max + 1 apart for the plain ones) and
-    draw from ``rng.child(1)``.  For the modified estimators the bound is
-    exact: one outlier below the critical size must not break anything.
-    For the plain MCD estimators the isolated value is only a lower bound,
-    so the check is one-sided there.
+    draw from ``rng.child(1)``; both magnitudes draw from the same stream.
+    For the modified estimators the bound is exact: one outlier below the
+    critical size must not break anything.  For the plain MCD estimators
+    the isolated value is only a lower bound, so the check is one-sided
+    there.
     """
     count = math.ceil(breakdown_point(q) * q.n_x) + size_offset
     clean = rng.generator().standard_normal(q.n_x)
+    low, high = MAGNITUDES
 
-    def explodes(series, stream):
-        return bool(np.any(_variogram(q, series, stream) > magnitude**2 / 100.0))
+    def explodes(positions, stream):
+        estimates = []
+        for magnitude in MAGNITUDES:
+            series = clean.copy()
+            series[positions] = _outlier_values(q, len(positions), magnitude)
+            estimates.append(_variogram(q, series, stream))
+        return bool(np.any(estimates[1] > (high / low) ** 1.5 * estimates[0]))
 
     if count <= 0:
-        return explodes(clean, rng.child(1))
-
-    outliers = _outlier_values(q, count, magnitude)
+        return explodes([], rng.child(1))
     if q.scenario == "block":
-        for pos, start in enumerate(range(q.n_x - count + 1)):
-            series = clean.copy()
-            series[start:start + count] = outliers
-            if explodes(series, rng.child(pos + 1)):
-                return True
-        return False
+        return any(explodes(list(range(start, start + count)), rng.child(start + 1))
+                   for start in range(q.n_x - count + 1))
 
     if q.kind.mod:
         stride = q.h_max + 1 + q.m
@@ -97,9 +104,7 @@ def empirical_breakdown_check(q, magnitude=1e6, rng=RngStream(0), size_offset=0)
     else:
         positions = [q.h_max + j * (q.h_max + 1) for j in range(count)]
     assert positions[-1] < q.n_x, f"cannot place {count} worst-case outliers on n_x={q.n_x}"
-    series = clean.copy()
-    series[positions] = outliers
-    return explodes(series, rng.child(1))
+    return explodes(positions, rng.child(1))
 
 # the nine reference values (n_x = 50, h_max = 4, m = 1 for the modified
 # estimators), all exact rationals

@@ -1303,6 +1303,42 @@ class TestNested:
         assert peak < 64 * 2**20
 
 
+class TestChunkBudget:
+    """Raw and reweighted fits do not depend on the memory budget of a
+    C-step chunk, end to end."""
+
+    @pytest.mark.parametrize("n,p", [(700, 3), (400, 1), (400, 3)],
+                             ids=["nested", "all-rows-p1", "all-rows-p3"])
+    def test_same_bytes_at_one_candidate_per_chunk(self, n, p, monkeypatch):
+        # 8 * x.size bytes hold the (1, n, p) block of one candidate on all
+        # rows.  The search on all rows gets plain Gaussian rows, whose many
+        # local minima make its winner depend on every seed
+        if n > mcd_module._NESTED_MIN:
+            x, _ = outlier_sample(n, p, 40 + p)
+        else:
+            x = np.random.default_rng(40 + p).standard_normal((n, p))
+        closest = mcd_module._closest_rows
+        runs = []
+        for budget in (mcd_module._CHUNK_BYTES, 8 * x.size):
+            widths = []
+
+            def counted(xs, k, mus, *rest):
+                widths.append((len(xs), len(mus)))
+                return closest(xs, k, mus, *rest)
+
+            with monkeypatch.context() as m:
+                m.setattr(mcd_module, "_CHUNK_BYTES", budget)
+                m.setattr(mcd_module, "_closest_rows", counted)
+                raw = fast_mcd(x, McdConfig(), RngStream(7))
+                bits = fit_bits(raw), fit_bits(reweight_mcd(x, raw))
+            runs.append((bits, max(width for rows, width in widths if rows == n)))
+        (default_bits, default_widest), (small_bits, small_widest) = runs
+        assert default_bits == small_bits
+        # the default budget steps whole stacks on all rows, the small one
+        # a candidate at a time
+        assert default_widest > 1 and small_widest == 1
+
+
 def subset_moments(x, support):
     """The per-subset oracle of ``_batch_fit``: the plain mean, ``np.cov``
     and scipy's Cholesky factor of it, None where that fails."""

@@ -10,7 +10,6 @@ from robustvario.grid import Direction, LagSet
 from robustvario.estimators import estimate_grid
 from robustvario.numerics import RngStream
 from robustvario.simfield import FieldSpec, simulate_field
-from robustvario.study import StudySpec, run_correction_factor_study
 from robustvario.variomodel import AnisoModel, aniso_variogram
 
 PAPER_MODEL = AnisoModel("spherical", 5.0, 2.0, theta=3.0 * math.pi / 8.0, b=2.0)
@@ -59,22 +58,8 @@ class TestEmbedding:
 
     def test_no_embedding_raises(self, monkeypatch):
         monkeypatch.setattr(simfield, "MAX_TORUS_CELLS", 400)
-        simfield._torus_eigenvalues.cache_clear()
         with pytest.raises(NotPositiveDefiniteError):
             simulate_field(FieldSpec(GAUSSIAN, 8, 8), RngStream(0))
-
-    def test_computed_once_per_study(self):
-        # every replication of a serial study reuses the cached eigenvalues
-        simfield._torus_eigenvalues.cache_clear()
-        spec = StudySpec(
-            field=FieldSpec(PAPER_MODEL, 8, 8), estimators=("matheron",),
-            lag_depths={Direction.EW: 2}, directions=(Direction.EW,),
-            replications=4, base_seed=3, n_jobs=1,
-        )
-        run_correction_factor_study(spec)
-        info = simfield._torus_eigenvalues.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
-        assert not simfield._torus_eigenvalues(spec.field).flags.writeable
 
 
 class TestSimulateField:
